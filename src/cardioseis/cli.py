@@ -101,16 +101,19 @@ def _write_synth_config(path, csv_path, cfg: SynthConfig, truth):
     first = truth.beat_indices[0]
     start_s = max(0.0, first / cfg.fs - length_s / 2)
     analysis_fs = min(cfg.fs, 320.0)
-    path.write_text(
-        "\n".join([
-            f"input = {csv_path}",
-            f"acquisition_fs = {cfg.fs:g}",
-            f"analysis_fs = {analysis_fs:g}",
-            f"template_start_s = {start_s:.6f}",
-            f"template_length_s = {length_s:g}",
-            f"seed = {cfg.seed}",
-            "",
-        ]))
+    lines = [
+        f"input = {csv_path}",
+        f"acquisition_fs = {cfg.fs:g}",
+        f"analysis_fs = {analysis_fs:g}",
+        f"template_start_s = {start_s:.6f}",
+        f"template_length_s = {length_s:g}",
+        f"seed = {cfg.seed}",
+        "",
+    ]
+    if PipelineConfig.lowpass_cutoff_hz >= analysis_fs / 2:
+        # the default cutoff would sit at or above Nyquist: keep it below
+        lines.insert(3, f"lowpass_cutoff_hz = {0.4 * analysis_fs:g}")
+    path.write_text("\n".join(lines))
 
 
 @main.command()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -32,7 +33,19 @@ class PipelineConfig:
             raise InputError("analysis_fs must not exceed acquisition_fs")
         if self.template_length_s <= 0:
             raise InputError("template_length_s must be > 0")
+        if not 0 < self.threshold_frac < 1:
+            raise InputError(f"threshold_frac must be in (0, 1), got {self.threshold_frac}")
+        if not 0 < self.lowpass_cutoff_hz < self.analysis_fs / 2:
+            raise InputError(f"lowpass_cutoff_hz must be in (0, analysis_fs/2 = "
+                             f"{self.analysis_fs / 2:g}), got {self.lowpass_cutoff_hz}")
+        if self.max_shift is not None and self.max_shift < 0:
+            raise InputError(f"max_shift must be >= 0, got {self.max_shift}")
+        if self.min_separation_s <= 0:
+            raise InputError(f"min_separation_s must be > 0, got {self.min_separation_s}")
 
+
+# `#` starts a comment at the start of a line or after whitespace, so values may contain it
+_COMMENT = re.compile(r"(?:^|(?<=\s))#")
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -73,7 +86,7 @@ def load_config(path) -> PipelineConfig:
     values: dict = {}
     channel_map = dict(DEFAULT_CHANNEL_MAP)
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -90,7 +103,10 @@ def load_config(path) -> PipelineConfig:
             values[name] = parse(value)
         except (ValueError, InputError) as exc:
             raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-    return PipelineConfig(channel_map=channel_map, **values)
+    try:
+        return PipelineConfig(channel_map=channel_map, **values)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def apply_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:

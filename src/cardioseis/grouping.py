@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateAnalysisError, InputError
 from .respiration import FlowPhase, VolumePhase
-from .signal_core import DegenerateCorrelation, best_lag, rms
+from .signal_core import best_lag, rms
 
 log = logging.getLogger(__name__)
 
@@ -70,22 +70,60 @@ class CriterionComparison:
         return (self.inspiration, self.expiration, self.llv, self.hlv)
 
 
-def _shift_event(ev, lag: int):
-    """Re-extract an event's window lag samples later in its source channel.
+def _windows(events) -> np.ndarray:
+    """A group's event windows as one (n, L) matrix."""
+    if not events:
+        raise DegenerateAnalysisError("empty group")
+    if len({len(ev.window) for ev in events}) != 1:
+        raise InputError("event windows differ in length")
+    return np.stack([np.asarray(ev.window, dtype=float) for ev in events])
 
-    The shift is clamped so the window stays inside the recording.
+
+def _source_samples(events) -> np.ndarray:
+    """The samples of the one source channel a group's events were cut from."""
+    source = events[0].source
+    if any(ev.source is not source for ev in events):
+        raise InputError("events of one group must share one source channel")
+    return source.samples
+
+
+def _rms_rows(a) -> np.ndarray:
+    return np.sqrt(np.mean(np.square(a), axis=-1))
+
+
+def _shift_to(target, samples, refs, windows, max_shift: int):
+    """Shift every row toward its best lag against target.
+
+    Each window is re-cut lag samples later in the source, with the lag
+    clamped so the window stays inside the recording; a row with a
+    degenerate correlation keeps its place. Returns the new (refs, windows).
     """
-    length = len(ev.window)
-    n = len(ev.source)
-    lo = length // 2 - ev.ref_index
-    hi = n - length + length // 2 - ev.ref_index
-    lag = int(np.clip(lag, lo, hi))
-    if lag == 0:
-        return ev
-    ref = ev.ref_index + lag
-    start = ref - length // 2
-    return replace(ev, ref_index=ref, window=ev.source.samples[start:start + length].copy(),
-                   align_shift=ev.align_shift + lag)
+    lags = best_lag(target, windows, max_shift)
+    length = windows.shape[1]
+    half = length // 2
+    refs = refs + np.clip(lags, half - refs, len(samples) - length + half - refs)
+    return refs, samples[(refs - half)[:, None] + np.arange(length)]
+
+
+def _align_group(events, max_shift: int):
+    """Drop a group's constant windows and align the rest (see align_events).
+
+    Returns (kept events, source samples, aligned refs, aligned windows).
+    """
+    windows = _windows(events)
+    keep = np.ptp(windows, axis=1) > 0
+    if not keep.all():
+        log.warning("align_events: dropped %d constant-window event(s)", np.sum(~keep))
+    if not keep.any():
+        raise DegenerateAnalysisError("empty group")
+    kept = [ev for ev, k in zip(events, keep) if k]
+    samples = _source_samples(kept)
+    refs = np.array([ev.ref_index for ev in kept])
+    windows = windows[keep]
+    reference = windows[np.argmax(_rms_rows(windows))]
+    refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
+    refs, windows = _shift_to(_average(windows), samples, refs, windows, max_shift)
+    return kept, samples, refs, windows
 
 
 def align_events(events, max_shift: int):
@@ -93,33 +131,21 @@ def align_events(events, max_shift: int):
 
     Pass one aligns everything to the highest-RMS event; pass two re-aligns
     to the pass-one ensemble average. Constant-window events are dropped
-    with a warning. Lags come from Pearson-normalized cross-correlation.
+    with a warning. Lags come from Pearson-normalized cross-correlation,
+    computed for the whole group at once by best_lag on the window stack;
+    the events of a group must share one source channel.
     """
-    if not events:
-        raise DegenerateAnalysisError("empty group")
-    lengths = {len(ev.window) for ev in events}
-    if len(lengths) != 1:
-        raise InputError("event windows differ in length")
-    usable = [ev for ev in events if np.ptp(ev.window) > 0]
-    dropped = len(events) - len(usable)
-    if dropped:
-        log.warning("align_events: dropped %d constant-window event(s)", dropped)
-    if not usable:
-        raise DegenerateAnalysisError("empty group")
-    reference = max(usable, key=lambda ev: rms(ev.window))
-    aligned = [_align_to(ev, reference.window, max_shift) for ev in usable]
-    avg = ensemble_average(aligned)
-    if np.ptp(avg) > 0:
-        aligned = [_align_to(ev, avg, max_shift) for ev in aligned]
-    return aligned
+    kept, _, refs, windows = _align_group(events, max_shift)
+    return [ev if ref == ev.ref_index else
+            replace(ev, ref_index=int(ref), window=window,
+                    align_shift=ev.align_shift + int(ref) - ev.ref_index)
+            for ev, ref, window in zip(kept, refs, windows)]
 
 
-def _align_to(ev, target, max_shift: int):
-    try:
-        lag = best_lag(target, ev.window, max_shift)
-    except DegenerateCorrelation:
-        return ev
-    return _shift_event(ev, lag)
+def _average(windows) -> np.ndarray:
+    if np.all(windows == windows[0]):
+        return windows[0].copy()
+    return np.mean(windows, axis=0)
 
 
 def ensemble_average(events) -> np.ndarray:
@@ -127,12 +153,7 @@ def ensemble_average(events) -> np.ndarray:
 
     Identical windows average to themselves exactly (no float drift).
     """
-    if not events:
-        raise DegenerateAnalysisError("empty group")
-    stack = np.stack([ev.window for ev in events])
-    if np.all(stack == stack[0]):
-        return stack[0].copy()
-    return np.mean(stack, axis=0)
+    return _average(_windows(events))
 
 
 def drms(event_window, group_avg) -> float:
@@ -144,12 +165,25 @@ def drms(event_window, group_avg) -> float:
     return rms(event_window - group_avg)
 
 
-def normalized_dissim(event_window, group_avg) -> float:
-    """drms normalized by the average's RMS, in percent."""
+def _dissim(windows, group_avg) -> np.ndarray:
+    """Normalized dissimilarity, in percent, of each row against an average."""
+    group_avg = np.asarray(group_avg, dtype=float)
     denom = rms(group_avg)
     if denom == 0:
         raise DegenerateAnalysisError("degenerate group average")
-    return 100.0 * drms(event_window, group_avg) / denom
+    if windows.shape[1:] != group_avg.shape:
+        raise InputError("length mismatch")
+    return 100.0 * _rms_rows(windows - group_avg) / denom
+
+
+def normalized_dissim(event_window, group_avg) -> float:
+    """drms normalized by the average's RMS, in percent."""
+    return float(_dissim(np.asarray(event_window, dtype=float)[None], group_avg)[0])
+
+
+def _mean_sd(vals) -> tuple[float, float]:
+    sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+    return float(np.mean(vals)), sd
 
 
 def mean_dissimilarity(events, group_avg) -> tuple[float, float]:
@@ -157,11 +191,7 @@ def mean_dissimilarity(events, group_avg) -> tuple[float, float]:
 
     A single-event group gets SD 0.
     """
-    if not events:
-        raise DegenerateAnalysisError("empty group")
-    vals = np.array([normalized_dissim(ev.window, group_avg) for ev in events])
-    sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-    return float(np.mean(vals)), sd
+    return _mean_sd(_dissim(_windows(events), group_avg))
 
 
 def relative_difference(mean_same: float, mean_alt: float) -> float:
@@ -171,12 +201,8 @@ def relative_difference(mean_same: float, mean_alt: float) -> float:
     return 100.0 * (mean_alt - mean_same) / mean_same
 
 
-def _group_labels(criterion: Criterion):
-    if criterion is Criterion.FLOW_RATE:
-        return [(FlowPhase.INSPIRATION, lambda ev: ev.flow_phase is FlowPhase.INSPIRATION),
-                (FlowPhase.EXPIRATION, lambda ev: ev.flow_phase is FlowPhase.EXPIRATION)]
-    return [(VolumePhase.LLV, lambda ev: ev.volume_phase is VolumePhase.LLV),
-            (VolumePhase.HLV, lambda ev: ev.volume_phase is VolumePhase.HLV)]
+_GROUPS = {Criterion.FLOW_RATE: ("flow_phase", (FlowPhase.INSPIRATION, FlowPhase.EXPIRATION)),
+           Criterion.LUNG_VOLUME: ("volume_phase", (VolumePhase.LLV, VolumePhase.HLV))}
 
 
 def evaluate_criterion(events, criterion: Criterion, max_shift: int | None = None):
@@ -191,25 +217,24 @@ def evaluate_criterion(events, criterion: Criterion, max_shift: int | None = Non
         raise DegenerateAnalysisError("empty group")
     if max_shift is None:
         max_shift = len(events[0].window) // 4
-    split = []
-    for label, pred in _group_labels(criterion):
-        members = [ev for ev in events if pred(ev)]
+    attr, labels = _GROUPS[criterion]
+    aligned = {}
+    for label in labels:
+        members = [ev for ev in events if getattr(ev, attr) is label]
         if not members:
             raise DegenerateAnalysisError(f"degenerate split: {criterion.value} "
                                           f"group {label.value} is empty")
-        split.append((label, members))
-    aligned = {label: align_events(members, max_shift) for label, members in split}
-    averages = {label: ensemble_average(evs) for label, evs in aligned.items()}
+        aligned[label] = _align_group(members, max_shift)[1:]
+    averages = {label: _average(windows) for label, (_, _, windows) in aligned.items()}
     stats = []
-    labels = [label for label, _ in split]
     for label, other in (labels, labels[::-1]):
-        evs = aligned[label]
+        samples, refs, windows = aligned[label]
         own_avg, alt_avg = averages[label], averages[other]
-        mean_same, sd_same = mean_dissimilarity(evs, own_avg)
-        realigned = [_align_to(ev, alt_avg, max_shift) for ev in evs]
-        mean_alt, sd_alt = mean_dissimilarity(realigned, alt_avg)
+        mean_same, sd_same = _mean_sd(_dissim(windows, own_avg))
+        _, realigned = _shift_to(alt_avg, samples, refs, windows, max_shift)
+        mean_alt, sd_alt = _mean_sd(_dissim(realigned, alt_avg))
         stats.append(GroupStats(
-            group_id=label.value, n=len(evs), ensemble_avg=own_avg,
+            group_id=label.value, n=len(windows), ensemble_avg=own_avg,
             mean_dissim_same=mean_same, sd_same=sd_same,
             mean_dissim_alt=mean_alt, sd_alt=sd_alt,
             rd=relative_difference(mean_same, mean_alt)))
@@ -246,11 +271,11 @@ def screen_outliers(events, max_shift: int | None = None, n_sd: float = 3.0):
     usable = [ev for ev in events if np.ptp(ev.window) > 0]
     if len(usable) < 3:
         return usable, len(events) - len(usable)
-    aligned = align_events(usable, max_shift)
-    avg = ensemble_average(aligned)
+    *_, windows = _align_group(usable, max_shift)
+    avg = _average(windows)
     if np.ptp(avg) == 0:
         return usable, len(events) - len(usable)
-    vals = np.array([normalized_dissim(ev.window, avg) for ev in aligned])
+    vals = _dissim(windows, avg)
     limit = vals.mean() + n_sd * (vals.std(ddof=1) if len(vals) > 1 else 0.0)
     kept = [ev for ev, v in zip(usable, vals) if v <= limit]
     return kept, len(events) - len(kept)

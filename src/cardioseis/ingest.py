@@ -8,6 +8,8 @@ flow_lps.
 from __future__ import annotations
 
 import csv
+import re
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,10 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise InputError(f"{path}: could not parse data rows: {exc}") from None
+            # loadtxt counts data rows from 0; name the file line instead
+            msg = re.sub(r"\bat row (\d+)",
+                         lambda m: f"at line {_file_line(path, int(m.group(1)))}", str(exc))
+            raise InputError(f"{path}: could not parse data rows: {msg}") from None
     if data.size == 0:
         raise InputError(f"{path}: no data rows")
     if data.shape[1] < len(header):
@@ -57,7 +62,8 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
     dev = np.abs(t - expected)
     if np.any(dev > TIME_TOLERANCE_FRAC * dt):
         row = int(np.argmax(dev > TIME_TOLERANCE_FRAC * dt))
-        raise InputError(f"{path}: non-uniform timestamps, first offending row {row + 2}")
+        raise InputError(f"{path}: non-uniform timestamps, "
+                         f"first offending row {_file_line(path, row)}")
 
     channels = {}
     for role in ("scg", "ecg", "flow"):
@@ -65,9 +71,18 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
         bad = ~np.isfinite(col)
         if np.any(bad):
             row = int(np.flatnonzero(bad)[0])
-            raise InputError(f"{path}: non-finite {role} sample at row {row + 2}")
+            raise InputError(f"{path}: non-finite {role} sample at row {_file_line(path, row)}")
         channels[role] = Channel(col, fs, role)
     return Recording(channels=channels, recording_id=path.stem)
+
+
+def _file_line(path, row: int) -> int:
+    """1-based file line of zero-based data row `row`, counted as loadtxt
+    counts: after the header, skipping blank and comment-only lines."""
+    with open(path, newline="") as fh:
+        next(fh)
+        data_lines = (n for n, line in enumerate(fh, start=2) if line.split("#", 1)[0].strip())
+        return next(islice(data_lines, row, None))
 
 
 def write_recording_csv(rec: Recording, path, config: PipelineConfig | None = None):

@@ -155,7 +155,7 @@ def hilbert_envelope(x) -> np.ndarray:
     return np.abs(analytic)
 
 
-def best_lag(x, y, max_lag: int) -> int:
+def best_lag(x, y, max_lag: int):
     """Lag maximizing Pearson-normalized cross-correlation of x against y.
 
     A positive result means y is a delayed copy of x: y[i + lag] lines up
@@ -164,34 +164,52 @@ def best_lag(x, y, max_lag: int) -> int:
     the product of the full-segment norms, so amplitude differences do not
     bias the alignment and shrinking the overlap cannot inflate the score
     (which would let alignment lock onto a neighboring carrier cycle).
+    Lags whose overlap is shorter than 2 samples are not considered.
+
+    y is one waveform or an (n, L) stack of them. For one waveform the lag
+    is returned as an int, and a degenerate correlation (a constant input
+    or no usable lag) raises DegenerateCorrelation. For a stack, the lags
+    of all rows come back as an int array from one pass over the lags; a
+    row whose correlation is degenerate gets lag 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if max_lag < 0:
         raise InputError("max_lag must be >= 0")
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
-        raise DegenerateCorrelation()
+    if x.ndim != 1 or y.ndim not in (1, 2):
+        raise InputError("best_lag needs a waveform x and a waveform or (n, L) stack y")
+    if x.size == 0 or y.shape[-1] == 0:
+        raise InputError("empty waveform")
+    rows = np.atleast_2d(y)
+    lx, ly = len(x), rows.shape[1]
     xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.linalg.norm(xc) * np.linalg.norm(yc)
-    if denom == 0:
-        raise DegenerateCorrelation()
-    best = None
-    for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
+    yc = rows - rows.mean(axis=1, keepdims=True)
+    denom = np.linalg.norm(xc) * np.linalg.norm(yc, axis=1)
+    degenerate = (np.ptp(rows, axis=1) == 0) | (denom == 0) | (np.ptp(x) == 0)
+    denom[degenerate] = 1.0
+    # lags outside [2 - lx, ly - 2] overlap by fewer than 2 samples
+    usable = range(max(-max_lag, 2 - lx), min(max_lag, ly - 2) + 1) if min(lx, ly) >= 2 else ()
+    if not usable:
+        degenerate[:] = True
+    best_r = np.full(len(rows), -np.inf)
+    lags = np.zeros(len(rows), dtype=int)
+    for lag in sorted(usable, key=lambda l: (abs(l), l)):
         if lag >= 0:
-            n = min(len(x), len(y) - lag)
-            xs, ys = xc[:n], yc[lag:lag + n]
+            n = min(lx, ly - lag)
+            xs, ys = xc[:n], yc[:, lag:lag + n]
         else:
-            n = min(len(x) + lag, len(y))
-            xs, ys = xc[-lag:-lag + n], yc[:n]
-        if n < 2:
-            continue
-        r = float(np.dot(xs, ys) / denom)
-        if best is None or r > best[0] + 1e-15:
-            best = (r, lag)
-    if best is None:
-        raise DegenerateCorrelation()
-    return best[1]
+            n = min(lx + lag, ly)
+            xs, ys = xc[-lag:-lag + n], yc[:, :n]
+        r = (ys @ xs) / denom
+        better = r > best_r + 1e-15
+        best_r[better] = r[better]
+        lags[better] = lag
+    lags[degenerate] = 0
+    if y.ndim == 1:
+        if degenerate[0]:
+            raise DegenerateCorrelation()
+        return int(lags[0])
+    return lags
 
 
 class DegenerateCorrelation(DegenerateAnalysisError):

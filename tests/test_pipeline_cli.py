@@ -69,6 +69,28 @@ class TestIngest:
         with pytest.raises(InputError, match="non-finite scg sample at row 5"):
             ingest_csv(p, cfgp)
 
+    def test_parse_error_names_file_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        rows = ["time_s,scg_z,ecg,flow_lps"]
+        rows += [f"{i / 320.0:.9g},{'abc' if i == 4 else '0'},0,0" for i in range(8)]
+        p.write_text("\n".join(rows) + "\n")  # 'abc' sits on line 6
+        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
+        with pytest.raises(InputError, match="'abc'.* at line 6, column 2"):
+            ingest_csv(p, cfgp)
+
+    def test_errors_count_blank_lines(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        rows = ["time_s,scg_z,ecg,flow_lps"]
+        rows += [f"{i / 320.0:.9g},{'nan' if i == 3 else '0'},0,0" for i in range(8)]
+        rows.insert(2, "")  # the nan moves to line 6
+        p.write_text("\n".join(rows) + "\n")
+        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
+        with pytest.raises(InputError, match="non-finite scg sample at row 6"):
+            ingest_csv(p, cfgp)
+        p.write_text("\n".join(rows).replace("nan", "x") + "\n")
+        with pytest.raises(InputError, match="at line 6,"):
+            ingest_csv(p, cfgp)
+
     def test_channel_remap(self, tmp_path):
         p = tmp_path / "remap.csv"
         p.write_text("t,z,e,f\n" + "\n".join(f"{i / 320.0:.9g},1,0,0.5" for i in range(10)) + "\n")
@@ -96,6 +118,38 @@ channel.scg = accel_z
         assert cfg.channel_map["scg"] == "accel_z"
         assert cfg.acquisition_fs == 10000.0  # untouched default
         assert cfg.threshold_frac == 0.5
+
+    def test_hash_inside_value_kept(self, tmp_path):
+        p = tmp_path / "pipeline.cfg"
+        p.write_text("out_dir = o#1\ninput = a#b.csv, c.csv\n")
+        cfg = load_config(p)
+        assert cfg.out_dir == "o#1"
+        assert cfg.inputs == ("a#b.csv", "c.csv")
+
+    def test_inline_comment_after_whitespace(self, tmp_path):
+        p = tmp_path / "pipeline.cfg"
+        p.write_text("  # indented comment\n"
+                     "out_dir = o # comment\n"
+                     "max_shift = auto\t# tab before the comment\n"
+                     "threshold_frac = 0.25              # of the 95th percentile\n")
+        cfg = load_config(p)
+        assert cfg.out_dir == "o"
+        assert cfg.max_shift is None
+        assert cfg.threshold_frac == 0.25
+
+    @pytest.mark.parametrize("field,value", [
+        ("threshold_frac", 0.0), ("threshold_frac", 1.0), ("threshold_frac", 1.5),
+        ("lowpass_cutoff_hz", 0.0), ("lowpass_cutoff_hz", 160.0), ("lowpass_cutoff_hz", -5.0),
+        ("max_shift", -1), ("min_separation_s", 0.0), ("min_separation_s", -0.4),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(InputError, match=field):
+            PipelineConfig(**{field: value})
+
+    def test_in_range_accepted(self):
+        cfg = PipelineConfig(threshold_frac=0.01, lowpass_cutoff_hz=159.9, max_shift=0,
+                             min_separation_s=0.01)
+        assert cfg.max_shift == 0
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -192,6 +246,44 @@ class TestCli:
         res = runner.invoke(main, ["report", "--check",
                                    str(tmp_path / "analysis" / "report.json")])
         assert res.exit_code == 0, res.output
+
+    def test_low_rate_synth_then_run(self, tmp_path):
+        runner = CliRunner()
+        out = tmp_path / "synth"
+        res = runner.invoke(main, ["synth", "--seed", "1", "--fs", "150",
+                                   "--duration", "30", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert load_config(out / "pipeline.cfg").lowpass_cutoff_hz < 75.0
+        res = runner.invoke(main, ["run", "--config", str(out / "pipeline.cfg"),
+                                   "--out", str(tmp_path / "analysis")])
+        assert res.exit_code == 0, res.output
+
+    def test_synth_config_keeps_default_cutoff(self, tmp_path):
+        runner = CliRunner()
+        out = tmp_path / "synth"
+        res = runner.invoke(main, ["synth", "--fs", "250", "--duration", "5",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "lowpass_cutoff_hz" not in (out / "pipeline.cfg").read_text()
+
+    @pytest.mark.parametrize("line,field", [
+        ("threshold_frac = 1.5", "threshold_frac"),
+        ("lowpass_cutoff_hz = 200", "lowpass_cutoff_hz"),
+        ("max_shift = -3", "max_shift"),
+        ("min_separation_s = 0", "min_separation_s"),
+    ])
+    def test_bad_config_exits_2_before_ingest(self, tmp_path, monkeypatch, line, field):
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"input = {path}\nacquisition_fs = 320\n{line}\n")
+        ingested = []
+        monkeypatch.setattr("cardioseis.pipeline.ingest_csv",
+                            lambda *args: ingested.append(args))
+        res = CliRunner().invoke(main, ["run", "--config", str(cfg_file),
+                                        "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert field in res.output
+        assert ingested == []
 
     def test_run_missing_input_exit_2(self, tmp_path):
         runner = CliRunner()
