@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import DegenerateAnalysisError, InputError
 from .respiration import FlowPhase, VolumePhase
@@ -122,6 +121,7 @@ def detect_events(
     window are dropped. The threshold is relative, so detection is
     invariant to amplitude scaling of the channel.
     """
+    from scipy.signal import find_peaks
     if not (0 < threshold_frac < 1):
         raise InputError(f"threshold_frac must be in (0,1), got {threshold_frac}")
     if tpl.fs != ch.fs:

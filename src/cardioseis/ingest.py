@@ -19,6 +19,8 @@ from .errors import InputError
 from .signal_core import Channel, Recording
 
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
+CSV_BLOCK_ROWS = 65536     # rows formatted per write; bounds the writer's memory
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g\r\n"
 
 
 def ingest_csv(path, config: PipelineConfig) -> Recording:
@@ -86,18 +88,23 @@ def _file_line(path, row: int) -> int:
 
 
 def write_recording_csv(rec: Recording, path, config: PipelineConfig | None = None):
-    """Write a recording in the ingestible CSV format (%.9g precision)."""
+    """Write a recording in the ingestible CSV format (%.9g precision).
+
+    The header goes through csv.writer, so channel names are quoted as it
+    quotes them. The body is formatted CSV_BLOCK_ROWS rows at a time, one
+    %-format per block, into the bytes csv.writer writes row by row.
+    """
     cmap = config.channel_map if config else DEFAULT_CHANNEL_MAP
     scg, ecg, flow = rec["scg"], rec["ecg"], rec["flow"]
     n = len(scg)
     fs = scg.fs
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([cmap["time"], cmap["scg"], cmap["ecg"], cmap["flow"]])
-        for i in range(n):
-            writer.writerow([
-                "%.9g" % (i / fs),
-                "%.9g" % scg.samples[i],
-                "%.9g" % ecg.samples[i],
-                "%.9g" % flow.samples[i],
-            ])
+        csv.writer(fh).writerow([cmap["time"], cmap["scg"], cmap["ecg"], cmap["flow"]])
+        for s in range(0, n, CSV_BLOCK_ROWS):
+            e = min(s + CSV_BLOCK_ROWS, n)
+            block = np.empty((e - s, 4))
+            block[:, 0] = np.arange(s, e) / fs  # the same IEEE value as i / fs
+            block[:, 1] = scg.samples[s:e]
+            block[:, 2] = ecg.samples[s:e]
+            block[:, 3] = flow.samples[s:e]
+            fh.write((_CSV_ROW * (e - s)) % tuple(block.ravel().tolist()))

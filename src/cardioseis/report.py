@@ -12,7 +12,7 @@ import csv
 import json
 from pathlib import Path
 
-from .errors import InputError, InternalError
+from .errors import InputError
 from .grouping import CriterionComparison, relative_difference
 
 GROUP_ORDER = ("Inspiration", "Expiration", "LLV", "HLV")
@@ -92,9 +92,3 @@ def check_report(path) -> list[str]:
                 problems.append(
                     f"{rid}/{g['group']}: stored RD {g['rd']} vs recomputed {expect:.4f}")
     return problems
-
-
-def assert_report_consistent(path):
-    problems = check_report(path)
-    if problems:
-        raise InternalError("report RD inconsistency: " + "; ".join(problems))

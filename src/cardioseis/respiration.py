@@ -11,7 +11,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import InputError
 from .signal_core import Channel
@@ -44,6 +43,7 @@ def integrate_flow(flow: Channel, detrend: bool = True) -> RespirationTrace:
     drift (the offset used is the trapezoid mean, not the arithmetic mean,
     so the final volume sample lands on 0 to machine precision).
     """
+    from scipy.integrate import cumulative_trapezoid
     if len(flow) == 0:
         raise InputError("empty waveform")
     f = flow.samples

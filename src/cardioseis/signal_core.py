@@ -1,18 +1,18 @@
 """Sampled-signal container and the DSP primitives the pipeline is built on.
 
 Everything here is a pure function of its inputs. Channels are treated as
-immutable once built; operations return new arrays/channels.
+immutable once built; operations return new arrays/channels. scipy is
+imported inside the functions that use it, so importing this module (and
+the CLI) does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
-from scipy.fft import next_fast_len
 
 from .errors import DegenerateAnalysisError, InputError, InternalError
 
@@ -58,7 +58,6 @@ class Recording:
 
     channels: dict[str, Channel]
     recording_id: str = "recording"
-    meta: dict = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> Channel:
         try:
@@ -82,6 +81,7 @@ def _lowpass_taps(cutoff_hz: float, fs: float) -> np.ndarray:
     Passband: within +/-0.5 dB below 0.8*cutoff.  Stopband: >= 40 dB above
     1.5*cutoff.  Grown in steps until a frequency-response probe passes.
     """
+    from scipy import signal as sps
     pass_edge = 0.8 * cutoff_hz
     stop_edge = 1.5 * cutoff_hz
     for numtaps in range(11, 4097, 2):
@@ -128,6 +128,7 @@ def resample(ch: Channel, target_fs: float) -> Channel:
         raise InputError("target_fs must be > 0")
     if target_fs == ch.fs:
         return ch.with_samples(ch.samples.copy())
+    from scipy import signal as sps
     frac = Fraction(target_fs / ch.fs).limit_denominator(10000)
     up, down = frac.numerator, frac.denominator
     m = max(up, down)
@@ -147,6 +148,8 @@ def hilbert_envelope(x) -> np.ndarray:
     FFT length is padded to a fast size internally; accuracy guarantees hold
     on the interior of the signal (edges show the usual Hilbert roll-off).
     """
+    from scipy import signal as sps
+    from scipy.fft import next_fast_len
     x = np.asarray(x, dtype=float)
     if x.size < 4:
         raise InputError("waveform too short for envelope")

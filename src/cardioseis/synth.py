@@ -181,6 +181,5 @@ def gen_recording(cfg: SynthConfig, m_low=None, m_high=None):
             "volume": volume_ch,
         },
         recording_id=f"synth-{cfg.coupling.value}-seed{cfg.seed}",
-        meta={"config": cfg},
     )
     return rec, truth

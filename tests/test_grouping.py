@@ -1,14 +1,17 @@
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cardioseis as cs
 from cardioseis.errors import DegenerateAnalysisError, InputError
 from cardioseis.event_detection import ScgEvent
-from cardioseis.grouping import (align_events, compare_criteria, drms,
-                                 ensemble_average, evaluate_criterion,
+from cardioseis.grouping import (RD_TIE_TOLERANCE, align_events, compare_criteria,
+                                 drms, ensemble_average, evaluate_criterion,
                                  mean_dissimilarity, normalized_dissim,
                                  relative_difference, Criterion, Winner)
 from cardioseis.respiration import FlowPhase, VolumePhase
@@ -29,6 +32,26 @@ def planted_channel(offsets, length=80):
     for p in offsets:
         x[p:p + length] += BURST[:length]
     return cs.Channel(x, 320.0)
+
+
+@lru_cache(maxsize=None)
+def labeled_synth_events(coupling, seed):
+    """Detected, labeled, unscreened events of one synthetic recording."""
+    _, events, _, _ = run_synth_analysis(coupling, seed=seed, screen=False)
+    rec = cs.gen_recording(cs.SynthConfig(coupling=coupling, seed=seed))[0]
+    return tuple(cs.label_events(events, cs.integrate_flow(rec["flow"])))
+
+
+OTHER_LABEL = {FlowPhase.INSPIRATION: FlowPhase.EXPIRATION,
+               FlowPhase.EXPIRATION: FlowPhase.INSPIRATION,
+               VolumePhase.LLV: VolumePhase.HLV, VolumePhase.HLV: VolumePhase.LLV}
+
+
+def pair_winner(rd_flow, rd_volume):
+    """The criterion whose group has the larger RD; a tie within tolerance."""
+    if abs(rd_volume - rd_flow) <= RD_TIE_TOLERANCE:
+        return Winner.TIE
+    return Winner.LUNG_VOLUME if rd_volume > rd_flow else Winner.FLOW_RATE
 
 
 class TestAlignEvents:
@@ -234,3 +257,29 @@ class TestCriteria:
         assert insp_f.n == exp.n and exp_f.n == insp.n
         assert insp_f.mean_dissim_same == pytest.approx(exp.mean_dissim_same, rel=1e-9)
         assert exp_f.rd == pytest.approx(insp.rd, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coupling=st.sampled_from(list(cs.Coupling)), seed=st.integers(0, 14),
+           swap=st.sampled_from(["flow", "volume", "both"]))
+    def test_label_swap_mirrors_stats_and_winners(self, coupling, seed, swap):
+        """Swapping every event's flow label swaps the Inspiration and
+        Expiration stats; swapping its volume label swaps LLV and HLV; the
+        pair winners follow the swapped RDs, and swapping both mirrors them."""
+        events = labeled_synth_events(coupling, seed)
+        swap_flow, swap_volume = swap in ("flow", "both"), swap in ("volume", "both")
+        swapped = [ev.relabeled(OTHER_LABEL[ev.flow_phase] if swap_flow else ev.flow_phase,
+                                OTHER_LABEL[ev.volume_phase] if swap_volume else ev.volume_phase)
+                   for ev in events]
+        base, mirrored = compare_criteria(list(events)), compare_criteria(swapped)
+        insp, exp = (base.expiration, base.inspiration) if swap_flow else (base.inspiration,
+                                                                          base.expiration)
+        llv, hlv = (base.hlv, base.llv) if swap_volume else (base.llv, base.hlv)
+        for got, want in zip(mirrored.groups, (insp, exp, llv, hlv)):
+            assert got.n == want.n
+            for field in ("mean_dissim_same", "sd_same", "mean_dissim_alt", "sd_alt", "rd"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9)
+        assert mirrored.winner_insp_llv is pair_winner(insp.rd, llv.rd)
+        assert mirrored.winner_exp_hlv is pair_winner(exp.rd, hlv.rd)
+        if swap == "both":
+            assert mirrored.winner_insp_llv is base.winner_exp_hlv
+            assert mirrored.winner_exp_hlv is base.winner_insp_llv

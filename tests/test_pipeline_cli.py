@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -308,3 +311,44 @@ class TestCli:
         runner = CliRunner()
         res = runner.invoke(main, ["report", "--check", str(tmp_path / "nope.json")])
         assert res.exit_code == 2
+
+
+# Imports the package and the CLI, then runs `report --check` and a short
+# `synth` in the same interpreter, listing the scipy modules loaded after
+# each step. argv: report path, synth output directory.
+IMPORT_GUARD = """
+import json, sys
+import cardioseis, cardioseis.cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_loaded()}
+for name, args in (("report", ["report", "--check", sys.argv[1]]),
+                   ("synth", ["synth", "--fs", "320", "--duration", "10", "--out", sys.argv[2]])):
+    try:
+        cardioseis.cli.main.main(args=args, standalone_mode=False)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+    seen[name] = scipy_loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_by_run(tmp_path):
+    """Importing the CLI, `report --check` and `synth` load no scipy
+    module; `run` (which does) still accepts what that `synth` wrote."""
+    src = Path(cs.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = tmp_path / "synth"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
+                           str(DATA_DIR / "reference_tables.json"), str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "report": [], "synth": []}
+    res = CliRunner().invoke(main, ["run", "--config", str(out / "pipeline.cfg"),
+                                    "--out", str(tmp_path / "analysis")])
+    assert res.exit_code == 0, res.output
