@@ -1,22 +1,3 @@
 """SCG heartbeat detection and respiratory-phase grouping analysis."""
 
-from .config import PipelineConfig, load_config
-from .errors import (CardioseisError, DegenerateAnalysisError, InputError,
-                     InternalError)
-from .event_detection import (ScgEvent, Template, build_matched_filter,
-                              detect_events, extract_window,
-                              matched_filter_output, template_from_channel)
-from .grouping import (Criterion, CriterionComparison, GroupStats, Winner,
-                       align_events, compare_criteria, drms, ensemble_average,
-                       evaluate_criterion, mean_dissimilarity,
-                       normalized_dissim, relative_difference, screen_outliers)
-from .pipeline import analyze_recording, run_pipeline
-from .respiration import (FlowPhase, RespirationTrace, VolumePhase,
-                          flow_phase_at, integrate_flow, label_events,
-                          volume_phase_at)
-from .signal_core import (Channel, Recording, best_lag, hilbert_envelope,
-                          lowpass, resample, rms)
-from .synth import (Coupling, GroundTruth, SynthConfig, default_morphologies,
-                    gen_recording, gen_respiration)
-
 __version__ = "0.1.0"

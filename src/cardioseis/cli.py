@@ -107,7 +107,6 @@ def _write_synth_config(path, csv_path, cfg: SynthConfig, truth):
         f"analysis_fs = {analysis_fs:g}",
         f"template_start_s = {start_s:.6f}",
         f"template_length_s = {length_s:g}",
-        f"seed = {cfg.seed}",
         "",
     ]
     if PipelineConfig.lowpass_cutoff_hz >= analysis_fs / 2:

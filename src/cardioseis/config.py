@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -26,11 +27,19 @@ class PipelineConfig:
     max_shift: int | None = None          # default: template length // 4
     outlier_screen: bool = True
     out_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
-        if self.analysis_fs > self.acquisition_fs:
-            raise InputError("analysis_fs must not exceed acquisition_fs")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"{f.name} must be finite, got {value}")
+        if self.acquisition_fs <= 0:
+            raise InputError(f"acquisition_fs must be > 0, got {self.acquisition_fs}")
+        if not 0 < self.analysis_fs <= self.acquisition_fs:
+            raise InputError(f"analysis_fs must be in (0, acquisition_fs = "
+                             f"{self.acquisition_fs:g}], got {self.analysis_fs}")
+        if self.template_start_s < 0:
+            raise InputError(f"template_start_s must be >= 0, got {self.template_start_s}")
         if self.template_length_s <= 0:
             raise InputError("template_length_s must be > 0")
         if not 0 < self.threshold_frac < 1:
@@ -63,7 +72,6 @@ _KEYS = {
     "max_shift": ("max_shift", lambda v: None if v.lower() == "auto" else int(v)),
     "outlier_screen": ("outlier_screen", lambda v: _parse_bool(v)),
     "out_dir": ("out_dir", str),
-    "seed": ("seed", int),
     "channel.time": None,
     "channel.scg": None,
     "channel.ecg": None,

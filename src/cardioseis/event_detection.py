@@ -7,7 +7,7 @@ around each mapped peak.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ class Template:
 
     samples: np.ndarray
     fs: float
-    source_span: tuple[int, int] = (0, 0)  # (start_index, length) in the source channel
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -45,20 +44,15 @@ class Template:
 class ScgEvent:
     """One detected heartbeat window.
 
-    ref_index is the mapped envelope-peak sample in the source channel;
-    window is the template-length cut centered on it (start = ref - L//2).
-    align_shift and the phase labels are filled by later stages.
+    ref_index is the mapped envelope-peak sample in the conditioned SCG
+    channel; window is the template-length cut centered on it
+    (start = ref - L//2). The phase labels are filled by the label stage.
     """
 
     ref_index: int
     window: np.ndarray
-    source: Channel
-    align_shift: int = 0
     flow_phase: Optional[FlowPhase] = None
     volume_phase: Optional[VolumePhase] = None
-
-    def relabeled(self, flow_phase, volume_phase) -> "ScgEvent":
-        return replace(self, flow_phase=flow_phase, volume_phase=volume_phase)
 
 
 def template_from_channel(ch: Channel, start_s: float, length_s: float) -> Template:
@@ -67,7 +61,7 @@ def template_from_channel(ch: Channel, start_s: float, length_s: float) -> Templ
     length = int(round(length_s * ch.fs))
     if start < 0 or length < 8 or start + length > len(ch):
         raise InputError(f"template span [{start_s}s + {length_s}s] outside recording")
-    return Template(ch.samples[start:start + length].copy(), ch.fs, (start, length))
+    return Template(ch.samples[start:start + length].copy(), ch.fs)
 
 
 def build_matched_filter(tpl: Template) -> np.ndarray:
@@ -88,14 +82,6 @@ def matched_filter_output(x, w) -> np.ndarray:
     if len(x) < len(w):
         raise InputError("signal shorter than template")
     return np.convolve(x, w, mode="full")
-
-
-def extract_window(ch: Channel, ref_index: int, length: int) -> np.ndarray:
-    """length samples starting at ref_index - length//2 (center-left)."""
-    start = ref_index - length // 2
-    if start < 0 or start + length > len(ch):
-        raise InputError("window out of range")
-    return ch.samples[start:start + length].copy()
 
 
 def _peak_offset(tpl: Template) -> int:
@@ -142,6 +128,5 @@ def detect_events(
         start = ref - length // 2
         if start < 0 or start + length > len(ch):
             continue
-        events.append(ScgEvent(ref_index=ref, window=ch.samples[start:start + length].copy(),
-                               source=ch))
+        events.append(ScgEvent(ref_index=ref, window=ch.samples[start:start + length].copy()))
     return events

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,14 +79,6 @@ def _windows(events) -> np.ndarray:
     return np.stack([np.asarray(ev.window, dtype=float) for ev in events])
 
 
-def _source_samples(events) -> np.ndarray:
-    """The samples of the one source channel a group's events were cut from."""
-    source = events[0].source
-    if any(ev.source is not source for ev in events):
-        raise InputError("events of one group must share one source channel")
-    return source.samples
-
-
 def _rms_rows(a) -> np.ndarray:
     return np.sqrt(np.mean(np.square(a), axis=-1))
 
@@ -105,10 +97,18 @@ def _shift_to(target, samples, refs, windows, max_shift: int):
     return refs, samples[(refs - half)[:, None] + np.arange(length)]
 
 
-def _align_group(events, max_shift: int):
-    """Drop a group's constant windows and align the rest (see align_events).
+def align_events(events, samples, max_shift: int):
+    """Two-pass time alignment of equal-length event windows.
 
-    Returns (kept events, source samples, aligned refs, aligned windows).
+    samples is the channel the windows were cut from; an aligned window is
+    re-cut from it. Pass one aligns everything to the highest-RMS event;
+    pass two re-aligns to the pass-one ensemble average. Constant-window
+    events are dropped with a warning. Lags come from Pearson-normalized
+    cross-correlation, computed for the whole group at once by best_lag on
+    the window stack.
+
+    Returns (kept events, aligned ref indices, aligned (n, L) windows); the
+    kept events themselves are unchanged.
     """
     windows = _windows(events)
     keep = np.ptp(windows, axis=1) > 0
@@ -117,29 +117,12 @@ def _align_group(events, max_shift: int):
     if not keep.any():
         raise DegenerateAnalysisError("empty group")
     kept = [ev for ev, k in zip(events, keep) if k]
-    samples = _source_samples(kept)
     refs = np.array([ev.ref_index for ev in kept])
     windows = windows[keep]
     reference = windows[np.argmax(_rms_rows(windows))]
     refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
     refs, windows = _shift_to(_average(windows), samples, refs, windows, max_shift)
-    return kept, samples, refs, windows
-
-
-def align_events(events, max_shift: int):
-    """Two-pass time alignment of equal-length event windows.
-
-    Pass one aligns everything to the highest-RMS event; pass two re-aligns
-    to the pass-one ensemble average. Constant-window events are dropped
-    with a warning. Lags come from Pearson-normalized cross-correlation,
-    computed for the whole group at once by best_lag on the window stack;
-    the events of a group must share one source channel.
-    """
-    kept, _, refs, windows = _align_group(events, max_shift)
-    return [ev if ref == ev.ref_index else
-            replace(ev, ref_index=int(ref), window=window,
-                    align_shift=ev.align_shift + int(ref) - ev.ref_index)
-            for ev, ref, window in zip(kept, refs, windows)]
+    return kept, refs, windows
 
 
 def _average(windows) -> np.ndarray:
@@ -205,10 +188,11 @@ _GROUPS = {Criterion.FLOW_RATE: ("flow_phase", (FlowPhase.INSPIRATION, FlowPhase
            Criterion.LUNG_VOLUME: ("volume_phase", (VolumePhase.LLV, VolumePhase.HLV))}
 
 
-def evaluate_criterion(events, criterion: Criterion, max_shift: int | None = None):
+def evaluate_criterion(events, criterion: Criterion, samples, max_shift: int | None = None):
     """Split labeled events by one criterion and compute both GroupStats.
 
-    Per group: align, ensemble-average, mean dissimilarity against the own
+    samples is the conditioned channel the events were detected in. Per
+    group: align, ensemble-average, mean dissimilarity against the own
     average, then against the alternate group's average (each event is
     re-aligned to that average first so timing offsets do not masquerade
     as morphology differences), and finally the RD.
@@ -224,11 +208,11 @@ def evaluate_criterion(events, criterion: Criterion, max_shift: int | None = Non
         if not members:
             raise DegenerateAnalysisError(f"degenerate split: {criterion.value} "
                                           f"group {label.value} is empty")
-        aligned[label] = _align_group(members, max_shift)[1:]
-    averages = {label: _average(windows) for label, (_, _, windows) in aligned.items()}
+        aligned[label] = align_events(members, samples, max_shift)[1:]
+    averages = {label: _average(windows) for label, (_, windows) in aligned.items()}
     stats = []
     for label, other in (labels, labels[::-1]):
-        samples, refs, windows = aligned[label]
+        refs, windows = aligned[label]
         own_avg, alt_avg = averages[label], averages[other]
         mean_same, sd_same = _mean_sd(_dissim(windows, own_avg))
         _, realigned = _shift_to(alt_avg, samples, refs, windows, max_shift)
@@ -247,19 +231,23 @@ def _pick_winner(rd_fr: float, rd_lv: float) -> Winner:
     return Winner.LUNG_VOLUME if rd_lv > rd_fr else Winner.FLOW_RATE
 
 
-def compare_criteria(events, max_shift: int | None = None) -> CriterionComparison:
-    """Evaluate both grouping criteria and flag the winner per group pair."""
-    insp, exp = evaluate_criterion(events, Criterion.FLOW_RATE, max_shift)
-    llv, hlv = evaluate_criterion(events, Criterion.LUNG_VOLUME, max_shift)
+def compare_criteria(events, samples, max_shift: int | None = None) -> CriterionComparison:
+    """Evaluate both grouping criteria and flag the winner per group pair.
+
+    samples is the conditioned channel the events were detected in.
+    """
+    insp, exp = evaluate_criterion(events, Criterion.FLOW_RATE, samples, max_shift)
+    llv, hlv = evaluate_criterion(events, Criterion.LUNG_VOLUME, samples, max_shift)
     return CriterionComparison(
         inspiration=insp, expiration=exp, llv=llv, hlv=hlv,
         winner_insp_llv=_pick_winner(insp.rd, llv.rd),
         winner_exp_hlv=_pick_winner(exp.rd, hlv.rd))
 
 
-def screen_outliers(events, max_shift: int | None = None, n_sd: float = 3.0):
+def screen_outliers(events, samples, max_shift: int | None = None, n_sd: float = 3.0):
     """Drop events whose dissimilarity to the all-event ensemble average
     exceeds mean + n_sd * SD. Stand-in for the manual artifact check.
+    samples is the conditioned channel the events were detected in.
 
     Returns (kept_events, n_dropped). Kept events keep their original
     (pre-screening-alignment) windows.
@@ -271,7 +259,7 @@ def screen_outliers(events, max_shift: int | None = None, n_sd: float = 3.0):
     usable = [ev for ev in events if np.ptp(ev.window) > 0]
     if len(usable) < 3:
         return usable, len(events) - len(usable)
-    *_, windows = _align_group(usable, max_shift)
+    *_, windows = align_events(usable, samples, max_shift)
     avg = _average(windows)
     if np.ptp(avg) == 0:
         return usable, len(events) - len(usable)

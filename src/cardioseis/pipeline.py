@@ -54,10 +54,11 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
     events = _stage("label", label_events, events, trace)
     dropped = 0
     if config.outlier_screen:
-        events, dropped = _stage("screen", screen_outliers, events, config.max_shift)
+        events, dropped = _stage("screen", screen_outliers, events, scg.samples,
+                                 config.max_shift)
     if not events:
         raise StageError("group", DegenerateAnalysisError("no events detected"))
-    cmp = _stage("group", compare_criteria, events, config.max_shift)
+    cmp = _stage("group", compare_criteria, events, scg.samples, config.max_shift)
     context = {
         "events": events,
         "trace": trace,

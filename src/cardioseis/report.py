@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
-from .errors import InputError
+from .errors import DegenerateAnalysisError, InputError
 from .grouping import CriterionComparison, relative_difference
 
 GROUP_ORDER = ("Inspiration", "Expiration", "LLV", "HLV")
@@ -76,19 +77,33 @@ def check_report(path) -> list[str]:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
-    rows = payload.get("rows")
+    rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
         raise InputError(f"{path}: missing 'rows' list")
     problems = []
-    for row in rows:
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise InputError(f"{path}: row {i} is not an object")
         rid = row.get("recording_id", "?")
-        for g in row.get("groups", []):
+        groups = row.get("groups", [])
+        if not isinstance(groups, list) or not all(isinstance(g, dict) for g in groups):
+            raise InputError(f"{path}: row {i} ({rid}): 'groups' is not a list of objects")
+        for g in groups:
+            name = f"{rid}/{g.get('group', '?')}"
+            same, alt, rd = (_number(g, key, f"{path}: row {i} ({name})")
+                             for key in ("mean_dissim_same", "mean_dissim_alt", "rd"))
             try:
-                expect = relative_difference(g["mean_dissim_same"], g["mean_dissim_alt"])
-            except Exception as exc:
-                problems.append(f"{rid}/{g.get('group', '?')}: cannot recompute RD ({exc})")
+                expect = relative_difference(same, alt)
+            except DegenerateAnalysisError as exc:
+                problems.append(f"{name}: cannot recompute RD ({exc})")
                 continue
-            if abs(expect - g["rd"]) > RD_CHECK_TOLERANCE:
-                problems.append(
-                    f"{rid}/{g['group']}: stored RD {g['rd']} vs recomputed {expect:.4f}")
+            if abs(expect - rd) > RD_CHECK_TOLERANCE:
+                problems.append(f"{name}: stored RD {rd} vs recomputed {expect:.4f}")
     return problems
+
+
+def _number(group: dict, key: str, where: str) -> float:
+    value = group.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InputError(f"{where}: {key!r} is missing or not a finite number")
+    return value

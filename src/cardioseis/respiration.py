@@ -8,7 +8,7 @@ of the flow at the event instant.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,12 +71,9 @@ def volume_phase_at(trace: RespirationTrace, index: int) -> VolumePhase:
 def label_events(events, trace: RespirationTrace):
     """Attach flow and volume phase labels at each event's reference instant.
 
-    The trace must already be at the events' analysis rate.
+    The trace must already be at the rate of the channel the events were
+    detected in.
     """
-    labeled = []
-    for ev in events:
-        if ev.source.fs != trace.flow.fs:
-            raise InputError("channel rate mismatch")
-        labeled.append(ev.relabeled(flow_phase_at(trace, ev.ref_index),
-                                    volume_phase_at(trace, ev.ref_index)))
-    return labeled
+    return [replace(ev, flow_phase=flow_phase_at(trace, ev.ref_index),
+                    volume_phase=volume_phase_at(trace, ev.ref_index))
+            for ev in events]

@@ -44,10 +44,6 @@ class Channel:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.fs
-
     def with_samples(self, samples, fs=None) -> "Channel":
         return Channel(np.asarray(samples, dtype=float), self.fs if fs is None else fs, self.label)
 
@@ -185,10 +181,11 @@ def best_lag(x, y, max_lag: int):
         raise InputError("empty waveform")
     rows = np.atleast_2d(y)
     lx, ly = len(x), rows.shape[1]
-    xc = x - x.mean()
-    yc = rows - rows.mean(axis=1, keepdims=True)
+    x_spread, y_spread = np.ptp(x), np.ptp(rows, axis=1)
+    xc = _unit_scale(x - x.mean(), x_spread)
+    yc = _unit_scale(rows - rows.mean(axis=1, keepdims=True), y_spread[:, None])
     denom = np.linalg.norm(xc) * np.linalg.norm(yc, axis=1)
-    degenerate = (np.ptp(rows, axis=1) == 0) | (denom == 0) | (np.ptp(x) == 0)
+    degenerate = (y_spread == 0) | (denom == 0) | (x_spread == 0)
     denom[degenerate] = 1.0
     # lags outside [2 - lx, ly - 2] overlap by fewer than 2 samples
     usable = range(max(-max_lag, 2 - lx), min(max_lag, ly - 2) + 1) if min(lx, ly) >= 2 else ()
@@ -213,6 +210,15 @@ def best_lag(x, y, max_lag: int):
             raise DegenerateCorrelation()
         return int(lags[0])
     return lags
+
+
+def _unit_scale(centred, spread):
+    """Scale a centred waveform by the power of two that brings its
+    peak-to-peak spread into [0.5, 1). The scaling is exact, so the lags do
+    not change; it keeps the squares in the norms from underflowing or
+    overflowing, which would make a correlation degenerate at one
+    amplitude and not at another."""
+    return np.ldexp(centred, -np.frexp(spread)[1])
 
 
 class DegenerateCorrelation(DegenerateAnalysisError):

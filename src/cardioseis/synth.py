@@ -178,7 +178,6 @@ def gen_recording(cfg: SynthConfig, m_low=None, m_high=None):
             "scg": Channel(scg, cfg.fs, "scg"),
             "ecg": Channel(ecg, cfg.fs, "ecg"),
             "flow": flow_ch,
-            "volume": volume_ch,
         },
         recording_id=f"synth-{cfg.coupling.value}-seed{cfg.seed}",
     )

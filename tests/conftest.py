@@ -3,8 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cardioseis as cs
-from cardioseis.event_detection import template_from_channel
+from cardioseis.event_detection import detect_events, template_from_channel
+from cardioseis.grouping import compare_criteria, screen_outliers
+from cardioseis.respiration import integrate_flow, label_events
+from cardioseis.signal_core import lowpass
+from cardioseis.synth import SynthConfig, default_morphologies, gen_recording
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -14,19 +17,19 @@ def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True, coupling_streng
 
     Returns (comparison, detected events, ground truth, conditioned scg).
     """
-    cfg = cs.SynthConfig(coupling=coupling, seed=seed, snr_db=snr_db,
-                         coupling_strength=coupling_strength)
-    rec, truth = cs.gen_recording(cfg)
-    scg = cs.lowpass(rec["scg"], 100.0)
-    length = len(cs.default_morphologies(cfg.fs)[0])
+    cfg = SynthConfig(coupling=coupling, seed=seed, snr_db=snr_db,
+                      coupling_strength=coupling_strength)
+    rec, truth = gen_recording(cfg)
+    scg = lowpass(rec["scg"], 100.0)
+    length = len(default_morphologies(cfg.fs)[0])
     first = truth.beat_indices[0]
     tpl = template_from_channel(scg, (first - length // 2) / cfg.fs, length / cfg.fs)
-    events = cs.detect_events(scg, tpl)
-    trace = cs.integrate_flow(rec["flow"])
-    labeled = cs.label_events(events, trace)
+    events = detect_events(scg, tpl)
+    trace = integrate_flow(rec["flow"])
+    labeled = label_events(events, trace)
     if screen:
-        labeled, _ = cs.screen_outliers(labeled)
-    comparison = cs.compare_criteria(labeled)
+        labeled, _ = screen_outliers(labeled, scg.samples)
+    comparison = compare_criteria(labeled, scg.samples)
     return comparison, events, truth, scg
 
 

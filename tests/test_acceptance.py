@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import cardioseis as cs
 from cardioseis.cli import main as cli_main
-from cardioseis.grouping import relative_difference
+from cardioseis.event_detection import ScgEvent, matched_filter_output
+from cardioseis.grouping import (Winner, drms, ensemble_average, mean_dissimilarity,
+                                 normalized_dissim, relative_difference)
+from cardioseis.respiration import integrate_flow
+from cardioseis.signal_core import Channel, hilbert_envelope, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 from conftest import DATA_DIR, detection_scores, run_synth_analysis
@@ -52,12 +55,12 @@ def test_criterion_2_headline_finding_100_seeds():
         wins = {"volume": 0, "flow": 0, "none": 0}
         for seed in range(100):
             cmp, _, _, _ = run_synth_analysis(Coupling.VOLUME, seed)
-            if (cmp.winner_insp_llv is cs.Winner.LUNG_VOLUME
-                    and cmp.winner_exp_hlv is cs.Winner.LUNG_VOLUME):
+            if (cmp.winner_insp_llv is Winner.LUNG_VOLUME
+                    and cmp.winner_exp_hlv is Winner.LUNG_VOLUME):
                 wins["volume"] += 1
             cmp, _, _, _ = run_synth_analysis(Coupling.FLOW, seed)
-            if (cmp.winner_insp_llv is cs.Winner.FLOW_RATE
-                    and cmp.winner_exp_hlv is cs.Winner.FLOW_RATE):
+            if (cmp.winner_insp_llv is Winner.FLOW_RATE
+                    and cmp.winner_exp_hlv is Winner.FLOW_RATE):
                 wins["flow"] += 1
             cmp, _, _, _ = run_synth_analysis(Coupling.NONE, seed)
             if all(abs(st.rd) < 5.0 for st in cmp.groups):
@@ -96,13 +99,13 @@ def test_criterion_4_dsp_primitive_oracles():
             slow = np.zeros(n + length - 1)
             for j in range(length):  # direct convolution sum, one tap at a time
                 slow[j:j + n] += w[j] * x
-            fast = cs.matched_filter_output(x, w)
+            fast = matched_filter_output(x, w)
             assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
         # hilbert envelope of a unit 10 Hz sine: flat within 1% on interior 80%
         fs, dur = 320, 10
         t = np.arange(int(fs * dur)) / fs
-        env = cs.hilbert_envelope(np.sin(2 * np.pi * 10 * t))
+        env = hilbert_envelope(np.sin(2 * np.pi * 10 * t))
         n = len(t)
         interior = env[n // 10: -n // 10]
         assert np.all(np.abs(interior - 1.0) < 0.01)
@@ -120,10 +123,10 @@ def test_criterion_4_dsp_primitive_oracles():
 
         # flow integration vs closed-form antiderivative, 1% RMS
         amp, freq = 1.0, 0.25
-        flow = cs.Channel(amp * np.sin(2 * np.pi * freq * t), fs, "flow")
-        trace = cs.integrate_flow(flow, detrend=False)
+        flow = Channel(amp * np.sin(2 * np.pi * freq * t), fs, "flow")
+        trace = integrate_flow(flow, detrend=False)
         expected = (amp / (2 * np.pi * freq)) * (1 - np.cos(2 * np.pi * freq * t))
-        assert cs.rms(trace.volume.samples - expected) / cs.rms(expected) < 0.01
+        assert rms(trace.volume.samples - expected) / rms(expected) < 0.01
 
 
 def test_criterion_5_metric_identities():
@@ -131,22 +134,20 @@ def test_criterion_5_metric_identities():
         rng = np.random.default_rng(7)
         event = rng.normal(size=80)
         avg = rng.normal(size=80)
-        base = cs.normalized_dissim(event, avg)
+        base = normalized_dissim(event, avg)
         for k in (1e-3, 0.5, 42.0):
-            assert cs.normalized_dissim(k * event, k * avg) == pytest.approx(base, rel=1e-9)
+            assert normalized_dissim(k * event, k * avg) == pytest.approx(base, rel=1e-9)
 
-        from cardioseis.event_detection import ScgEvent
-        ch = cs.Channel(np.zeros(100), 320.0)
         window = rng.normal(size=80)
-        identical = [ScgEvent(50, window.copy(), ch) for _ in range(6)]
-        assert np.array_equal(cs.ensemble_average(identical), window)
+        identical = [ScgEvent(50, window.copy()) for _ in range(6)]
+        assert np.array_equal(ensemble_average(identical), window)
 
-        assert cs.drms([1, 2], [0, 0]) == pytest.approx(1.5811, abs=1e-4)
-        assert cs.normalized_dissim([2, 2], [1, 1]) == pytest.approx(100.0)
+        assert drms([1, 2], [0, 0]) == pytest.approx(1.5811, abs=1e-4)
+        assert normalized_dissim([2, 2], [1, 1]) == pytest.approx(100.0)
 
-        ev1 = ScgEvent(0, np.array([11.0, 11.0]), ch)
-        ev2 = ScgEvent(0, np.array([13.0, 13.0]), ch)
-        mean, sd = cs.mean_dissimilarity([ev1, ev2], np.array([10.0, 10.0]))
+        ev1 = ScgEvent(0, np.array([11.0, 11.0]))
+        ev2 = ScgEvent(0, np.array([13.0, 13.0]))
+        mean, sd = mean_dissimilarity([ev1, ev2], np.array([10.0, 10.0]))
         assert mean == pytest.approx(20.0)
         assert sd == pytest.approx(14.1421, abs=1e-4)
 

@@ -14,16 +14,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import cardioseis as cs
 from cardioseis.errors import DegenerateAnalysisError, InputError
 from cardioseis.event_detection import ScgEvent
 from cardioseis.grouping import align_events, compare_criteria
+from cardioseis.respiration import integrate_flow, label_events
 from cardioseis.signal_core import best_lag, rms
+from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 from conftest import run_synth_analysis
 
 PROPERTY = settings(max_examples=300, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def unit_scale(a):
+    """a, centred, times the power of two (an exact scaling) that brings its
+    peak-to-peak spread into [0.5, 1), so the squares in its norm cannot
+    underflow or overflow."""
+    return np.ldexp(a - a.mean(), -np.frexp(np.ptp(a))[1])
 
 
 def loop_best_lag(x, y, max_lag):
@@ -32,8 +40,8 @@ def loop_best_lag(x, y, max_lag):
     y = np.asarray(y, dtype=float)
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise DegenerateAnalysisError("degenerate correlation")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc = unit_scale(x)
+    yc = unit_scale(y)
     denom = np.linalg.norm(xc) * np.linalg.norm(yc)
     if denom == 0:
         raise DegenerateAnalysisError("degenerate correlation")
@@ -62,31 +70,42 @@ def loop_lag_or_zero(x, y, max_lag):
         return 0
 
 
-def _loop_shift(ev, lag):
-    length = len(ev.window)
-    n = len(ev.source)
-    lo = length // 2 - ev.ref_index
-    hi = n - length + length // 2 - ev.ref_index
+def _loop_shift(samples, ref, window, shift, lag):
+    """Re-cut one window lag samples later, the lag clamped to the recording;
+    returns (ref, window, cumulative shift)."""
+    length = len(window)
+    lo = length // 2 - ref
+    hi = len(samples) - length + length // 2 - ref
     lag = int(np.clip(lag, lo, hi))
     if lag == 0:
-        return ev
-    ref = ev.ref_index + lag
+        return ref, window, shift
+    ref += lag
     start = ref - length // 2
-    return replace(ev, ref_index=ref, window=ev.source.samples[start:start + length].copy(),
-                   align_shift=ev.align_shift + lag)
+    return ref, samples[start:start + length].copy(), shift + lag
 
 
-def loop_align_events(events, max_shift):
-    """The per-event two-pass alignment: one best_lag call per event."""
+def loop_align_events(events, samples, max_shift):
+    """The per-event two-pass alignment: one best_lag call per event.
+
+    Returns one (ref, window, cumulative shift) per event with a
+    non-constant window."""
     usable = [ev for ev in events if np.ptp(ev.window) > 0]
     reference = max(usable, key=lambda ev: rms(ev.window))
-    aligned = [_loop_shift(ev, loop_lag_or_zero(reference.window, ev.window, max_shift))
+    aligned = [_loop_shift(samples, ev.ref_index, ev.window, 0,
+                           loop_lag_or_zero(reference.window, ev.window, max_shift))
                for ev in usable]
-    avg = np.mean(np.stack([ev.window for ev in aligned]), axis=0)
+    avg = np.mean(np.stack([window for _, window, _ in aligned]), axis=0)
     if np.ptp(avg) > 0:
-        aligned = [_loop_shift(ev, loop_lag_or_zero(avg, ev.window, max_shift))
-                   for ev in aligned]
+        aligned = [_loop_shift(samples, ref, window, shift,
+                               loop_lag_or_zero(avg, window, max_shift))
+                   for ref, window, shift in aligned]
     return aligned
+
+
+def refs_and_shifts(events, samples, max_shift):
+    """align_events' (aligned ref, shift) per kept event, and its windows."""
+    kept, refs, windows = align_events(events, samples, max_shift)
+    return list(zip(refs.tolist(), (refs - [ev.ref_index for ev in kept]).tolist())), windows
 
 
 # integer values make exact ties between lags common
@@ -141,6 +160,14 @@ class TestBatchedBestLag:
         x, rows, max_lag = problem
         assert best_lag(k * x, k * rows, max_lag).tolist() == best_lag(x, rows, max_lag).tolist()
 
+    def test_tiny_and_huge_amplitudes(self):
+        # the squares of 1e-163 underflow to 0 and those of 2**600 overflow;
+        # the lag must not depend on the amplitude
+        x, rows = np.array([0.0, 1.0, 0.0]), np.array([[2.3155439e-163, 0.0]])
+        for k in (1.0, 14.0, 2.0 ** 600, 2.0 ** 1000):
+            assert best_lag(k * x, k * rows, 1).tolist() == [-1]
+            assert loop_best_lag(k * x, k * rows[0], 1) == -1
+
     def test_constant_target_gives_zero_lags(self, rng):
         assert best_lag(np.ones(20), rng.normal(size=(4, 20)), 5).tolist() == [0] * 4
 
@@ -171,28 +198,26 @@ class TestAlignEventsProperties:
         x = np.zeros(centers[-1] + 400)
         for c in centers:
             x[c - 24:c + 24] += burst
-        ch = cs.Channel(x, 320.0)
-        events = [ScgEvent(c + j, x[c + j - 40:c + j + 40].copy(), ch)
+        events = [ScgEvent(c + j, x[c + j - 40:c + j + 40].copy())
                   for c, j in zip(centers, jitters)]
-        aligned = align_events(events, 8)
-        offsets = {ev.ref_index - c for ev, c in zip(aligned, centers)}
+        aligned, windows = refs_and_shifts(events, x, 8)
+        offsets = {ref - c for (ref, _), c in zip(aligned, centers)}
         assert len(offsets) == 1
         (offset,) = offsets
-        assert [ev.align_shift for ev in aligned] == [offset - j for j in jitters]
-        for ev, c in zip(aligned, centers):
-            assert np.array_equal(ev.window, x[c + offset - 40:c + offset + 40])
+        assert [shift for _, shift in aligned] == [offset - j for j in jitters]
+        for window, c in zip(windows, centers):
+            assert np.array_equal(window, x[c + offset - 40:c + offset + 40])
 
-    @pytest.mark.parametrize("coupling,seed", [(cs.Coupling.VOLUME, 41),
-                                               (cs.Coupling.FLOW, 42),
-                                               (cs.Coupling.NONE, 43)])
+    @pytest.mark.parametrize("coupling,seed", [(Coupling.VOLUME, 41),
+                                               (Coupling.FLOW, 42),
+                                               (Coupling.NONE, 43)])
     def test_matches_loop_on_synthetic_groups(self, coupling, seed):
-        _, events, _, _ = run_synth_analysis(coupling, seed=seed, screen=False)
+        _, events, _, scg = run_synth_analysis(coupling, seed=seed, screen=False)
         for max_shift in (0, 5, 20, 100):
-            got = align_events(events, max_shift)
-            want = loop_align_events(events, max_shift)
-            assert [(ev.ref_index, ev.align_shift) for ev in got] == \
-                [(ev.ref_index, ev.align_shift) for ev in want]
-            assert all(np.array_equal(a.window, b.window) for a, b in zip(got, want))
+            got, windows = refs_and_shifts(events, scg.samples, max_shift)
+            want = loop_align_events(events, scg.samples, max_shift)
+            assert got == [(ref, shift) for ref, _, shift in want]
+            assert all(np.array_equal(a, b) for a, (_, b, _) in zip(windows, want))
 
     def test_shifts_clamped_at_recording_edges(self):
         # the first window starts at sample 0 and the last ends at the last
@@ -201,46 +226,32 @@ class TestAlignEventsProperties:
         x = np.zeros(880)
         for c in centers:
             x[c - 24:c + 24] += BURST[:48]
-        ch = cs.Channel(x, 320.0)
-        events = [ScgEvent(ref, x[ref - 40:ref + 40].copy(), ch) for ref in (40, 440, 840)]
-        got = align_events(events, 8)
-        want = loop_align_events(events, 8)
-        assert [(ev.ref_index, ev.align_shift) for ev in got] == \
-            [(ev.ref_index, ev.align_shift) for ev in want]
-        assert (got[0].ref_index, got[-1].ref_index) == (40, 840)
-        for ev in got:
-            assert np.array_equal(ev.window, x[ev.ref_index - 40:ev.ref_index + 40])
-
-    def test_mixed_sources_rejected(self):
-        a = cs.Channel(np.concatenate([np.zeros(40), BURST, np.zeros(40)]), 320.0)
-        b = cs.Channel(a.samples.copy(), 320.0)
-        events = [ScgEvent(80, a.samples[40:120].copy(), a),
-                  ScgEvent(80, b.samples[40:120].copy(), b)]
-        with pytest.raises(InputError, match="one source channel"):
-            align_events(events, 4)
+        events = [ScgEvent(ref, x[ref - 40:ref + 40].copy()) for ref in (40, 440, 840)]
+        got, windows = refs_and_shifts(events, x, 8)
+        want = loop_align_events(events, x, 8)
+        assert got == [(ref, shift) for ref, _, shift in want]
+        assert (got[0][0], got[-1][0]) == (40, 840)
+        for (ref, _), window in zip(got, windows):
+            assert np.array_equal(window, x[ref - 40:ref + 40])
 
 
 @lru_cache(maxsize=None)
 def _labeled_volume_events():
-    _, events, _, scg = run_synth_analysis(cs.Coupling.VOLUME, seed=44, screen=False)
-    rec = cs.gen_recording(cs.SynthConfig(coupling=cs.Coupling.VOLUME, seed=44))[0]
-    return cs.label_events(events, cs.integrate_flow(rec["flow"])), scg
-
-
-def _scaled(events, scg, k):
-    ch = cs.Channel(k * scg.samples, scg.fs)
-    return [replace(ev, window=k * ev.window, source=ch) for ev in events]
+    _, events, _, scg = run_synth_analysis(Coupling.VOLUME, seed=44, screen=False)
+    rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=44))[0]
+    return label_events(events, integrate_flow(rec["flow"])), scg.samples
 
 
 class TestScaleInvariance:
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from([1e-3, 0.37, 3.0, 1e4]) | st.floats(0.01, 100.0))
     def test_lags_and_rds_unchanged_by_scale(self, k):
-        events, scg = _labeled_volume_events()
-        scaled = _scaled(events, scg, k)
-        assert [(ev.ref_index, ev.align_shift) for ev in align_events(scaled, 20)] == \
-            [(ev.ref_index, ev.align_shift) for ev in align_events(events, 20)]
-        base, other = compare_criteria(events), compare_criteria(scaled)
+        events, samples = _labeled_volume_events()
+        scaled = [replace(ev, window=k * ev.window) for ev in events]
+        assert refs_and_shifts(scaled, k * samples, 20)[0] == \
+            refs_and_shifts(events, samples, 20)[0]
+        base = compare_criteria(events, samples)
+        other = compare_criteria(scaled, k * samples)
         for a, b in zip(base.groups, other.groups):
             assert b.n == a.n
             assert b.rd == pytest.approx(a.rd, rel=1e-9)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -7,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cardioseis as cs
 from cardioseis.errors import DegenerateAnalysisError, InputError
 from cardioseis.event_detection import ScgEvent
 from cardioseis.grouping import (RD_TIE_TOLERANCE, align_events, compare_criteria,
                                  drms, ensemble_average, evaluate_criterion,
                                  mean_dissimilarity, normalized_dissim,
                                  relative_difference, Criterion, Winner)
-from cardioseis.respiration import FlowPhase, VolumePhase
+from cardioseis.respiration import FlowPhase, VolumePhase, integrate_flow, label_events
+from cardioseis.signal_core import Channel
+from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 from conftest import DATA_DIR, run_synth_analysis
 
@@ -23,7 +25,7 @@ BURST = np.sin(2 * np.pi * 20 * np.arange(80) / 320) * np.exp(-np.arange(80) / 1
 
 def event_at(ch, ref, length=80, **labels):
     window = ch.samples[ref - length // 2: ref - length // 2 + length].copy()
-    return ScgEvent(ref_index=ref, window=window, source=ch, **labels)
+    return ScgEvent(ref_index=ref, window=window, **labels)
 
 
 def planted_channel(offsets, length=80):
@@ -31,15 +33,21 @@ def planted_channel(offsets, length=80):
     x = np.zeros(n)
     for p in offsets:
         x[p:p + length] += BURST[:length]
-    return cs.Channel(x, 320.0)
+    return Channel(x, 320.0)
 
 
 @lru_cache(maxsize=None)
 def labeled_synth_events(coupling, seed):
-    """Detected, labeled, unscreened events of one synthetic recording."""
-    _, events, _, _ = run_synth_analysis(coupling, seed=seed, screen=False)
-    rec = cs.gen_recording(cs.SynthConfig(coupling=coupling, seed=seed))[0]
-    return tuple(cs.label_events(events, cs.integrate_flow(rec["flow"])))
+    """Detected, labeled, unscreened events of one synthetic recording, and
+    the conditioned SCG samples they were cut from."""
+    _, events, _, scg = run_synth_analysis(coupling, seed=seed, screen=False)
+    rec = gen_recording(SynthConfig(coupling=coupling, seed=seed))[0]
+    return tuple(label_events(events, integrate_flow(rec["flow"]))), scg.samples
+
+
+def shifts(kept, refs):
+    """Each aligned ref index minus the event's detected one."""
+    return (refs - [ev.ref_index for ev in kept]).tolist()
 
 
 OTHER_LABEL = {FlowPhase.INSPIRATION: FlowPhase.EXPIRATION,
@@ -58,34 +66,34 @@ class TestAlignEvents:
     def test_identical_events_zero_shift(self):
         ch = planted_channel([200, 600, 1000])
         events = [event_at(ch, p + 40) for p in (200, 600, 1000)]
-        aligned = align_events(events, 10)
-        assert [ev.align_shift for ev in aligned] == [0, 0, 0]
+        kept, refs, _ = align_events(events, ch.samples, 10)
+        assert shifts(kept, refs) == [0, 0, 0]
 
     def test_known_jitter_recovered(self):
         ch = planted_channel([200, 600, 1000, 1400])
         jitters = [0, 3, -4, 2]
         events = [event_at(ch, p + 40 + j) for p, j in zip((200, 600, 1000, 1400), jitters)]
-        aligned = align_events(events, 8)
+        kept, refs, _ = align_events(events, ch.samples, 8)
         # after alignment every ref lands back on the true beat center
-        assert [ev.ref_index - p - 40 for ev, p in zip(aligned, (200, 600, 1000, 1400))] == [0] * 4
-        assert [ev.align_shift for ev in aligned] == [-j for j in jitters]
+        assert [ref - p - 40 for ref, p in zip(refs, (200, 600, 1000, 1400))] == [0] * 4
+        assert shifts(kept, refs) == [-j for j in jitters]
 
     def test_single_event_unchanged(self):
         ch = planted_channel([300])
         ev = event_at(ch, 340)
-        aligned = align_events([ev], 10)
-        assert aligned[0].align_shift == 0
-        assert np.array_equal(aligned[0].window, ev.window)
+        kept, refs, windows = align_events([ev], ch.samples, 10)
+        assert shifts(kept, refs) == [0]
+        assert np.array_equal(windows[0], ev.window)
 
     def test_constant_window_dropped(self):
         ch = planted_channel([300, 700])
-        flat = ScgEvent(ref_index=500, window=np.zeros(80), source=ch)
-        aligned = align_events([event_at(ch, 340), flat, event_at(ch, 740)], 8)
-        assert len(aligned) == 2
+        flat = ScgEvent(ref_index=500, window=np.zeros(80))
+        kept, _, _ = align_events([event_at(ch, 340), flat, event_at(ch, 740)], ch.samples, 8)
+        assert len(kept) == 2
 
     def test_empty_errors(self):
         with pytest.raises(DegenerateAnalysisError):
-            align_events([], 8)
+            align_events([], np.zeros(80), 8)
 
 
 class TestEnsembleAverage:
@@ -98,13 +106,11 @@ class TestEnsembleAverage:
     def test_cancellation(self):
         ch = planted_channel([300])
         a = event_at(ch, 340)
-        b = ScgEvent(ref_index=340, window=-a.window, source=ch)
+        b = ScgEvent(ref_index=340, window=-a.window)
         assert np.allclose(ensemble_average([a, b]), 0.0)
 
     def test_matches_brute_force_mean(self, rng):
-        ch = planted_channel([300])
-        events = [ScgEvent(ref_index=340, window=rng.normal(size=80), source=ch)
-                  for _ in range(7)]
+        events = [ScgEvent(ref_index=340, window=rng.normal(size=80)) for _ in range(7)]
         avg = ensemble_average(events)
         brute = sum(ev.window for ev in events) / 7
         assert np.allclose(avg, brute, atol=1e-12)
@@ -148,26 +154,23 @@ class TestDissimilarityMetrics:
 
     def test_mean_dissimilarity_hand_case(self):
         # events with normalized dissimilarities 10% and 30%
-        ch = cs.Channel(np.concatenate([BURST, BURST]), 320.0)
         avg = np.array([10.0, 10.0])
-        ev1 = ScgEvent(0, np.array([11.0, 11.0]), ch)   # 10%
-        ev2 = ScgEvent(0, np.array([13.0, 13.0]), ch)   # 30%
+        ev1 = ScgEvent(0, np.array([11.0, 11.0]))   # 10%
+        ev2 = ScgEvent(0, np.array([13.0, 13.0]))   # 30%
         mean, sd = mean_dissimilarity([ev1, ev2], avg)
         assert mean == pytest.approx(20.0, abs=1e-9)
         assert sd == pytest.approx(14.1421, abs=1e-4)
 
     def test_mean_dissimilarity_single_event(self):
-        ch = cs.Channel(BURST, 320.0)
-        ev = ScgEvent(0, np.array([12.0, 12.0]), ch)
+        ev = ScgEvent(0, np.array([12.0, 12.0]))
         mean, sd = mean_dissimilarity([ev], np.array([10.0, 10.0]))
         assert mean == pytest.approx(20.0)
         assert sd == 0.0
 
     def test_mean_minimizes_same_group_dissim(self, rng):
         # the ensemble mean beats any single member used as the average
-        ch = cs.Channel(BURST, 320.0)
         for _ in range(100):
-            events = [ScgEvent(0, rng.normal(size=16) + BURST[:16], ch) for _ in range(6)]
+            events = [ScgEvent(0, rng.normal(size=16) + BURST[:16]) for _ in range(6)]
             avg = ensemble_average(events)
             d_mean = np.mean([drms(ev.window, avg) ** 2 for ev in events])
             for member in events:
@@ -204,18 +207,18 @@ class TestRelativeDifference:
 
 class TestCriteria:
     def test_volume_coupled_winner(self):
-        cmp, _, _, _ = run_synth_analysis(cs.Coupling.VOLUME, seed=31)
+        cmp, _, _, _ = run_synth_analysis(Coupling.VOLUME, seed=31)
         assert cmp.winner_insp_llv is Winner.LUNG_VOLUME
         assert cmp.winner_exp_hlv is Winner.LUNG_VOLUME
         assert cmp.llv.rd > 0 and cmp.hlv.rd > 0
 
     def test_flow_coupled_winner(self):
-        cmp, _, _, _ = run_synth_analysis(cs.Coupling.FLOW, seed=32)
+        cmp, _, _, _ = run_synth_analysis(Coupling.FLOW, seed=32)
         assert cmp.winner_insp_llv is Winner.FLOW_RATE
         assert cmp.winner_exp_hlv is Winner.FLOW_RATE
 
     def test_uncoupled_rds_near_zero(self):
-        cmp, _, _, _ = run_synth_analysis(cs.Coupling.NONE, seed=33)
+        cmp, _, _, _ = run_synth_analysis(Coupling.NONE, seed=33)
         assert all(abs(st.rd) < 5.0 for st in cmp.groups)
 
     def test_degenerate_split_named(self):
@@ -225,52 +228,55 @@ class TestCriteria:
                   event_at(ch, 740, flow_phase=FlowPhase.INSPIRATION,
                            volume_phase=VolumePhase.LLV)]
         with pytest.raises(DegenerateAnalysisError, match="degenerate split.*FlowRate"):
-            evaluate_criterion(events, Criterion.FLOW_RATE)
+            evaluate_criterion(events, Criterion.FLOW_RATE, ch.samples)
 
     def test_amplitude_invariance_of_stats(self):
-        cmp, events, _, scg = run_synth_analysis(cs.Coupling.VOLUME, seed=34, screen=False)
-        scaled_ch = cs.Channel(3.0 * scg.samples, scg.fs)
-        rec = cs.gen_recording(cs.SynthConfig(coupling=cs.Coupling.VOLUME, seed=34))[0]
-        labeled = cs.label_events(events, cs.integrate_flow(rec["flow"]))
-        base = compare_criteria(labeled)
-        scaled_events = [ScgEvent(ev.ref_index, 3.0 * ev.window, scaled_ch,
+        cmp, events, _, scg = run_synth_analysis(Coupling.VOLUME, seed=34, screen=False)
+        rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=34))[0]
+        labeled = label_events(events, integrate_flow(rec["flow"]))
+        base = compare_criteria(labeled, scg.samples)
+        scaled_events = [ScgEvent(ev.ref_index, 3.0 * ev.window,
                                   flow_phase=ev.flow_phase, volume_phase=ev.volume_phase)
                          for ev in labeled]
-        scaled = compare_criteria(scaled_events)
+        scaled = compare_criteria(scaled_events, 3.0 * scg.samples)
         for a, b in zip(base.groups, scaled.groups):
             assert b.mean_dissim_same == pytest.approx(a.mean_dissim_same, rel=1e-9)
             assert b.mean_dissim_alt == pytest.approx(a.mean_dissim_alt, rel=1e-9)
             assert b.rd == pytest.approx(a.rd, rel=1e-9)
 
     def test_label_permutation_symmetry(self):
-        _, events, _, _ = run_synth_analysis(cs.Coupling.VOLUME, seed=35, screen=False)
-        rec = cs.gen_recording(cs.SynthConfig(coupling=cs.Coupling.VOLUME, seed=35))[0]
-        labeled = cs.label_events(events, cs.integrate_flow(rec["flow"]))
+        _, events, _, scg = run_synth_analysis(Coupling.VOLUME, seed=35, screen=False)
+        rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=35))[0]
+        labeled = label_events(events, integrate_flow(rec["flow"]))
         def flipped(ev):
-            return ScgEvent(ev.ref_index, ev.window, ev.source,
+            return ScgEvent(ev.ref_index, ev.window,
                             flow_phase=(FlowPhase.EXPIRATION
                                         if ev.flow_phase is FlowPhase.INSPIRATION
                                         else FlowPhase.INSPIRATION),
                             volume_phase=ev.volume_phase)
-        insp, exp = evaluate_criterion(labeled, Criterion.FLOW_RATE)
-        insp_f, exp_f = evaluate_criterion([flipped(ev) for ev in labeled], Criterion.FLOW_RATE)
+        insp, exp = evaluate_criterion(labeled, Criterion.FLOW_RATE, scg.samples)
+        insp_f, exp_f = evaluate_criterion([flipped(ev) for ev in labeled], Criterion.FLOW_RATE,
+                                           scg.samples)
         assert insp_f.n == exp.n and exp_f.n == insp.n
         assert insp_f.mean_dissim_same == pytest.approx(exp.mean_dissim_same, rel=1e-9)
         assert exp_f.rd == pytest.approx(insp.rd, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
-    @given(coupling=st.sampled_from(list(cs.Coupling)), seed=st.integers(0, 14),
+    @given(coupling=st.sampled_from(list(Coupling)), seed=st.integers(0, 14),
            swap=st.sampled_from(["flow", "volume", "both"]))
     def test_label_swap_mirrors_stats_and_winners(self, coupling, seed, swap):
         """Swapping every event's flow label swaps the Inspiration and
         Expiration stats; swapping its volume label swaps LLV and HLV; the
         pair winners follow the swapped RDs, and swapping both mirrors them."""
-        events = labeled_synth_events(coupling, seed)
+        events, samples = labeled_synth_events(coupling, seed)
         swap_flow, swap_volume = swap in ("flow", "both"), swap in ("volume", "both")
-        swapped = [ev.relabeled(OTHER_LABEL[ev.flow_phase] if swap_flow else ev.flow_phase,
-                                OTHER_LABEL[ev.volume_phase] if swap_volume else ev.volume_phase)
+        swapped = [replace(ev,
+                           flow_phase=OTHER_LABEL[ev.flow_phase] if swap_flow else ev.flow_phase,
+                           volume_phase=(OTHER_LABEL[ev.volume_phase] if swap_volume
+                                         else ev.volume_phase))
                    for ev in events]
-        base, mirrored = compare_criteria(list(events)), compare_criteria(swapped)
+        base = compare_criteria(list(events), samples)
+        mirrored = compare_criteria(swapped, samples)
         insp, exp = (base.expiration, base.inspiration) if swap_flow else (base.inspiration,
                                                                           base.expiration)
         llv, hlv = (base.hlv, base.llv) if swap_volume else (base.llv, base.hlv)

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import cardioseis as cs
+import cardioseis
 from cardioseis.cli import main
 from cardioseis.config import PipelineConfig, apply_overrides, load_config
 from cardioseis.errors import InputError
 from cardioseis.ingest import ingest_csv, write_recording_csv
 from cardioseis.pipeline import run_pipeline
 from cardioseis.report import check_report
+from cardioseis.signal_core import Channel, Recording
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 from conftest import DATA_DIR
@@ -144,6 +145,10 @@ channel.scg = accel_z
         ("threshold_frac", 0.0), ("threshold_frac", 1.0), ("threshold_frac", 1.5),
         ("lowpass_cutoff_hz", 0.0), ("lowpass_cutoff_hz", 160.0), ("lowpass_cutoff_hz", -5.0),
         ("max_shift", -1), ("min_separation_s", 0.0), ("min_separation_s", -0.4),
+        ("acquisition_fs", float("nan")), ("acquisition_fs", 0.0), ("acquisition_fs", -320.0),
+        ("analysis_fs", 0.0),
+        ("template_start_s", float("nan")), ("template_start_s", -1.0),
+        ("template_length_s", float("nan")), ("min_separation_s", float("inf")),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(InputError, match=field):
@@ -196,10 +201,9 @@ class TestRunPipeline:
     def test_zero_flow_degenerate_split(self, tmp_path):
         cfg = SynthConfig(seed=2, duration_s=60.0)
         rec, truth = gen_recording(cfg)
-        zeroed = cs.Recording(channels={**rec.channels,
-                                        "flow": cs.Channel(np.zeros(len(rec["flow"])),
-                                                           cfg.fs, "flow")},
-                              recording_id="zeroflow")
+        zeroed = Recording(channels={**rec.channels,
+                                     "flow": Channel(np.zeros(len(rec["flow"])), cfg.fs, "flow")},
+                           recording_id="zeroflow")
         path = tmp_path / "zeroflow.csv"
         write_recording_csv(zeroed, path)
         config = pipeline_config(tmp_path, path, truth, cfg)
@@ -274,6 +278,11 @@ class TestCli:
         ("lowpass_cutoff_hz = 200", "lowpass_cutoff_hz"),
         ("max_shift = -3", "max_shift"),
         ("min_separation_s = 0", "min_separation_s"),
+        ("acquisition_fs = nan", "acquisition_fs"),
+        ("template_start_s = nan", "template_start_s"),
+        ("template_length_s = nan", "template_length_s"),
+        ("min_separation_s = inf", "min_separation_s"),
+        ("template_start_s = -1", "template_start_s"),
     ])
     def test_bad_config_exits_2_before_ingest(self, tmp_path, monkeypatch, line, field):
         path, *_ = synth_csv(tmp_path, duration=5.0)
@@ -307,6 +316,20 @@ class TestCli:
         res = runner.invoke(main, ["report", "--check", str(bad)])
         assert res.exit_code == 4
 
+    @pytest.mark.parametrize("payload,problem", [
+        ({"rows": [{"recording_id": "r", "groups": [
+            {"group": "LLV", "mean_dissim_same": 22.4, "mean_dissim_alt": 34.2}]}]},
+         "row 0 (r/LLV): 'rd'"),
+        ({"rows": [5]}, "row 0 is not an object"),
+        ([1, 2], "missing 'rows' list"),
+    ])
+    def test_report_check_malformed_exits_2(self, tmp_path, payload, problem):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        res = CliRunner().invoke(main, ["report", "--check", str(bad)])
+        assert res.exit_code == 2, res.output
+        assert problem in res.output
+
     def test_report_check_missing_file(self, tmp_path):
         runner = CliRunner()
         res = runner.invoke(main, ["report", "--check", str(tmp_path / "nope.json")])
@@ -339,7 +362,7 @@ print(json.dumps(seen))
 def test_scipy_loaded_only_by_run(tmp_path):
     """Importing the CLI, `report --check` and `synth` load no scipy
     module; `run` (which does) still accepts what that `synth` wrote."""
-    src = Path(cs.__file__).resolve().parent.parent
+    src = Path(cardioseis.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = tmp_path / "synth"

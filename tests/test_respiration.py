@@ -1,26 +1,28 @@
 import numpy as np
 import pytest
 
-import cardioseis as cs
 from cardioseis.errors import InputError
+from cardioseis.event_detection import ScgEvent
 from cardioseis.respiration import (FlowPhase, VolumePhase, flow_phase_at,
                                     integrate_flow, label_events,
                                     volume_phase_at)
+from cardioseis.signal_core import Channel, rms
+from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 
 def sine_flow(amp=1.0, freq=0.25, fs=320.0, duration=20.0):
     t = np.arange(int(round(duration * fs))) / fs
-    return cs.Channel(amp * np.sin(2 * np.pi * freq * t), fs, "flow")
+    return Channel(amp * np.sin(2 * np.pi * freq * t), fs, "flow")
 
 
 class TestIntegrateFlow:
     def test_trapezoid_by_hand(self):
-        flow = cs.Channel(np.array([0.0, 1, 1, 0]), 1.0, "flow")
+        flow = Channel(np.array([0.0, 1, 1, 0]), 1.0, "flow")
         trace = integrate_flow(flow, detrend=False)
         assert np.allclose(trace.volume.samples, [0, 0.5, 1.5, 2.0])
 
     def test_zero_flow(self):
-        trace = integrate_flow(cs.Channel(np.zeros(100), 320.0), detrend=False)
+        trace = integrate_flow(Channel(np.zeros(100), 320.0), detrend=False)
         assert np.allclose(trace.volume.samples, 0.0)
         assert trace.mean_volume == 0.0
 
@@ -30,20 +32,20 @@ class TestIntegrateFlow:
         trace = integrate_flow(flow, detrend=False)
         t = np.arange(len(flow)) / fs
         expected = (amp / (2 * np.pi * freq)) * (1 - np.cos(2 * np.pi * freq * t))
-        err = cs.rms(trace.volume.samples - expected) / cs.rms(expected)
+        err = rms(trace.volume.samples - expected) / rms(expected)
         assert err < 0.01
 
     def test_linearity(self, rng):
         f = rng.normal(size=500)
-        base = integrate_flow(cs.Channel(f, 320.0), detrend=False)
+        base = integrate_flow(Channel(f, 320.0), detrend=False)
         for k in (-2.0, 0.5, 3.0):
-            scaled = integrate_flow(cs.Channel(k * f, 320.0), detrend=False)
+            scaled = integrate_flow(Channel(k * f, 320.0), detrend=False)
             assert np.allclose(scaled.volume.samples, k * base.volume.samples, rtol=1e-9,
                                atol=1e-12)
 
     def test_detrend_zero_net_drift(self, rng):
         f = rng.normal(size=2000) + 0.3  # spirometer offset
-        trace = integrate_flow(cs.Channel(f, 320.0), detrend=True)
+        trace = integrate_flow(Channel(f, 320.0), detrend=True)
         assert abs(trace.volume.samples[-1]) < 1e-9
         assert trace.volume.samples[0] == 0.0
 
@@ -53,12 +55,12 @@ class TestIntegrateFlow:
 
     def test_empty_flow(self):
         with pytest.raises(InputError):
-            integrate_flow(cs.Channel(np.array([]), 320.0))
+            integrate_flow(Channel(np.array([]), 320.0))
 
 
 class TestPhaseLabels:
     def trace(self):
-        flow = cs.Channel(np.array([0.3, -0.3, 0.0, 0.1]), 1.0, "flow")
+        flow = Channel(np.array([0.3, -0.3, 0.0, 0.1]), 1.0, "flow")
         return integrate_flow(flow, detrend=False)
 
     def test_positive_flow_is_inspiration(self):
@@ -82,7 +84,7 @@ class TestPhaseLabels:
         assert volume_phase_at(trace, hi) is VolumePhase.HLV
 
     def test_volume_equal_mean_tiebreak(self):
-        flow = cs.Channel(np.zeros(10), 1.0, "flow")
+        flow = Channel(np.zeros(10), 1.0, "flow")
         trace = integrate_flow(flow, detrend=False)
         assert volume_phase_at(trace, 5) is VolumePhase.LLV
 
@@ -101,13 +103,11 @@ class TestPhaseLabels:
 
 class TestLabelEvents:
     def test_composition(self):
-        from cardioseis.event_detection import ScgEvent
         fs = 320.0
         flow = sine_flow(1.0, 0.25, fs, 20.0)
         trace = integrate_flow(flow, detrend=False)
-        ch = cs.Channel(np.zeros(len(flow)), fs)
         # early in the first breath: inhaling, volume still below mean
-        ev = ScgEvent(ref_index=100, window=np.zeros(8), source=ch)
+        ev = ScgEvent(ref_index=100, window=np.zeros(8))
         labeled = label_events([ev], trace)
         assert labeled[0].flow_phase is FlowPhase.INSPIRATION
         assert labeled[0].volume_phase is VolumePhase.LLV
@@ -116,19 +116,11 @@ class TestLabelEvents:
         trace = integrate_flow(sine_flow())
         assert label_events([], trace) == []
 
-    def test_rate_mismatch(self):
-        from cardioseis.event_detection import ScgEvent
-        trace = integrate_flow(sine_flow(fs=320.0))
-        ch = cs.Channel(np.zeros(100), 250.0)
-        ev = ScgEvent(ref_index=10, window=np.zeros(8), source=ch)
-        with pytest.raises(InputError, match="rate mismatch"):
-            label_events([ev], trace)
-
     def test_partition_property(self):
         from conftest import run_synth_analysis
-        _, events, _, scg = run_synth_analysis(cs.Coupling.VOLUME, seed=21, screen=False)
-        cfg = cs.SynthConfig(coupling=cs.Coupling.VOLUME, seed=21)
-        rec, _ = cs.gen_recording(cfg)
+        _, events, _, scg = run_synth_analysis(Coupling.VOLUME, seed=21, screen=False)
+        cfg = SynthConfig(coupling=Coupling.VOLUME, seed=21)
+        rec, _ = gen_recording(cfg)
         labeled = label_events(events, integrate_flow(rec["flow"]))
         insp = sum(ev.flow_phase is FlowPhase.INSPIRATION for ev in labeled)
         exp = sum(ev.flow_phase is FlowPhase.EXPIRATION for ev in labeled)
@@ -139,9 +131,9 @@ class TestLabelEvents:
 
     def test_labels_match_ground_truth(self):
         from conftest import run_synth_analysis
-        _, events, truth, _ = run_synth_analysis(cs.Coupling.VOLUME, seed=22, screen=False)
-        cfg = cs.SynthConfig(coupling=cs.Coupling.VOLUME, seed=22)
-        rec, _ = cs.gen_recording(cfg)
+        _, events, truth, _ = run_synth_analysis(Coupling.VOLUME, seed=22, screen=False)
+        cfg = SynthConfig(coupling=Coupling.VOLUME, seed=22)
+        rec, _ = gen_recording(cfg)
         labeled = label_events(events, integrate_flow(rec["flow"]))
         beats = np.array(truth.beat_indices)
         ok = total = 0

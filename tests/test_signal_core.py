@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cardioseis import Channel, best_lag, hilbert_envelope, lowpass, resample, rms
+from cardioseis.signal_core import Channel, best_lag, hilbert_envelope, lowpass, resample, rms
 from cardioseis.errors import DegenerateAnalysisError, InputError
 
 
@@ -186,6 +186,3 @@ class TestChannel:
     def test_rejects_bad_fs(self):
         with pytest.raises(InputError):
             Channel(np.zeros(4), 0.0)
-
-    def test_duration(self):
-        assert Channel(np.zeros(640), 320.0).duration == pytest.approx(2.0)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-import cardioseis as cs
 from cardioseis.errors import InputError
-from cardioseis.respiration import FlowPhase, VolumePhase
+from cardioseis.respiration import (FlowPhase, VolumePhase, flow_phase_at,
+                                    integrate_flow, volume_phase_at)
+from cardioseis.signal_core import rms
 from cardioseis.synth import (Coupling, GroundTruth, SynthConfig,
                               default_morphologies, gen_recording,
                               gen_respiration)
@@ -27,8 +28,8 @@ class TestGenRespiration:
     def test_integral_matches_closed_form(self):
         cfg = SynthConfig(duration_s=20)
         flow, volume = gen_respiration(cfg)
-        trace = cs.integrate_flow(flow, detrend=False)
-        err = cs.rms(trace.volume.samples - volume.samples) / cs.rms(volume.samples)
+        trace = integrate_flow(flow, detrend=False)
+        err = rms(trace.volume.samples - volume.samples) / rms(volume.samples)
         assert err < 0.01
 
 
@@ -71,7 +72,7 @@ class TestGenRecording:
         clean, _ = gen_recording(SynthConfig(coupling=Coupling.NONE, snr_db=math.inf,
                                              duration_s=60, seed=3))
         noise = rec["scg"].samples - clean["scg"].samples
-        got = 20 * np.log10(cs.rms(clean["scg"].samples) / cs.rms(noise))
+        got = 20 * np.log10(rms(clean["scg"].samples) / rms(noise))
         assert got == pytest.approx(20.0, abs=0.5)
 
     def test_ecg_spikes_at_beats(self):
@@ -87,11 +88,11 @@ class TestGenRecording:
     def test_truth_labels_consistent_with_respiration_module(self):
         cfg = SynthConfig(duration_s=60, seed=9)
         rec, truth = gen_recording(cfg)
-        trace = cs.integrate_flow(rec["flow"], detrend=True)
+        trace = integrate_flow(rec["flow"], detrend=True)
         agree = 0
         for i, b in enumerate(truth.beat_indices):
-            fp = cs.flow_phase_at(trace, b)
-            vp = cs.volume_phase_at(trace, b)
+            fp = flow_phase_at(trace, b)
+            vp = volume_phase_at(trace, b)
             agree += (fp is truth.flow_phase[i] and vp is truth.volume_phase[i])
         assert agree / len(truth.beat_indices) >= 0.99
 
