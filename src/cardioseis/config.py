@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import InputError
 
-DEFAULT_CHANNEL_MAP = {"time": "time_s", "scg": "scg_z", "ecg": "ecg", "flow": "flow_lps"}
+DEFAULT_CHANNEL_MAP = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,11 @@ class PipelineConfig:
                              f"{self.acquisition_fs:g}], got {self.analysis_fs}")
         if self.template_start_s < 0:
             raise InputError(f"template_start_s must be >= 0, got {self.template_start_s}")
-        if self.template_length_s <= 0:
-            raise InputError("template_length_s must be > 0")
+        n_template = round(self.template_length_s * self.analysis_fs)
+        if n_template < 8:
+            raise InputError(f"template_length_s must span >= 8 samples at analysis_fs = "
+                             f"{self.analysis_fs:g}, got {self.template_length_s} "
+                             f"({n_template} samples)")
         if not 0 < self.threshold_frac < 1:
             raise InputError(f"threshold_frac must be in (0, 1), got {self.threshold_frac}")
         if not 0 < self.lowpass_cutoff_hz < self.analysis_fs / 2:
@@ -74,7 +77,6 @@ _KEYS = {
     "out_dir": ("out_dir", str),
     "channel.time": None,
     "channel.scg": None,
-    "channel.ecg": None,
     "channel.flow": None,
 }
 

@@ -59,7 +59,7 @@ def template_from_channel(ch: Channel, start_s: float, length_s: float) -> Templ
     """Cut a template out of a conditioned channel by time span."""
     start = int(round(start_s * ch.fs))
     length = int(round(length_s * ch.fs))
-    if start < 0 or length < 8 or start + length > len(ch):
+    if start < 0 or start + length > len(ch):
         raise InputError(f"template span [{start_s}s + {length_s}s] outside recording")
     return Template(ch.samples[start:start + length].copy(), ch.fs)
 

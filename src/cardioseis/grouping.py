@@ -107,6 +107,10 @@ def align_events(events, samples, max_shift: int):
     cross-correlation, computed for the whole group at once by best_lag on
     the window stack.
 
+    A burst that fills its window can end one sample off: a jittered window
+    cuts part of it, and the mean subtraction in best_lag then moves the
+    correlation peak. This is a limit of the method, not of the batching.
+
     Returns (kept events, aligned ref indices, aligned (n, L) windows); the
     kept events themselves are unchanged.
     """
@@ -164,7 +168,7 @@ def normalized_dissim(event_window, group_avg) -> float:
     return float(_dissim(np.asarray(event_window, dtype=float)[None], group_avg)[0])
 
 
-def _mean_sd(vals) -> tuple[float, float]:
+def _mean_and_sd(vals) -> tuple[float, float]:
     sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
     return float(np.mean(vals)), sd
 
@@ -174,7 +178,7 @@ def mean_dissimilarity(events, group_avg) -> tuple[float, float]:
 
     A single-event group gets SD 0.
     """
-    return _mean_sd(_dissim(_windows(events), group_avg))
+    return _mean_and_sd(_dissim(_windows(events), group_avg))
 
 
 def relative_difference(mean_same: float, mean_alt: float) -> float:
@@ -214,9 +218,9 @@ def evaluate_criterion(events, criterion: Criterion, samples, max_shift: int | N
     for label, other in (labels, labels[::-1]):
         refs, windows = aligned[label]
         own_avg, alt_avg = averages[label], averages[other]
-        mean_same, sd_same = _mean_sd(_dissim(windows, own_avg))
+        mean_same, sd_same = _mean_and_sd(_dissim(windows, own_avg))
         _, realigned = _shift_to(alt_avg, samples, refs, windows, max_shift)
-        mean_alt, sd_alt = _mean_sd(_dissim(realigned, alt_avg))
+        mean_alt, sd_alt = _mean_and_sd(_dissim(realigned, alt_avg))
         stats.append(GroupStats(
             group_id=label.value, n=len(windows), ensemble_avg=own_avg,
             mean_dissim_same=mean_same, sd_same=sd_same,
@@ -244,9 +248,9 @@ def compare_criteria(events, samples, max_shift: int | None = None) -> Criterion
         winner_exp_hlv=_pick_winner(exp.rd, hlv.rd))
 
 
-def screen_outliers(events, samples, max_shift: int | None = None, n_sd: float = 3.0):
+def screen_outliers(events, samples, max_shift: int | None = None):
     """Drop events whose dissimilarity to the all-event ensemble average
-    exceeds mean + n_sd * SD. Stand-in for the manual artifact check.
+    exceeds mean + 3 SD. Stand-in for the manual artifact check.
     samples is the conditioned channel the events were detected in.
 
     Returns (kept_events, n_dropped). Kept events keep their original
@@ -264,6 +268,6 @@ def screen_outliers(events, samples, max_shift: int | None = None, n_sd: float =
     if np.ptp(avg) == 0:
         return usable, len(events) - len(usable)
     vals = _dissim(windows, avg)
-    limit = vals.mean() + n_sd * (vals.std(ddof=1) if len(vals) > 1 else 0.0)
+    limit = vals.mean() + 3.0 * (vals.std(ddof=1) if len(vals) > 1 else 0.0)
     kept = [ev for ev, v in zip(usable, vals) if v <= limit]
     return kept, len(events) - len(kept)

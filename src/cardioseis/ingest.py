@@ -1,8 +1,9 @@
 """CSV recording ingestion and emission.
 
-One row per acquisition-rate sample, header required. Column names are
-remappable via the config's channel map; defaults are time_s, scg_z, ecg,
-flow_lps.
+One row per acquisition-rate sample, header required. The time, SCG and
+flow columns are found by name through the config's channel map (defaults
+time_s, scg_z, flow_lps); any other column, such as the ecg column that
+write_recording_csv adds, must parse as numbers but is not kept.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .signal_core import Channel, Recording
 
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
 CSV_BLOCK_ROWS = 65536     # rows formatted per write; bounds the writer's memory
+_CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**DEFAULT_CHANNEL_MAP)
 _CSV_ROW = "%.9g,%.9g,%.9g,%.9g\r\n"
 
 
@@ -40,7 +42,7 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
             raise InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         cols = {}
-        for role in ("time", "scg", "ecg", "flow"):
+        for role in ("time", "scg", "flow"):
             name = config.channel_map[role]
             if name not in header:
                 raise InputError(f"missing channel: {role}")
@@ -48,14 +50,18 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
-            # loadtxt counts data rows from 0; name the file line instead
+            # name the file line instead of loadtxt's data row, which it
+            # counts from 1 in its column-count error and from 0 otherwise
+            msg = str(exc)
+            base = 1 if "number of columns changed" in msg else 0
             msg = re.sub(r"\bat row (\d+)",
-                         lambda m: f"at line {_file_line(path, int(m.group(1)))}", str(exc))
+                         lambda m: f"at line {_file_line(path, int(m.group(1)) - base)}", msg)
             raise InputError(f"{path}: could not parse data rows: {msg}") from None
     if data.size == 0:
         raise InputError(f"{path}: no data rows")
-    if data.shape[1] < len(header):
-        raise InputError(f"{path}: rows narrower than header")
+    if data.shape[1] != len(header):
+        # a column the header does not name would shift the named ones
+        raise InputError(f"{path}: rows have {data.shape[1]} fields, header has {len(header)}")
 
     fs = config.acquisition_fs
     t = data[:, cols["time"]]
@@ -68,7 +74,7 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
                          f"first offending row {_file_line(path, row)}")
 
     channels = {}
-    for role in ("scg", "ecg", "flow"):
+    for role in ("scg", "flow"):
         col = data[:, cols[role]]
         bad = ~np.isfinite(col)
         if np.any(bad):
@@ -80,26 +86,26 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
 
 def _file_line(path, row: int) -> int:
     """1-based file line of zero-based data row `row`, counted as loadtxt
-    counts: after the header, skipping blank and comment-only lines."""
+    counts: after the header, skipping blank and comment-only lines. A row
+    past the end gets the line it would have with no such lines."""
     with open(path, newline="") as fh:
-        next(fh)
+        next(fh, None)
         data_lines = (n for n, line in enumerate(fh, start=2) if line.split("#", 1)[0].strip())
-        return next(islice(data_lines, row, None))
+        return next(islice(data_lines, row, None), row + 2)
 
 
-def write_recording_csv(rec: Recording, path, config: PipelineConfig | None = None):
-    """Write a recording in the ingestible CSV format (%.9g precision).
+def write_recording_csv(rec: Recording, path):
+    """Write a recording in the ingestible CSV format (%.9g precision),
+    under the default column names.
 
-    The header goes through csv.writer, so channel names are quoted as it
-    quotes them. The body is formatted CSV_BLOCK_ROWS rows at a time, one
-    %-format per block, into the bytes csv.writer writes row by row.
+    The body is formatted CSV_BLOCK_ROWS rows at a time, one %-format per
+    block, into the bytes csv.writer writes row by row.
     """
-    cmap = config.channel_map if config else DEFAULT_CHANNEL_MAP
     scg, ecg, flow = rec["scg"], rec["ecg"], rec["flow"]
     n = len(scg)
     fs = scg.fs
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([cmap["time"], cmap["scg"], cmap["ecg"], cmap["flow"]])
+        fh.write(_CSV_HEADER)
         for s in range(0, n, CSV_BLOCK_ROWS):
             e = min(s + CSV_BLOCK_ROWS, n)
             block = np.empty((e - s, 4))

@@ -26,7 +26,6 @@ from .svgplot import bar_chart, line_plot
 class StageError(CardioseisError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
         self.cause = cause
 
 
@@ -40,8 +39,8 @@ def _stage(name, fn, *args, **kwargs):
 def analyze_recording(rec: Recording, config: PipelineConfig):
     """Run the analysis chain on an in-memory recording.
 
-    Returns (CriterionComparison, context dict with events / trace /
-    ensemble averages for reporting and plotting).
+    Returns (CriterionComparison, context dict with the labelled events
+    and the number of outliers dropped).
     """
     scg = _stage("resample", resample, rec["scg"], config.analysis_fs)
     flow = _stage("resample", resample, rec["flow"], config.analysis_fs)
@@ -59,18 +58,10 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
     if not events:
         raise StageError("group", DegenerateAnalysisError("no events detected"))
     cmp = _stage("group", compare_criteria, events, scg.samples, config.max_shift)
-    context = {
-        "events": events,
-        "trace": trace,
-        "template": tpl,
-        "outliers_dropped": dropped,
-        "analysis_fs": config.analysis_fs,
-    }
-    return cmp, context
+    return cmp, {"events": events, "outliers_dropped": dropped}
 
 
-def _write_artifacts(rec_id: str, cmp, context, out_dir: Path):
-    fs = context["analysis_fs"]
+def _write_artifacts(rec_id: str, cmp, fs: float, out_dir: Path):
     averages = {st.group_id: st.ensemble_avg for st in cmp.groups}
     n = len(next(iter(averages.values())))
     avg_csv = out_dir / f"{rec_id}_ensemble_averages.csv"
@@ -107,7 +98,7 @@ def run_pipeline(config: PipelineConfig):
         rows.append(comparison_to_row(rec.recording_id, cmp,
                                       extras={"outliers_dropped": context["outliers_dropped"],
                                               "n_events": len(context["events"])}))
-        artifacts += _write_artifacts(rec.recording_id, cmp, context, out_dir)
+        artifacts += _write_artifacts(rec.recording_id, cmp, config.analysis_fs, out_dir)
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
     write_report_json(rows, json_path)

@@ -67,7 +67,9 @@ def write_report_csv(rows: list[dict], path):
 def check_report(path) -> list[str]:
     """Recompute each row's RDs from its own mean columns.
 
-    Returns a list of problem descriptions; empty means consistent.
+    Returns a list of problem descriptions; empty means consistent. A
+    report with no rows, or a row without the four GROUP_ORDER groups once
+    each, is malformed: nothing in it would be checked.
     """
     path = Path(path)
     if not path.is_file():
@@ -80,12 +82,16 @@ def check_report(path) -> list[str]:
     rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
         raise InputError(f"{path}: missing 'rows' list")
+    if not rows:
+        raise InputError(f"{path}: 'rows' is empty")
     problems = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise InputError(f"{path}: row {i} is not an object")
         rid = row.get("recording_id", "?")
-        groups = row.get("groups", [])
+        groups = row.get("groups")
+        if not groups:
+            raise InputError(f"{path}: row {i} ({rid}): 'groups' is missing or empty")
         if not isinstance(groups, list) or not all(isinstance(g, dict) for g in groups):
             raise InputError(f"{path}: row {i} ({rid}): 'groups' is not a list of objects")
         for g in groups:
@@ -99,6 +105,9 @@ def check_report(path) -> list[str]:
                 continue
             if abs(expect - rd) > RD_CHECK_TOLERANCE:
                 problems.append(f"{name}: stored RD {rd} vs recomputed {expect:.4f}")
+        if sorted(str(g.get("group")) for g in groups) != sorted(GROUP_ORDER):
+            raise InputError(f"{path}: row {i} ({rid}): 'groups' must hold "
+                             f"{', '.join(GROUP_ORDER)} once each")
     return problems
 
 

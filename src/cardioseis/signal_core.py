@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateAnalysisError, InputError, InternalError
+from .errors import InputError, InternalError
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class Channel:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def with_samples(self, samples, fs=None) -> "Channel":
-        return Channel(np.asarray(samples, dtype=float), self.fs if fs is None else fs, self.label)
+    def with_samples(self, samples) -> "Channel":
+        return Channel(np.asarray(samples, dtype=float), self.fs, self.label)
 
 
 @dataclass(frozen=True)
@@ -165,25 +165,23 @@ def best_lag(x, y, max_lag: int):
     (which would let alignment lock onto a neighboring carrier cycle).
     Lags whose overlap is shorter than 2 samples are not considered.
 
-    y is one waveform or an (n, L) stack of them. For one waveform the lag
-    is returned as an int, and a degenerate correlation (a constant input
-    or no usable lag) raises DegenerateCorrelation. For a stack, the lags
+    y is an (n, L) stack of waveforms; L may differ from len(x). The lags
     of all rows come back as an int array from one pass over the lags; a
-    row whose correlation is degenerate gets lag 0.
+    row whose correlation is degenerate (a constant input or no usable lag)
+    gets lag 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if max_lag < 0:
         raise InputError("max_lag must be >= 0")
-    if x.ndim != 1 or y.ndim not in (1, 2):
-        raise InputError("best_lag needs a waveform x and a waveform or (n, L) stack y")
-    if x.size == 0 or y.shape[-1] == 0:
+    if x.ndim != 1 or y.ndim != 2:
+        raise InputError("best_lag needs a waveform x and an (n, L) stack y")
+    if x.size == 0 or y.shape[1] == 0:
         raise InputError("empty waveform")
-    rows = np.atleast_2d(y)
-    lx, ly = len(x), rows.shape[1]
-    x_spread, y_spread = np.ptp(x), np.ptp(rows, axis=1)
+    lx, ly = len(x), y.shape[1]
+    x_spread, y_spread = np.ptp(x), np.ptp(y, axis=1)
     xc = _unit_scale(x - x.mean(), x_spread)
-    yc = _unit_scale(rows - rows.mean(axis=1, keepdims=True), y_spread[:, None])
+    yc = _unit_scale(y - y.mean(axis=1, keepdims=True), y_spread[:, None])
     denom = np.linalg.norm(xc) * np.linalg.norm(yc, axis=1)
     degenerate = (y_spread == 0) | (denom == 0) | (x_spread == 0)
     denom[degenerate] = 1.0
@@ -191,8 +189,8 @@ def best_lag(x, y, max_lag: int):
     usable = range(max(-max_lag, 2 - lx), min(max_lag, ly - 2) + 1) if min(lx, ly) >= 2 else ()
     if not usable:
         degenerate[:] = True
-    best_r = np.full(len(rows), -np.inf)
-    lags = np.zeros(len(rows), dtype=int)
+    best_r = np.full(len(y), -np.inf)
+    lags = np.zeros(len(y), dtype=int)
     for lag in sorted(usable, key=lambda l: (abs(l), l)):
         if lag >= 0:
             n = min(lx, ly - lag)
@@ -205,10 +203,6 @@ def best_lag(x, y, max_lag: int):
         best_r[better] = r[better]
         lags[better] = lag
     lags[degenerate] = 0
-    if y.ndim == 1:
-        if degenerate[0]:
-            raise DegenerateCorrelation()
-        return int(lags[0])
     return lags
 
 
@@ -219,8 +213,3 @@ def _unit_scale(centred, spread):
     overflowing, which would make a correlation degenerate at one
     amplitude and not at another."""
     return np.ldexp(centred, -np.frexp(spread)[1])
-
-
-class DegenerateCorrelation(DegenerateAnalysisError):
-    def __init__(self):
-        super().__init__("degenerate correlation")

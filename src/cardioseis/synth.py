@@ -71,17 +71,6 @@ class GroundTruth:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
 
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls(
-            beat_indices=[int(i) for i in payload["beat_indices"]],
-            alpha=[float(a) for a in payload["alpha"]],
-            flow_phase=[FlowPhase(p) for p in payload["flow_phase"]],
-            volume_phase=[VolumePhase(p) for p in payload["volume_phase"]],
-        )
-
 
 def default_morphologies(fs: float, length_s: float = DEFAULT_MORPH_LENGTH_S):
     """Two unit-RMS damped-oscillation bursts with a shared 20 Hz carrier.

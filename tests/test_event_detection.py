@@ -180,3 +180,8 @@ class TestTemplateFromChannel:
         ch = Channel(np.zeros(100), 320.0)
         with pytest.raises(InputError):
             template_from_channel(ch, 0.2, 0.25)
+
+    def test_short_span_named_too_short(self):
+        ch = Channel(np.concatenate([np.zeros(100), BURST, np.zeros(100)]), 320.0)
+        with pytest.raises(InputError, match="template too short: 6 samples"):
+            template_from_channel(ch, 100 / 320, 0.02)

@@ -78,6 +78,18 @@ class TestAlignEvents:
         assert [ref - p - 40 for ref, p in zip(refs, (200, 600, 1000, 1400))] == [0] * 4
         assert shifts(kept, refs) == [-j for j in jitters]
 
+    @pytest.mark.xfail(strict=True, reason="a limit of the method: when the burst fills "
+                       "its window, jittered windows cut it and the mean subtraction moves "
+                       "the correlation peak by one sample")
+    def test_known_jitter_recovered_when_burst_fills_window(self):
+        offsets = (200, 600, 1000)
+        ch = planted_channel(offsets)
+        jitters = [0, 4, 4]
+        events = [event_at(ch, p + 40 + j) for p, j in zip(offsets, jitters)]
+        kept, refs, _ = align_events(events, ch.samples, 8)
+        assert [ref - p - 40 for ref, p in zip(refs, offsets)] == [0] * 3
+        assert shifts(kept, refs) == [-j for j in jitters]
+
     def test_single_event_unchanged(self):
         ch = planted_channel([300])
         ev = event_at(ch, 340)

@@ -18,20 +18,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cardioseis import ingest
-from cardioseis.config import DEFAULT_CHANNEL_MAP, PipelineConfig
 from cardioseis.ingest import CSV_BLOCK_ROWS, write_recording_csv
 from cardioseis.signal_core import Recording
 
 
-def loop_write_recording_csv(rec, path, config=None):
+def loop_write_recording_csv(rec, path):
     """The writer as it was: one csv.writer row per sample."""
-    cmap = config.channel_map if config else DEFAULT_CHANNEL_MAP
     scg, ecg, flow = rec["scg"], rec["ecg"], rec["flow"]
     n = len(scg)
     fs = scg.fs
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([cmap["time"], cmap["scg"], cmap["ecg"], cmap["flow"]])
+        writer.writerow(["time_s", "scg_z", "ecg", "flow_lps"])
         for i in range(n):
             writer.writerow([
                 "%.9g" % (i / fs),
@@ -59,10 +57,10 @@ def recording(columns, fs):
                                "flow": RawChannel(flow, fs)})
 
 
-def both_outputs(tmp_path, rec, config=None):
+def both_outputs(tmp_path, rec):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write_recording_csv(rec, new, config)
-    loop_write_recording_csv(rec, old, config)
+    write_recording_csv(rec, new)
+    loop_write_recording_csv(rec, old)
     return new.read_bytes(), old.read_bytes()
 
 
@@ -104,12 +102,3 @@ def test_bytes_equal_loop_at_block_edges(tmp_path, n):
     new, old = both_outputs(tmp_path, recording(cols, 10000.0))
     assert new == old
     assert new.count(b"\r\n") == n + 1
-
-
-def test_header_quoted_as_csv_writer_quotes(tmp_path):
-    cmap = {"time": "t, s", "scg": 'scg "z"', "ecg": "ecg", "flow": "flow\nL/s"}
-    config = PipelineConfig(channel_map=cmap)
-    rec = recording(np.arange(15.0).reshape(3, 5), 320.0)
-    new, old = both_outputs(tmp_path, rec, config)
-    assert new == old
-    assert new.startswith(b'"t, s","scg ""z""",ecg,"flow\nL/s"\r\n')

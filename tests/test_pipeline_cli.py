@@ -21,6 +21,11 @@ from cardioseis.synth import Coupling, SynthConfig, gen_recording
 from conftest import DATA_DIR
 
 
+# one report row's groups, each RD consistent with its means
+CONSISTENT_GROUPS = [{"group": g, "mean_dissim_same": 10.0, "mean_dissim_alt": 15.0, "rd": 50.0}
+                     for g in ("Inspiration", "Expiration", "LLV", "HLV")]
+
+
 def synth_csv(tmp_path, seed=1, coupling=Coupling.VOLUME, duration=60.0):
     cfg = SynthConfig(seed=seed, coupling=coupling, duration_s=duration)
     rec, truth = gen_recording(cfg)
@@ -44,7 +49,7 @@ class TestIngest:
         path, rec, _, cfg = synth_csv(tmp_path, duration=5.0)
         config = PipelineConfig(acquisition_fs=cfg.fs, analysis_fs=cfg.fs)
         loaded = ingest_csv(path, config)
-        for name in ("scg", "ecg", "flow"):
+        for name in ("scg", "flow"):
             assert len(loaded[name]) == len(rec[name])
             assert np.allclose(loaded[name].samples, rec[name].samples, atol=1e-9)
 
@@ -94,6 +99,42 @@ class TestIngest:
         p.write_text("\n".join(rows).replace("nan", "x") + "\n")
         with pytest.raises(InputError, match="at line 6,"):
             ingest_csv(p, cfgp)
+
+    def test_ecg_column_optional(self, tmp_path):
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+        lines = path.read_text().splitlines()
+        cut = tmp_path / "no_ecg.csv"
+        cut.write_text("\n".join(",".join(f for k, f in enumerate(line.split(",")) if k != 2)
+                                 for line in lines) + "\n")
+        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
+        with_ecg, without = ingest_csv(path, cfgp), ingest_csv(cut, cfgp)
+        assert set(with_ecg.channels) == set(without.channels) == {"scg", "flow"}
+        for name in ("scg", "flow"):
+            assert np.array_equal(with_ecg[name].samples, without[name].samples)
+
+    def test_unnamed_column_rejected(self, tmp_path):
+        # without the check, flow would be read from the unnamed ecg column
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+        lines = path.read_text().splitlines()
+        p = tmp_path / "wide.csv"
+        p.write_text("\n".join(["time_s,scg_z,flow_lps"] + lines[1:]) + "\n")
+        with pytest.raises(InputError, match="rows have 4 fields, header has 3"):
+            ingest_csv(p, PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0))
+
+    @pytest.mark.parametrize("ragged_line", [5, 11])
+    def test_ragged_row_names_file_line(self, tmp_path, ragged_line):
+        # line 11 is the last row; loadtxt counts this error's rows from 1
+        p = tmp_path / "bad.csv"
+        rows = ["time_s,scg_z,ecg,flow_lps"]
+        rows += [f"{i / 320.0:.9g},0,0,0" for i in range(10)]
+        rows[ragged_line - 1] += ",0"
+        p.write_text("\n".join(rows) + "\n")
+        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
+        with pytest.raises(InputError, match=f"changed from 4 to 5 at line {ragged_line};"):
+            ingest_csv(p, cfgp)
+        res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert f"at line {ragged_line};" in res.output
 
     def test_channel_remap(self, tmp_path):
         p = tmp_path / "remap.csv"
@@ -149,6 +190,7 @@ channel.scg = accel_z
         ("analysis_fs", 0.0),
         ("template_start_s", float("nan")), ("template_start_s", -1.0),
         ("template_length_s", float("nan")), ("min_separation_s", float("inf")),
+        ("template_length_s", 0.02), ("template_length_s", 0.0),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(InputError, match=field):
@@ -164,6 +206,13 @@ channel.scg = accel_z
         p.write_text("frobnicate = 1\n")
         with pytest.raises(InputError, match="unknown key"):
             load_config(p)
+
+    def test_channel_ecg_key_exits_2(self, tmp_path):
+        p = tmp_path / "old.cfg"
+        p.write_text("input = a.csv\nchannel.ecg = ecg\n")
+        res = CliRunner().invoke(main, ["run", "--config", str(p)])
+        assert res.exit_code == 2, res.output
+        assert "old.cfg:2: unknown key" in res.output
 
     def test_conditioning_defaults(self):
         cfg = PipelineConfig()
@@ -283,6 +332,7 @@ class TestCli:
         ("template_length_s = nan", "template_length_s"),
         ("min_separation_s = inf", "min_separation_s"),
         ("template_start_s = -1", "template_start_s"),
+        ("template_length_s = 0.02", "template_length_s"),
     ])
     def test_bad_config_exits_2_before_ingest(self, tmp_path, monkeypatch, line, field):
         path, *_ = synth_csv(tmp_path, duration=5.0)
@@ -322,6 +372,15 @@ class TestCli:
          "row 0 (r/LLV): 'rd'"),
         ({"rows": [5]}, "row 0 is not an object"),
         ([1, 2], "missing 'rows' list"),
+        ({"rows": []}, "'rows' is empty"),
+        ({"rows": [{"recording_id": "x"}]}, "row 0 (x): 'groups' is missing or empty"),
+        ({"rows": [{"recording_id": "x", "groups": []}]}, "row 0 (x): 'groups' is missing"),
+        ({"rows": [{"recording_id": "x", "groups": CONSISTENT_GROUPS[:3]}]},
+         "row 0 (x): 'groups' must hold Inspiration, Expiration, LLV, HLV once each"),
+        ({"rows": [{"recording_id": "x", "groups": CONSISTENT_GROUPS},
+                   {"recording_id": "y",
+                    "groups": CONSISTENT_GROUPS[:3] + CONSISTENT_GROUPS[:1]}]},
+         "row 1 (y): 'groups' must hold"),
     ])
     def test_report_check_malformed_exits_2(self, tmp_path, payload, problem):
         bad = tmp_path / "bad.json"

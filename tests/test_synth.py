@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,8 @@ from cardioseis.errors import InputError
 from cardioseis.respiration import (FlowPhase, VolumePhase, flow_phase_at,
                                     integrate_flow, volume_phase_at)
 from cardioseis.signal_core import rms
-from cardioseis.synth import (Coupling, GroundTruth, SynthConfig,
-                              default_morphologies, gen_recording,
-                              gen_respiration)
+from cardioseis.synth import (Coupling, SynthConfig, default_morphologies,
+                              gen_recording, gen_respiration)
 
 
 class TestGenRespiration:
@@ -107,8 +107,11 @@ class TestGenRecording:
         _, truth = gen_recording(cfg)
         path = tmp_path / "truth.json"
         truth.to_json(path)
-        loaded = GroundTruth.from_json(path)
-        assert loaded == truth
+        with open(path) as fh:
+            loaded = json.load(fh)
+        assert loaded == {"beat_indices": truth.beat_indices, "alpha": truth.alpha,
+                          "flow_phase": [p.value for p in truth.flow_phase],
+                          "volume_phase": [p.value for p in truth.volume_phase]}
 
 
 class TestSynthConfigValidation:
