@@ -7,11 +7,12 @@ Exit codes: 0 success, 2 input/parse error, 3 degenerate analysis,
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
-from .config import PipelineConfig, apply_overrides, load_config
+from .config import PipelineConfig, load_config, parse_config
 from .errors import DegenerateAnalysisError, InputError
 from .ingest import write_recording_csv
 from .pipeline import StageError, run_pipeline
@@ -48,9 +49,10 @@ def run(config_path, inputs, out_dir):
     """Run the full analysis pipeline and write reports and plots."""
     try:
         config = load_config(config_path) if config_path else PipelineConfig()
-        config = apply_overrides(config,
-                                 inputs=tuple(inputs) or None,
-                                 out_dir=out_dir)
+        if inputs:
+            config = replace(config, inputs=tuple(inputs))
+        if out_dir is not None:
+            config = replace(config, out_dir=out_dir)
         rows, artifacts = run_pipeline(config)
     except Exception as exc:
         click.echo(f"error: {exc}", err=True)
@@ -82,20 +84,25 @@ def synth(seed, coupling, out_dir, duration, fs, snr_db, coupling_strength):
                           coupling_strength=coupling_strength, seed=seed)
         rec, truth = gen_recording(cfg)
         out = Path(out_dir)
+        csv_path, cfg_path = out / f"{rec.recording_id}.csv", out / "pipeline.cfg"
+        run_config = _synth_config(csv_path, cfg, truth)
+        if parse_config(run_config, cfg_path).inputs != (str(csv_path),):
+            raise InputError(f"--out {out_dir!r}: the input line of pipeline.cfg would not "
+                             f"read back as {csv_path} (it must hold no comma, no '#' after "
+                             "whitespace, and no whitespace at either end)")
         out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{rec.recording_id}.csv"
         write_recording_csv(rec, csv_path)
         truth.to_json(out / f"{rec.recording_id}_truth.json")
-        _write_synth_config(out / "pipeline.cfg", csv_path, cfg, truth)
+        cfg_path.write_text(run_config)
     except Exception as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_exit_for(exc))
     click.echo(f"wrote {csv_path} ({len(truth.beat_indices)} beats)")
 
 
-def _write_synth_config(path, csv_path, cfg: SynthConfig, truth):
-    """Config pointing at the generated file, with a template span on the
-    first generated beat so `cardioseis run` works out of the box."""
+def _synth_config(csv_path, cfg: SynthConfig, truth) -> str:
+    """Config text pointing at the generated file, with a template span on
+    the first generated beat so `cardioseis run` works out of the box."""
     from .synth import DEFAULT_MORPH_LENGTH_S
     length_s = DEFAULT_MORPH_LENGTH_S
     first = truth.beat_indices[0]
@@ -112,7 +119,7 @@ def _write_synth_config(path, csv_path, cfg: SynthConfig, truth):
     if PipelineConfig.lowpass_cutoff_hz >= analysis_fs / 2:
         # the default cutoff would sit at or above Nyquist: keep it below
         lines.insert(3, f"lowpass_cutoff_hz = {0.4 * analysis_fs:g}")
-    path.write_text("\n".join(lines))
+    return "\n".join(lines)
 
 
 @main.command()

@@ -1,21 +1,18 @@
-"""Pipeline configuration: defaults, flat key=value config files, overrides."""
+"""Pipeline configuration: defaults and flat key=value config files."""
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import InputError
-
-DEFAULT_CHANNEL_MAP = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     inputs: tuple[str, ...] = ()
-    channel_map: dict = field(default_factory=lambda: dict(DEFAULT_CHANNEL_MAP))
     acquisition_fs: float = 10000.0
     analysis_fs: float = 320.0
     lowpass_cutoff_hz: float = 100.0
@@ -23,9 +20,6 @@ class PipelineConfig:
     template_length_s: float = 0.25
     threshold_frac: float = 0.5
     min_separation_s: float = 0.4
-    detrend: bool = True
-    max_shift: int | None = None          # default: template length // 4
-    outlier_screen: bool = True
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -50,16 +44,12 @@ class PipelineConfig:
         if not 0 < self.lowpass_cutoff_hz < self.analysis_fs / 2:
             raise InputError(f"lowpass_cutoff_hz must be in (0, analysis_fs/2 = "
                              f"{self.analysis_fs / 2:g}), got {self.lowpass_cutoff_hz}")
-        if self.max_shift is not None and self.max_shift < 0:
-            raise InputError(f"max_shift must be >= 0, got {self.max_shift}")
         if self.min_separation_s <= 0:
             raise InputError(f"min_separation_s must be > 0, got {self.min_separation_s}")
 
 
 # `#` starts a comment at the start of a line or after whitespace, so values may contain it
 _COMMENT = re.compile(r"(?:^|(?<=\s))#")
-
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 # config-file key -> (field name, parser)
 _KEYS = {
@@ -71,21 +61,8 @@ _KEYS = {
     "template_length_s": ("template_length_s", float),
     "threshold_frac": ("threshold_frac", float),
     "min_separation_s": ("min_separation_s", float),
-    "detrend": ("detrend", lambda v: _parse_bool(v)),
-    "max_shift": ("max_shift", lambda v: None if v.lower() == "auto" else int(v)),
-    "outlier_screen": ("outlier_screen", lambda v: _parse_bool(v)),
     "out_dir": ("out_dir", str),
-    "channel.time": None,
-    "channel.scg": None,
-    "channel.flow": None,
 }
-
-
-def _parse_bool(v: str) -> bool:
-    try:
-        return _BOOL[v.strip().lower()]
-    except KeyError:
-        raise InputError(f"not a boolean: {v!r}") from None
 
 
 def load_config(path) -> PipelineConfig:
@@ -93,9 +70,13 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"config file not found: {path}")
+    return parse_config(path.read_text(), path)
+
+
+def parse_config(text: str, path) -> PipelineConfig:
+    """Parse config-file text; errors name `path` and the line."""
     values: dict = {}
-    channel_map = dict(DEFAULT_CHANNEL_MAP)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
@@ -105,25 +86,13 @@ def load_config(path) -> PipelineConfig:
         key, value = key.strip(), value.strip()
         if key not in _KEYS:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-        if key.startswith("channel."):
-            channel_map[key.split(".", 1)[1]] = value
-            continue
         name, parse = _KEYS[key]
         try:
             values[name] = parse(value)
-        except (ValueError, InputError) as exc:
+        except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     try:
-        return PipelineConfig(channel_map=channel_map, **values)
+        return PipelineConfig(**values)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
-
-def apply_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
-    """Replace fields for which a non-None override was given."""
-    known = {f.name for f in fields(PipelineConfig)}
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(updates) - known
-    if unknown:
-        raise InputError(f"unknown config fields: {sorted(unknown)}")
-    return replace(config, **updates) if updates else config

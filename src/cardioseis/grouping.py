@@ -83,6 +83,11 @@ def _rms_rows(a) -> np.ndarray:
     return np.sqrt(np.mean(np.square(a), axis=-1))
 
 
+def _max_shift(events) -> int:
+    """The alignment search bound: a quarter of the event window."""
+    return len(events[0].window) // 4
+
+
 def _shift_to(target, samples, refs, windows, max_shift: int):
     """Shift every row toward its best lag against target.
 
@@ -192,19 +197,19 @@ _GROUPS = {Criterion.FLOW_RATE: ("flow_phase", (FlowPhase.INSPIRATION, FlowPhase
            Criterion.LUNG_VOLUME: ("volume_phase", (VolumePhase.LLV, VolumePhase.HLV))}
 
 
-def evaluate_criterion(events, criterion: Criterion, samples, max_shift: int | None = None):
+def evaluate_criterion(events, criterion: Criterion, samples):
     """Split labeled events by one criterion and compute both GroupStats.
 
     samples is the conditioned channel the events were detected in. Per
     group: align, ensemble-average, mean dissimilarity against the own
     average, then against the alternate group's average (each event is
     re-aligned to that average first so timing offsets do not masquerade
-    as morphology differences), and finally the RD.
+    as morphology differences), and finally the RD. Lags are searched
+    within a quarter of the event window.
     """
     if not events:
         raise DegenerateAnalysisError("empty group")
-    if max_shift is None:
-        max_shift = len(events[0].window) // 4
+    max_shift = _max_shift(events)
     attr, labels = _GROUPS[criterion]
     aligned = {}
     for label in labels:
@@ -235,20 +240,20 @@ def _pick_winner(rd_fr: float, rd_lv: float) -> Winner:
     return Winner.LUNG_VOLUME if rd_lv > rd_fr else Winner.FLOW_RATE
 
 
-def compare_criteria(events, samples, max_shift: int | None = None) -> CriterionComparison:
+def compare_criteria(events, samples) -> CriterionComparison:
     """Evaluate both grouping criteria and flag the winner per group pair.
 
     samples is the conditioned channel the events were detected in.
     """
-    insp, exp = evaluate_criterion(events, Criterion.FLOW_RATE, samples, max_shift)
-    llv, hlv = evaluate_criterion(events, Criterion.LUNG_VOLUME, samples, max_shift)
+    insp, exp = evaluate_criterion(events, Criterion.FLOW_RATE, samples)
+    llv, hlv = evaluate_criterion(events, Criterion.LUNG_VOLUME, samples)
     return CriterionComparison(
         inspiration=insp, expiration=exp, llv=llv, hlv=hlv,
         winner_insp_llv=_pick_winner(insp.rd, llv.rd),
         winner_exp_hlv=_pick_winner(exp.rd, hlv.rd))
 
 
-def screen_outliers(events, samples, max_shift: int | None = None):
+def screen_outliers(events, samples):
     """Drop events whose dissimilarity to the all-event ensemble average
     exceeds mean + 3 SD. Stand-in for the manual artifact check.
     samples is the conditioned channel the events were detected in.
@@ -258,12 +263,10 @@ def screen_outliers(events, samples, max_shift: int | None = None):
     """
     if len(events) < 3:
         return list(events), 0
-    if max_shift is None:
-        max_shift = len(events[0].window) // 4
     usable = [ev for ev in events if np.ptp(ev.window) > 0]
     if len(usable) < 3:
         return usable, len(events) - len(usable)
-    *_, windows = align_events(usable, samples, max_shift)
+    *_, windows = align_events(usable, samples, _max_shift(usable))
     avg = _average(windows)
     if np.ptp(avg) == 0:
         return usable, len(events) - len(usable)

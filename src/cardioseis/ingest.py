@@ -1,9 +1,9 @@
 """CSV recording ingestion and emission.
 
 One row per acquisition-rate sample, header required. The time, SCG and
-flow columns are found by name through the config's channel map (defaults
-time_s, scg_z, flow_lps); any other column, such as the ecg column that
-write_recording_csv adds, must parse as numbers but is not kept.
+flow columns are found by their fixed names (COLUMNS); any other column,
+such as the ecg column that write_recording_csv adds, must parse as numbers
+but is not kept.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_CHANNEL_MAP, PipelineConfig
+from .config import PipelineConfig
 from .errors import InputError
 from .signal_core import Channel, Recording
 
+COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
 CSV_BLOCK_ROWS = 65536     # rows formatted per write; bounds the writer's memory
-_CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**DEFAULT_CHANNEL_MAP)
+_CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS)
 _CSV_ROW = "%.9g,%.9g,%.9g,%.9g\r\n"
 
 
@@ -42,8 +43,7 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
             raise InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         cols = {}
-        for role in ("time", "scg", "flow"):
-            name = config.channel_map[role]
+        for role, name in COLUMNS.items():
             if name not in header:
                 raise InputError(f"missing channel: {role}")
             cols[role] = header.index(name)
@@ -51,11 +51,13 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             # name the file line instead of loadtxt's data row, which it
-            # counts from 1 in its column-count error and from 0 otherwise
+            # counts from 1 in its column-count error and from 0 otherwise,
+            # and drop the advice after it, which names no option of run
             msg = str(exc)
             base = 1 if "number of columns changed" in msg else 0
-            msg = re.sub(r"\bat row (\d+)",
-                         lambda m: f"at line {_file_line(path, int(m.group(1)) - base)}", msg)
+            msg = re.sub(r"\bat row (\d+)(;.*)?",
+                         lambda m: f"at line {_file_line(path, int(m.group(1)) - base)}",
+                         msg, flags=re.S)
             raise InputError(f"{path}: could not parse data rows: {msg}") from None
     if data.size == 0:
         raise InputError(f"{path}: no data rows")
@@ -96,7 +98,7 @@ def _file_line(path, row: int) -> int:
 
 def write_recording_csv(rec: Recording, path):
     """Write a recording in the ingestible CSV format (%.9g precision),
-    under the default column names.
+    with the COLUMNS names and an ecg column after scg_z.
 
     The body is formatted CSV_BLOCK_ROWS rows at a time, one %-format per
     block, into the bytes csv.writer writes row by row.

@@ -49,15 +49,12 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
                  config.template_start_s, config.template_length_s)
     events = _stage("detect", detect_events, scg, tpl,
                     config.threshold_frac, config.min_separation_s)
-    trace = _stage("respiration", integrate_flow, flow, config.detrend)
+    trace = _stage("respiration", integrate_flow, flow)
     events = _stage("label", label_events, events, trace)
-    dropped = 0
-    if config.outlier_screen:
-        events, dropped = _stage("screen", screen_outliers, events, scg.samples,
-                                 config.max_shift)
+    events, dropped = _stage("screen", screen_outliers, events, scg.samples)
     if not events:
         raise StageError("group", DegenerateAnalysisError("no events detected"))
-    cmp = _stage("group", compare_criteria, events, scg.samples, config.max_shift)
+    cmp = _stage("group", compare_criteria, events, scg.samples)
     return cmp, {"events": events, "outliers_dropped": dropped}
 
 

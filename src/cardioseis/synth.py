@@ -148,6 +148,8 @@ def gen_recording(cfg: SynthConfig, m_low=None, m_high=None):
         beat_indices.append(center)
         alphas.append(alpha)
         pos += period * (1.0 + rng.uniform(-jitter, jitter))
+    if not beat_indices:
+        raise InputError(f"duration_s = {cfg.duration_s:g} is too short to hold one beat")
 
     if math.isfinite(cfg.snr_db):
         noise_rms = rms(scg) * 10 ** (-cfg.snr_db / 20.0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 import cardioseis
 from cardioseis.cli import main
-from cardioseis.config import PipelineConfig, apply_overrides, load_config
+from cardioseis.config import _KEYS, PipelineConfig, load_config
 from cardioseis.errors import InputError
 from cardioseis.ingest import ingest_csv, write_recording_csv
 from cardioseis.pipeline import run_pipeline
@@ -41,7 +42,7 @@ def pipeline_config(tmp_path, csv_path, truth, cfg, **overrides):
                           analysis_fs=cfg.fs, template_start_s=start_s,
                           template_length_s=length_s,
                           out_dir=str(tmp_path / "out"))
-    return apply_overrides(base, **overrides)
+    return replace(base, **overrides)
 
 
 class TestIngest:
@@ -130,19 +131,12 @@ class TestIngest:
         rows[ragged_line - 1] += ",0"
         p.write_text("\n".join(rows) + "\n")
         cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
-        with pytest.raises(InputError, match=f"changed from 4 to 5 at line {ragged_line};"):
+        with pytest.raises(InputError, match=f"changed from 4 to 5 at line {ragged_line}$"):
             ingest_csv(p, cfgp)
         res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, res.output
-        assert f"at line {ragged_line};" in res.output
-
-    def test_channel_remap(self, tmp_path):
-        p = tmp_path / "remap.csv"
-        p.write_text("t,z,e,f\n" + "\n".join(f"{i / 320.0:.9g},1,0,0.5" for i in range(10)) + "\n")
-        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0,
-                              channel_map={"time": "t", "scg": "z", "ecg": "e", "flow": "f"})
-        rec = ingest_csv(p, cfgp)
-        assert np.allclose(rec["flow"].samples, 0.5)
+        assert res.output.endswith(f"at line {ragged_line}\n")
+        assert "usecols" not in res.output
 
 
 class TestConfigFile:
@@ -154,13 +148,10 @@ input = a.csv, b.csv
 analysis_fs = 320
 lowpass_cutoff_hz = 100
 template_start_s = 1.5
-detrend = false
-channel.scg = accel_z
 """)
         cfg = load_config(p)
         assert cfg.inputs == ("a.csv", "b.csv")
-        assert cfg.detrend is False
-        assert cfg.channel_map["scg"] == "accel_z"
+        assert cfg.template_start_s == 1.5
         assert cfg.acquisition_fs == 10000.0  # untouched default
         assert cfg.threshold_frac == 0.5
 
@@ -175,17 +166,17 @@ channel.scg = accel_z
         p = tmp_path / "pipeline.cfg"
         p.write_text("  # indented comment\n"
                      "out_dir = o # comment\n"
-                     "max_shift = auto\t# tab before the comment\n"
+                     "min_separation_s = 0.3\t# tab before the comment\n"
                      "threshold_frac = 0.25              # of the 95th percentile\n")
         cfg = load_config(p)
         assert cfg.out_dir == "o"
-        assert cfg.max_shift is None
+        assert cfg.min_separation_s == 0.3
         assert cfg.threshold_frac == 0.25
 
     @pytest.mark.parametrize("field,value", [
         ("threshold_frac", 0.0), ("threshold_frac", 1.0), ("threshold_frac", 1.5),
         ("lowpass_cutoff_hz", 0.0), ("lowpass_cutoff_hz", 160.0), ("lowpass_cutoff_hz", -5.0),
-        ("max_shift", -1), ("min_separation_s", 0.0), ("min_separation_s", -0.4),
+        ("min_separation_s", 0.0), ("min_separation_s", -0.4),
         ("acquisition_fs", float("nan")), ("acquisition_fs", 0.0), ("acquisition_fs", -320.0),
         ("analysis_fs", 0.0),
         ("template_start_s", float("nan")), ("template_start_s", -1.0),
@@ -197,9 +188,9 @@ channel.scg = accel_z
             PipelineConfig(**{field: value})
 
     def test_in_range_accepted(self):
-        cfg = PipelineConfig(threshold_frac=0.01, lowpass_cutoff_hz=159.9, max_shift=0,
+        cfg = PipelineConfig(threshold_frac=0.01, lowpass_cutoff_hz=159.9,
                              min_separation_s=0.01)
-        assert cfg.max_shift == 0
+        assert cfg.min_separation_s == 0.01
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -207,12 +198,26 @@ channel.scg = accel_z
         with pytest.raises(InputError, match="unknown key"):
             load_config(p)
 
-    def test_channel_ecg_key_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("key", ["channel.ecg", "channel.time", "channel.scg",
+                                     "channel.flow", "detrend", "max_shift", "outlier_screen"])
+    def test_channel_ecg_key_exits_2(self, tmp_path, monkeypatch, key):
+        # removed keys: the column names and these steps are fixed
+        path, *_ = synth_csv(tmp_path, duration=5.0)
         p = tmp_path / "old.cfg"
-        p.write_text("input = a.csv\nchannel.ecg = ecg\n")
+        p.write_text(f"input = {path}\n{key} = 1\n")
+        ingested = []
+        monkeypatch.setattr("cardioseis.pipeline.ingest_csv",
+                            lambda *args: ingested.append(args))
         res = CliRunner().invoke(main, ["run", "--config", str(p)])
         assert res.exit_code == 2, res.output
         assert "old.cfg:2: unknown key" in res.output
+        assert ingested == []
+
+    def test_readme_documents_every_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+        documented = {line.split("=", 1)[0].strip() for line in block.splitlines()}
+        assert documented == set(_KEYS)
 
     def test_conditioning_defaults(self):
         cfg = PipelineConfig()
@@ -322,10 +327,26 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert "lowpass_cutoff_hz" not in (out / "pipeline.cfg").read_text()
 
+    def test_synth_too_short_exits_2(self, tmp_path):
+        out = tmp_path / "synth"
+        res = CliRunner().invoke(main, ["synth", "--duration", "0.5", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "duration_s = 0.5 is too short to hold one beat" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a, b", "a #b"])
+    def test_synth_out_unreadable_in_config_exits_2(self, tmp_path, name):
+        # a comma splits the input list and ' #' starts a comment, so run
+        # would read another path than the CSV synth wrote
+        out = tmp_path / name
+        res = CliRunner().invoke(main, ["synth", "--duration", "5", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "the input line of pipeline.cfg would not read back" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("line,field", [
         ("threshold_frac = 1.5", "threshold_frac"),
         ("lowpass_cutoff_hz = 200", "lowpass_cutoff_hz"),
-        ("max_shift = -3", "max_shift"),
         ("min_separation_s = 0", "min_separation_s"),
         ("acquisition_fs = nan", "acquisition_fs"),
         ("template_start_s = nan", "template_start_s"),
