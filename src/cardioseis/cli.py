@@ -110,16 +110,22 @@ def _synth_config(csv_path, cfg: SynthConfig, truth) -> str:
     analysis_fs = min(cfg.fs, 320.0)
     lines = [
         f"input = {csv_path}",
-        f"acquisition_fs = {cfg.fs:g}",
-        f"analysis_fs = {analysis_fs:g}",
+        f"acquisition_fs = {_exact(cfg.fs)}",
+        f"analysis_fs = {_exact(analysis_fs)}",
         f"template_start_s = {start_s:.6f}",
         f"template_length_s = {length_s:g}",
         "",
     ]
     if PipelineConfig.lowpass_cutoff_hz >= analysis_fs / 2:
         # the default cutoff would sit at or above Nyquist: keep it below
-        lines.insert(3, f"lowpass_cutoff_hz = {0.4 * analysis_fs:g}")
+        lines.insert(3, f"lowpass_cutoff_hz = {_exact(0.4 * analysis_fs)}")
     return "\n".join(lines)
+
+
+def _exact(x: float) -> str:
+    """x in %g form when that reads back as x, else its full repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 @main.command()

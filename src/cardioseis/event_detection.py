@@ -12,12 +12,10 @@ from typing import Optional
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import DegenerateAnalysisError, InputError
 from .respiration import FlowPhase, VolumePhase
 from .signal_core import Channel, hilbert_envelope
-
-DEFAULT_THRESHOLD_FRAC = 0.5
-DEFAULT_MIN_SEPARATION_S = 0.4
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,8 @@ def _peak_offset(tpl: Template) -> int:
 def detect_events(
     ch: Channel,
     tpl: Template,
-    threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
-    min_separation_s: float = DEFAULT_MIN_SEPARATION_S,
+    threshold_frac: float = PipelineConfig.threshold_frac,
+    min_separation_s: float = PipelineConfig.min_separation_s,
 ) -> list[ScgEvent]:
     """Detect heartbeat events in a conditioned channel.
 

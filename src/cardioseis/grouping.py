@@ -130,35 +130,28 @@ def align_events(events, samples, max_shift: int):
     windows = windows[keep]
     reference = windows[np.argmax(_rms_rows(windows))]
     refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
-    refs, windows = _shift_to(_average(windows), samples, refs, windows, max_shift)
+    refs, windows = _shift_to(ensemble_average(windows), samples, refs, windows, max_shift)
     return kept, refs, windows
 
 
-def _average(windows) -> np.ndarray:
+def ensemble_average(windows) -> np.ndarray:
+    """Pointwise mean of an (n, L) stack of (aligned) event windows.
+
+    Identical windows average to themselves exactly (no float drift).
+    """
+    windows = np.asarray(windows, dtype=float)
+    if len(windows) == 0:
+        raise DegenerateAnalysisError("empty group")
     if np.all(windows == windows[0]):
         return windows[0].copy()
     return np.mean(windows, axis=0)
 
 
-def ensemble_average(events) -> np.ndarray:
-    """Pointwise mean of the (aligned) event windows.
-
-    Identical windows average to themselves exactly (no float drift).
-    """
-    return _average(_windows(events))
-
-
-def drms(event_window, group_avg) -> float:
-    """RMS of the pointwise difference between an event and a group average."""
-    event_window = np.asarray(event_window, dtype=float)
-    group_avg = np.asarray(group_avg, dtype=float)
-    if event_window.shape != group_avg.shape:
-        raise InputError("length mismatch")
-    return rms(event_window - group_avg)
-
-
-def _dissim(windows, group_avg) -> np.ndarray:
-    """Normalized dissimilarity, in percent, of each row against an average."""
+def normalized_dissim(windows, group_avg) -> np.ndarray:
+    """Normalized dissimilarity, in percent, of each row of an (n, L) stack
+    against a group average: the RMS of the row minus the average, over the
+    RMS of the average."""
+    windows = np.asarray(windows, dtype=float)
     group_avg = np.asarray(group_avg, dtype=float)
     denom = rms(group_avg)
     if denom == 0:
@@ -168,22 +161,14 @@ def _dissim(windows, group_avg) -> np.ndarray:
     return 100.0 * _rms_rows(windows - group_avg) / denom
 
 
-def normalized_dissim(event_window, group_avg) -> float:
-    """drms normalized by the average's RMS, in percent."""
-    return float(_dissim(np.asarray(event_window, dtype=float)[None], group_avg)[0])
+def mean_dissimilarity(windows, group_avg) -> tuple[float, float]:
+    """Mean and sample SD (n-1) of normalized dissimilarity over the rows.
 
-
-def _mean_and_sd(vals) -> tuple[float, float]:
+    A single-row stack gets SD 0.
+    """
+    vals = normalized_dissim(windows, group_avg)
     sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
     return float(np.mean(vals)), sd
-
-
-def mean_dissimilarity(events, group_avg) -> tuple[float, float]:
-    """Mean and sample SD (n-1) of normalized dissimilarity over events.
-
-    A single-event group gets SD 0.
-    """
-    return _mean_and_sd(_dissim(_windows(events), group_avg))
 
 
 def relative_difference(mean_same: float, mean_alt: float) -> float:
@@ -218,14 +203,14 @@ def evaluate_criterion(events, criterion: Criterion, samples):
             raise DegenerateAnalysisError(f"degenerate split: {criterion.value} "
                                           f"group {label.value} is empty")
         aligned[label] = align_events(members, samples, max_shift)[1:]
-    averages = {label: _average(windows) for label, (_, windows) in aligned.items()}
+    averages = {label: ensemble_average(windows) for label, (_, windows) in aligned.items()}
     stats = []
     for label, other in (labels, labels[::-1]):
         refs, windows = aligned[label]
         own_avg, alt_avg = averages[label], averages[other]
-        mean_same, sd_same = _mean_and_sd(_dissim(windows, own_avg))
+        mean_same, sd_same = mean_dissimilarity(windows, own_avg)
         _, realigned = _shift_to(alt_avg, samples, refs, windows, max_shift)
-        mean_alt, sd_alt = _mean_and_sd(_dissim(realigned, alt_avg))
+        mean_alt, sd_alt = mean_dissimilarity(realigned, alt_avg)
         stats.append(GroupStats(
             group_id=label.value, n=len(windows), ensemble_avg=own_avg,
             mean_dissim_same=mean_same, sd_same=sd_same,
@@ -267,10 +252,10 @@ def screen_outliers(events, samples):
     if len(usable) < 3:
         return usable, len(events) - len(usable)
     *_, windows = align_events(usable, samples, _max_shift(usable))
-    avg = _average(windows)
+    avg = ensemble_average(windows)
     if np.ptp(avg) == 0:
         return usable, len(events) - len(usable)
-    vals = _dissim(windows, avg)
-    limit = vals.mean() + 3.0 * (vals.std(ddof=1) if len(vals) > 1 else 0.0)
+    vals = normalized_dissim(windows, avg)  # >= 3 rows: align_events kept every usable event
+    limit = vals.mean() + 3.0 * vals.std(ddof=1)
     kept = [ev for ev, v in zip(usable, vals) if v <= limit]
     return kept, len(events) - len(kept)

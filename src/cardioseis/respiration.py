@@ -43,13 +43,13 @@ def integrate_flow(flow: Channel, detrend: bool = True) -> RespirationTrace:
     drift (the offset used is the trapezoid mean, not the arithmetic mean,
     so the final volume sample lands on 0 to machine precision).
     """
-    from scipy.integrate import cumulative_trapezoid
     if len(flow) == 0:
         raise InputError("empty waveform")
     f = flow.samples
     if detrend and len(f) > 1:
         f = f - np.trapezoid(f) / (len(f) - 1)
-    volume = cumulative_trapezoid(f, dx=1.0 / flow.fs, initial=0.0)
+    # scipy's cumulative_trapezoid(f, dx=1/fs, initial=0), in its order of operations
+    volume = np.concatenate(([0.0], np.cumsum((1.0 / flow.fs) * (f[1:] + f[:-1]) / 2.0)))
     vol_ch = Channel(volume, flow.fs, "volume")
     return RespirationTrace(flow=flow, volume=vol_ch, mean_volume=float(np.mean(volume)))
 

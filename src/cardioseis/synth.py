@@ -15,10 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .respiration import FlowPhase, VolumePhase
+from .respiration import (FlowPhase, RespirationTrace, VolumePhase, flow_phase_at,
+                          volume_phase_at)
 from .signal_core import Channel, Recording, rms
 
 DEFAULT_MORPH_LENGTH_S = 0.25
+_RESP_FREQ = 0.25         # Hz
+_RESP_AMPLITUDE = 0.5     # L/s, peak flow
+_HEART_RATE_BPM = 66.0
+_HR_JITTER_PCT = 5.0      # uniform +/- percent on each beat period
 
 
 class Coupling(enum.Enum):
@@ -31,10 +36,6 @@ class Coupling(enum.Enum):
 class SynthConfig:
     duration_s: float = 120.0
     fs: float = 320.0
-    resp_freq: float = 0.25          # Hz
-    resp_amplitude: float = 0.5      # L/s
-    heart_rate_bpm: float = 66.0
-    hr_jitter_pct: float = 5.0       # uniform +/- percent on each beat period
     coupling: Coupling = Coupling.VOLUME
     coupling_strength: float = 1.0   # alpha_max in [0, 1]
     snr_db: float = 20.0             # math.inf for noiseless
@@ -45,8 +46,6 @@ class SynthConfig:
             raise InputError("duration_s must be > 0")
         if self.fs <= 0:
             raise InputError("fs must be > 0")
-        if not 0 < self.resp_freq < self.heart_rate_bpm / 60.0:
-            raise InputError("resp_freq must be positive and below the heart rate")
         if not 0 <= self.coupling_strength <= 1:
             raise InputError("coupling_strength must be in [0, 1]")
         if math.isnan(self.snr_db):
@@ -72,14 +71,14 @@ class GroundTruth:
             fh.write("\n")
 
 
-def default_morphologies(fs: float, length_s: float = DEFAULT_MORPH_LENGTH_S):
+def default_morphologies(fs: float):
     """Two unit-RMS damped-oscillation bursts with a shared 20 Hz carrier.
 
     The shared carrier keeps cross-correlation alignment between blends
     honest (peak at zero lag); the envelopes and a second harmonic make
     the shapes clearly distinct for the dissimilarity metrics.
     """
-    n = max(8, int(round(length_s * fs)))
+    n = max(8, int(round(DEFAULT_MORPH_LENGTH_S * fs)))
     t = np.arange(n) / fs
     m_low = np.sin(2 * np.pi * 20 * t) * np.exp(-t / 0.05)
     m_high = (np.sin(2 * np.pi * 20 * t) + 0.8 * np.sin(2 * np.pi * 40 * t)) * np.exp(-t / 0.03)
@@ -90,24 +89,24 @@ def gen_respiration(cfg: SynthConfig):
     """Sinusoidal flow and its closed-form integral (lung volume)."""
     n = int(round(cfg.duration_s * cfg.fs))
     t = np.arange(n) / cfg.fs
-    w = 2 * np.pi * cfg.resp_freq
-    flow = cfg.resp_amplitude * np.sin(w * t)
-    volume = (cfg.resp_amplitude / w) * (1.0 - np.cos(w * t)) if cfg.resp_amplitude else np.zeros(n)
+    w = 2 * np.pi * _RESP_FREQ
+    flow = _RESP_AMPLITUDE * np.sin(w * t)
+    volume = (_RESP_AMPLITUDE / w) * (1.0 - np.cos(w * t))
     return Channel(flow, cfg.fs, "flow"), Channel(volume, cfg.fs, "volume")
 
 
-def _alpha_at(cfg: SynthConfig, flow_val: float, t: float) -> float:
+def _alpha_at(cfg: SynthConfig, trace: RespirationTrace, index: int) -> float:
     if cfg.coupling is Coupling.VOLUME:
         # closed-form volume normalized to [0, 1]
-        frac = 0.5 * (1.0 - np.cos(2 * np.pi * cfg.resp_freq * t))
+        frac = 0.5 * (1.0 - np.cos(2 * np.pi * _RESP_FREQ * (index / cfg.fs)))
     elif cfg.coupling is Coupling.FLOW:
-        frac = 1.0 if flow_val > 0 else 0.0
+        frac = 1.0 if flow_phase_at(trace, index) is FlowPhase.INSPIRATION else 0.0
     else:
         frac = 0.5
     return cfg.coupling_strength * float(frac)
 
 
-def gen_recording(cfg: SynthConfig, m_low=None, m_high=None):
+def gen_recording(cfg: SynthConfig):
     """Generate a (Recording, GroundTruth) pair.
 
     Beats sit at quasi-regular intervals (uniform period jitter); beat k is
@@ -116,24 +115,19 @@ def gen_recording(cfg: SynthConfig, m_low=None, m_high=None):
     channel to hit snr_db (RMS over the whole record). A spike-train ECG
     channel marks each beat index.
     """
-    if m_low is None or m_high is None:
-        m_low, m_high = default_morphologies(cfg.fs)
-    m_low = np.asarray(m_low, dtype=float)
-    m_high = np.asarray(m_high, dtype=float)
-    if m_low.shape != m_high.shape:
-        raise InputError("morphologies must have equal length")
-    for name, m in (("m_low", m_low), ("m_high", m_high)):
-        if abs(rms(m) - 1.0) > 1e-6:
-            raise InputError(f"{name} must be unit-RMS normalized")
+    m_low, m_high = default_morphologies(cfg.fs)
     length = len(m_low)
     n = int(round(cfg.duration_s * cfg.fs))
-    period = cfg.fs * 60.0 / cfg.heart_rate_bpm
-    jitter = cfg.hr_jitter_pct / 100.0
+    period = cfg.fs * 60.0 / _HEART_RATE_BPM
+    jitter = _HR_JITTER_PCT / 100.0
     if period * (1 - jitter) < length:
         raise InputError("beat overlap: heart period shorter than morphology")
+    if n < 3 * length:  # the first beat needs a morphology-length margin on each side
+        raise InputError(f"duration_s = {cfg.duration_s:g} is too short to hold one beat")
 
     rng = np.random.default_rng(cfg.seed)
     flow_ch, volume_ch = gen_respiration(cfg)
+    trace = RespirationTrace(flow_ch, volume_ch, float(np.mean(volume_ch.samples)))
 
     scg = np.zeros(n)
     ecg = np.zeros(n)
@@ -142,27 +136,22 @@ def gen_recording(cfg: SynthConfig, m_low=None, m_high=None):
     while pos + length <= n - length:
         start = int(round(pos))
         center = start + length // 2
-        alpha = _alpha_at(cfg, flow_ch.samples[center], center / cfg.fs)
+        alpha = _alpha_at(cfg, trace, center)
         scg[start:start + length] += (1 - alpha) * m_low + alpha * m_high
         ecg[center] = 1.0
         beat_indices.append(center)
         alphas.append(alpha)
         pos += period * (1.0 + rng.uniform(-jitter, jitter))
-    if not beat_indices:
-        raise InputError(f"duration_s = {cfg.duration_s:g} is too short to hold one beat")
 
     if math.isfinite(cfg.snr_db):
         noise_rms = rms(scg) * 10 ** (-cfg.snr_db / 20.0)
         scg = scg + rng.normal(0.0, noise_rms, size=n)
 
-    mean_volume = float(np.mean(volume_ch.samples))
     truth = GroundTruth(
         beat_indices=beat_indices,
         alpha=alphas,
-        flow_phase=[FlowPhase.INSPIRATION if flow_ch.samples[i] > 0 else FlowPhase.EXPIRATION
-                    for i in beat_indices],
-        volume_phase=[VolumePhase.HLV if volume_ch.samples[i] > mean_volume else VolumePhase.LLV
-                      for i in beat_indices],
+        flow_phase=[flow_phase_at(trace, i) for i in beat_indices],
+        volume_phase=[volume_phase_at(trace, i) for i in beat_indices],
     )
     rec = Recording(
         channels={

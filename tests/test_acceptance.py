@@ -12,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 from cardioseis.cli import main as cli_main
-from cardioseis.event_detection import ScgEvent, matched_filter_output
-from cardioseis.grouping import (Winner, drms, ensemble_average, mean_dissimilarity,
+from cardioseis.event_detection import matched_filter_output
+from cardioseis.grouping import (Winner, ensemble_average, mean_dissimilarity,
                                  normalized_dissim, relative_difference)
 from cardioseis.respiration import integrate_flow
 from cardioseis.signal_core import Channel, hilbert_envelope, rms
@@ -132,22 +132,20 @@ def test_criterion_4_dsp_primitive_oracles():
 def test_criterion_5_metric_identities():
     with criterion(5, "dissimilarity metric identities"):
         rng = np.random.default_rng(7)
-        event = rng.normal(size=80)
+        event = rng.normal(size=(1, 80))
         avg = rng.normal(size=80)
         base = normalized_dissim(event, avg)
         for k in (1e-3, 0.5, 42.0):
             assert normalized_dissim(k * event, k * avg) == pytest.approx(base, rel=1e-9)
 
         window = rng.normal(size=80)
-        identical = [ScgEvent(50, window.copy()) for _ in range(6)]
-        assert np.array_equal(ensemble_average(identical), window)
+        assert np.array_equal(ensemble_average(np.stack([window] * 6)), window)
 
-        assert drms([1, 2], [0, 0]) == pytest.approx(1.5811, abs=1e-4)
-        assert normalized_dissim([2, 2], [1, 1]) == pytest.approx(100.0)
+        # drms sqrt((1+4)/2) = 1.5811 over an average of RMS 1
+        assert normalized_dissim([[2, 3]], [1, 1]) == pytest.approx([158.11], abs=1e-2)
+        assert normalized_dissim([[2, 2]], [1, 1]) == pytest.approx([100.0])
 
-        ev1 = ScgEvent(0, np.array([11.0, 11.0]))
-        ev2 = ScgEvent(0, np.array([13.0, 13.0]))
-        mean, sd = mean_dissimilarity([ev1, ev2], np.array([10.0, 10.0]))
+        mean, sd = mean_dissimilarity([[11.0, 11.0], [13.0, 13.0]], [10.0, 10.0])
         assert mean == pytest.approx(20.0)
         assert sd == pytest.approx(14.1421, abs=1e-4)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cardioseis.errors import DegenerateAnalysisError, InputError
 from cardioseis.event_detection import ScgEvent
 from cardioseis.grouping import (RD_TIE_TOLERANCE, align_events, compare_criteria,
-                                 drms, ensemble_average, evaluate_criterion,
+                                 ensemble_average, evaluate_criterion,
                                  mean_dissimilarity, normalized_dissim,
                                  relative_difference, Criterion, Winner)
 from cardioseis.respiration import FlowPhase, VolumePhase, integrate_flow, label_events
@@ -110,84 +110,77 @@ class TestAlignEvents:
 
 class TestEnsembleAverage:
     def test_identical_windows_exact(self):
-        ch = planted_channel([300])
-        events = [event_at(ch, 340) for _ in range(5)]
-        avg = ensemble_average(events)
-        assert np.array_equal(avg, events[0].window)
+        window = event_at(planted_channel([300]), 340).window
+        avg = ensemble_average(np.stack([window] * 5))
+        assert np.array_equal(avg, window)
 
     def test_cancellation(self):
-        ch = planted_channel([300])
-        a = event_at(ch, 340)
-        b = ScgEvent(ref_index=340, window=-a.window)
-        assert np.allclose(ensemble_average([a, b]), 0.0)
+        window = event_at(planted_channel([300]), 340).window
+        assert np.allclose(ensemble_average([window, -window]), 0.0)
 
     def test_matches_brute_force_mean(self, rng):
-        events = [ScgEvent(ref_index=340, window=rng.normal(size=80)) for _ in range(7)]
-        avg = ensemble_average(events)
-        brute = sum(ev.window for ev in events) / 7
-        assert np.allclose(avg, brute, atol=1e-12)
+        windows = rng.normal(size=(7, 80))
+        brute = sum(windows) / 7
+        assert np.allclose(ensemble_average(windows), brute, atol=1e-12)
 
     def test_empty_group(self):
         with pytest.raises(DegenerateAnalysisError, match="empty group"):
-            ensemble_average([])
+            ensemble_average(np.empty((0, 80)))
 
 
 class TestDissimilarityMetrics:
+    # the numerator of the normalized dissimilarity is the drms: the RMS of
+    # the pointwise difference between an event and the group average
     def test_drms_zero_iff_identical(self):
-        assert drms(BURST, BURST) == 0.0
+        assert normalized_dissim([BURST], BURST).tolist() == [0.0]
 
     def test_drms_constant_difference(self):
-        assert drms([1, 1, 1], [0, 0, 0]) == pytest.approx(1.0)
+        # drms 1 over an average of RMS 2
+        assert normalized_dissim([[3, 3, 3]], [2, 2, 2]) == pytest.approx([50.0])
 
     def test_drms_hand_case(self):
-        # sqrt((1+4)/2)
-        assert drms([1, 2], [0, 0]) == pytest.approx(1.5811, abs=1e-4)
+        # drms sqrt((1+4)/2) = 1.5811 over an average of RMS 1
+        assert normalized_dissim([[2, 3]], [1, 1]) == pytest.approx([158.11], abs=1e-2)
 
     def test_drms_length_mismatch(self):
         with pytest.raises(InputError):
-            drms([1, 2, 3], [1, 2])
+            normalized_dissim([[1, 2, 3]], [1, 2])
 
     def test_normalized_zero_for_identical(self):
-        assert normalized_dissim(BURST, BURST) == 0.0
+        assert normalized_dissim([BURST, BURST], BURST).tolist() == [0.0, 0.0]
 
     def test_normalized_hand_case(self):
-        assert normalized_dissim([2, 2], [1, 1]) == pytest.approx(100.0)
+        assert normalized_dissim([[2, 2], [1, 1]], [1, 1]) == pytest.approx([100.0, 0.0])
 
     def test_normalized_scale_invariance(self, rng):
-        event = rng.normal(size=64)
+        events = rng.normal(size=(5, 64))
         avg = rng.normal(size=64)
-        base = normalized_dissim(event, avg)
+        base = normalized_dissim(events, avg)
         for k in (0.1, 3.0, 1e6):
-            assert normalized_dissim(k * event, k * avg) == pytest.approx(base, rel=1e-9)
+            assert normalized_dissim(k * events, k * avg) == pytest.approx(base, rel=1e-9)
 
     def test_normalized_degenerate_average(self):
         with pytest.raises(DegenerateAnalysisError, match="degenerate group average"):
-            normalized_dissim(BURST, np.zeros(80))
+            normalized_dissim([BURST], np.zeros(80))
 
     def test_mean_dissimilarity_hand_case(self):
-        # events with normalized dissimilarities 10% and 30%
-        avg = np.array([10.0, 10.0])
-        ev1 = ScgEvent(0, np.array([11.0, 11.0]))   # 10%
-        ev2 = ScgEvent(0, np.array([13.0, 13.0]))   # 30%
-        mean, sd = mean_dissimilarity([ev1, ev2], avg)
+        # rows with normalized dissimilarities 10% and 30%
+        mean, sd = mean_dissimilarity([[11.0, 11.0], [13.0, 13.0]], [10.0, 10.0])
         assert mean == pytest.approx(20.0, abs=1e-9)
         assert sd == pytest.approx(14.1421, abs=1e-4)
 
     def test_mean_dissimilarity_single_event(self):
-        ev = ScgEvent(0, np.array([12.0, 12.0]))
-        mean, sd = mean_dissimilarity([ev], np.array([10.0, 10.0]))
+        mean, sd = mean_dissimilarity([[12.0, 12.0]], [10.0, 10.0])
         assert mean == pytest.approx(20.0)
         assert sd == 0.0
 
     def test_mean_minimizes_same_group_dissim(self, rng):
         # the ensemble mean beats any single member used as the average
         for _ in range(100):
-            events = [ScgEvent(0, rng.normal(size=16) + BURST[:16]) for _ in range(6)]
-            avg = ensemble_average(events)
-            d_mean = np.mean([drms(ev.window, avg) ** 2 for ev in events])
-            for member in events:
-                d_member = np.mean([drms(ev.window, member.window) ** 2 for ev in events])
-                assert d_mean <= d_member + 1e-12
+            windows = rng.normal(size=(6, 16)) + BURST[:16]
+            d_mean = np.mean(np.square(windows - ensemble_average(windows)))
+            for member in windows:
+                assert d_mean <= np.mean(np.square(windows - member)) + 1e-12
 
 
 class TestRelativeDifference:

@@ -315,6 +315,21 @@ class TestCli:
                                    "--duration", "30", "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert load_config(out / "pipeline.cfg").lowpass_cutoff_hz < 75.0
+        # rates that %g writes exactly keep their short form
+        assert ("acquisition_fs = 150\nanalysis_fs = 150\nlowpass_cutoff_hz = 60\n"
+                in (out / "pipeline.cfg").read_text())
+        res = runner.invoke(main, ["run", "--config", str(out / "pipeline.cfg"),
+                                   "--out", str(tmp_path / "analysis")])
+        assert res.exit_code == 0, res.output
+
+    def test_synth_then_run_at_rate_beyond_6_digits(self, tmp_path):
+        # %g would write acquisition_fs = 10000.4, and run would reject the CSV's timestamps
+        runner = CliRunner()
+        out = tmp_path / "synth"
+        res = runner.invoke(main, ["synth", "--fs", "10000.37", "--duration", "10",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "acquisition_fs = 10000.37\n" in (out / "pipeline.cfg").read_text()
         res = runner.invoke(main, ["run", "--config", str(out / "pipeline.cfg"),
                                    "--out", str(tmp_path / "analysis")])
         assert res.exit_code == 0, res.output

@@ -57,6 +57,18 @@ class TestIntegrateFlow:
         with pytest.raises(InputError):
             integrate_flow(Channel(np.array([]), 320.0))
 
+    @pytest.mark.parametrize("detrend", [False, True])
+    def test_bitwise_equal_to_scipy(self, rng, detrend):
+        from scipy.integrate import cumulative_trapezoid
+        for n in (1, 2, 3, 17, 1000, 4999):
+            for fs in (10.0, 320.0, 10000.37):
+                f = rng.uniform(-1, 1, size=n) * 10.0 ** rng.uniform(-5, 5)
+                got = integrate_flow(Channel(f, fs), detrend=detrend).volume.samples
+                if detrend and n > 1:
+                    f = f - np.trapezoid(f) / (n - 1)
+                want = cumulative_trapezoid(f, dx=1.0 / fs, initial=0.0)
+                assert got.tobytes() == want.tobytes(), (n, fs)
+
 
 class TestPhaseLabels:
     def trace(self):
