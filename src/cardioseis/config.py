@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import InputError
+from .signal_core import _lowpass_taps
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,11 @@ class PipelineConfig:
         if not 0 < self.lowpass_cutoff_hz < self.analysis_fs / 2:
             raise InputError(f"lowpass_cutoff_hz must be in (0, analysis_fs/2 = "
                              f"{self.analysis_fs / 2:g}), got {self.lowpass_cutoff_hz}")
+        try:
+            # designed here, before any input is read; the lowpass stage reuses it
+            _lowpass_taps(float(self.lowpass_cutoff_hz), float(self.analysis_fs))
+        except InputError as exc:
+            raise InputError(f"lowpass_cutoff_hz = {self.lowpass_cutoff_hz:g}: {exc}") from None
         if self.min_separation_s <= 0:
             raise InputError(f"min_separation_s must be > 0, got {self.min_separation_s}")
 

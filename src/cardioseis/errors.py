@@ -15,7 +15,3 @@ class InputError(CardioseisError):
 
 class DegenerateAnalysisError(CardioseisError):
     """Analysis cannot proceed: empty group, zero-RMS average, constant signal."""
-
-
-class InternalError(CardioseisError):
-    """Invariant violation inside the pipeline; indicates a bug."""

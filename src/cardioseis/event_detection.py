@@ -90,6 +90,37 @@ def _peak_offset(tpl: Template) -> int:
     return int(np.argmax(env)) - tpl.length // 2
 
 
+def _find_peaks(x, height: float, distance: int) -> np.ndarray:
+    """Local maxima of x at or above height, at least distance samples apart:
+    scipy.signal.find_peaks(x, height=height, distance=distance)[0].
+
+    A flat top is one peak, at its middle sample (rounded down); a flat top
+    that runs into either end of x is no peak. Where peaks lie closer than
+    distance, the higher one is kept, taking them in the order of
+    np.argsort of their heights, as scipy does.
+    """
+    # every sample of a peak's flat top is >= height and lies inside x
+    at = np.flatnonzero(x[1:-1] >= height) + 1
+    rises = at[x[at - 1] < x[at]]
+    ends = at[x[at + 1] != x[at]]
+    # the flat top from each rise runs to the next end; a top that runs
+    # into the last sample has no end
+    k = np.searchsorted(ends, rises)
+    rises, k = rises[k < len(ends)], k[k < len(ends)]
+    falls = x[ends[k] + 1] < x[ends[k]]
+    peaks = (rises[falls] + ends[k[falls]]) // 2
+    if len(peaks) > 1 and np.diff(peaks).min() < distance:
+        lo = np.searchsorted(peaks, peaks - distance, side="right")
+        hi = np.searchsorted(peaks, peaks + distance, side="left")
+        keep = np.ones(len(peaks), dtype=bool)
+        for j in np.argsort(x[peaks])[::-1]:
+            if keep[j]:
+                keep[lo[j]:j] = False
+                keep[j + 1:hi[j]] = False
+        peaks = peaks[keep]
+    return peaks
+
+
 def detect_events(
     ch: Channel,
     tpl: Template,
@@ -105,7 +136,6 @@ def detect_events(
     window are dropped. The threshold is relative, so detection is
     invariant to amplitude scaling of the channel.
     """
-    from scipy.signal import find_peaks
     if not (0 < threshold_frac < 1):
         raise InputError(f"threshold_frac must be in (0,1), got {threshold_frac}")
     if tpl.fs != ch.fs:
@@ -117,7 +147,7 @@ def detect_events(
     if thr <= 0:
         return []
     distance = max(1, int(round(min_separation_s * ch.fs)))
-    peaks, _ = find_peaks(env, height=thr, distance=distance)
+    peaks = _find_peaks(env, thr, distance)
     offset = _peak_offset(tpl)
     length = tpl.length
     events = []

@@ -1,9 +1,10 @@
 """Sampled-signal container and the DSP primitives the pipeline is built on.
 
 Everything here is a pure function of its inputs. Channels are treated as
-immutable once built; operations return new arrays/channels. scipy is
-imported inside the functions that use it, so importing this module (and
-the CLI) does not load it.
+immutable once built; operations return new arrays/channels. The filter
+design, polyphase resampling and analytic signal are written in numpy and
+follow scipy.signal's order of operations, so they give bit-identical
+results without loading scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, InternalError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -70,19 +71,37 @@ def rms(x) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
+def _firwin(numtaps: int, cutoff: float) -> np.ndarray:
+    """Hamming-windowed sinc low-pass, cutoff relative to Nyquist, scaled to
+    unit gain at DC: scipy.signal.firwin(numtaps, cutoff), in its order of
+    operations."""
+    m = np.arange(0, numtaps, dtype=float) - 0.5 * (numtaps - 1)
+    h = cutoff * np.sinc(cutoff * m)
+    # scipy's general_cosine window with coefficients [0.54, 1 - 0.54]
+    h *= 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
+    return h / np.sum(h)
+
+
+def _freqz(taps, fs: float):
+    """Frequency response of an FIR kernel at 2048 frequencies in [0, fs/2):
+    scipy.signal.freqz(taps, worN=2048, fs=fs) for up to 4096 taps."""
+    w = np.linspace(0, np.pi, 2048, endpoint=False) * (fs / (2 * np.pi))
+    return w, np.fft.rfft(taps, 4096)[:2048]
+
+
 @lru_cache(maxsize=32)
 def _lowpass_taps(cutoff_hz: float, fs: float) -> np.ndarray:
     """Smallest odd-length Hamming windowed-sinc kernel meeting the band specs.
 
     Passband: within +/-0.5 dB below 0.8*cutoff.  Stopband: >= 40 dB above
-    1.5*cutoff.  Grown in steps until a frequency-response probe passes.
+    1.5*cutoff.  Grown in steps until a frequency-response probe passes;
+    a cutoff that needs more than 4095 taps is an InputError.
     """
-    from scipy import signal as sps
     pass_edge = 0.8 * cutoff_hz
     stop_edge = 1.5 * cutoff_hz
     for numtaps in range(11, 4097, 2):
-        taps = sps.firwin(numtaps, cutoff_hz, window="hamming", fs=fs)
-        w, h = sps.freqz(taps, worN=2048, fs=fs)
+        taps = _firwin(numtaps, cutoff_hz / (0.5 * fs))
+        w, h = _freqz(taps, fs)
         mag = np.abs(h)
         pb = mag[w <= pass_edge]
         sb = mag[w >= min(stop_edge, 0.999 * fs / 2)]
@@ -90,7 +109,8 @@ def _lowpass_taps(cutoff_hz: float, fs: float) -> np.ndarray:
         sb_ok = sb.size == 0 or np.all(sb <= 10 ** (-40 / 20))
         if pb_ok and sb_ok:
             return taps
-    raise InternalError("lowpass design did not converge")  # pragma: no cover
+    raise InputError(f"no low-pass kernel of at most 4095 taps meets the band specs "
+                     f"for a {cutoff_hz:g} Hz cutoff at {fs:g} Hz")
 
 
 def lowpass(ch: Channel, cutoff_hz: float) -> Channel:
@@ -124,18 +144,68 @@ def resample(ch: Channel, target_fs: float) -> Channel:
         raise InputError("target_fs must be > 0")
     if target_fs == ch.fs:
         return ch.with_samples(ch.samples.copy())
-    from scipy import signal as sps
     frac = Fraction(target_fs / ch.fs).limit_denominator(10000)
     up, down = frac.numerator, frac.denominator
     m = max(up, down)
-    taps = sps.firwin(20 * m + 1, 0.9 / m, window="hamming")
-    y = sps.resample_poly(ch.samples, up, down, window=taps)
     n_out = int(round(len(ch.samples) * target_fs / ch.fs))
-    if len(y) > n_out:
-        y = y[:n_out]
-    elif len(y) < n_out:  # pragma: no cover - resample_poly uses ceil
-        y = np.pad(y, (0, n_out - len(y)), mode="edge")
+    y = _resample_poly(ch.samples, _firwin(20 * m + 1, 0.9 / m), up, down, n_out)
     return Channel(y, float(target_fs), ch.label)
+
+
+def _resample_poly(x, h, up: int, down: int, n_out: int) -> np.ndarray:
+    """The first n_out samples of scipy.signal.resample_poly(x, up, down,
+    window=h), bit for bit, for coprime up and down; past its
+    ceil(n * up / down) samples the input continues as zeros.
+
+    Output sample i = q*up + p is the sum over a phase of taps h[t_p + k*up]
+    against the inputs that end at x[q*down + (p*down)//up]. As in scipy's
+    upfirdn, the products are added one at a time, oldest input first, so
+    the loop runs over the taps of a phase and each pass adds one
+    (up, n_out/up) block of products.
+    """
+    if up == down:
+        y = np.zeros(n_out)
+        y[:min(n_out, len(x))] = x[:n_out]
+        return y
+    h = np.asarray(h, dtype=float) * up
+    half_len = (len(h) - 1) // 2
+    n_pre_pad = down - half_len % down
+    n_pre_remove = (half_len + n_pre_pad) // down
+    # zero-pad the taps to a whole number of phases
+    per_phase = -(-(n_pre_pad + len(h)) // up)
+    h = np.concatenate((np.zeros(n_pre_pad), h, np.zeros(per_phase * up - n_pre_pad - len(h))))
+    # one row per phase, the tap for its oldest input first
+    phase_taps = h.reshape(per_phase, up).T[:, ::-1]
+    p = np.arange(up)
+    coeffs = phase_taps[p * down % up]             # (up, per_phase)
+    first = p * down // up                         # newest input of output p, less q*down
+    # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
+    # which is padded[q*down + first_p + j]
+    n_blocks = -(-(n_pre_remove + n_out) // up)
+    rows = n_blocks + (first[-1] + per_phase) // down + 1
+    padded = np.zeros(rows * down)
+    padded[per_phase - 1:per_phase - 1 + len(x)] = x[:rows * down - per_phase + 1]
+    # padded[r*down + c] = by_col[c, r]; a row of by_col holds the inputs
+    # that one tap multiplies in successive output blocks
+    by_col = np.ascontiguousarray(padded.reshape(rows, down).T)
+    runs = np.lib.stride_tricks.sliding_window_view(by_col, n_blocks, axis=1)
+    acc = np.zeros((up, n_blocks))
+    for j in range(per_phase):
+        shift, col = np.divmod(first + j, down)
+        acc += runs[col, shift] * coeffs[:, j, None]
+    return acc.T.ravel()[n_pre_remove:n_pre_remove + n_out]
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2, 3, 5, 7, 11-smooth integer >= n, as scipy.fft.next_fast_len."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def hilbert_envelope(x) -> np.ndarray:
@@ -143,15 +213,15 @@ def hilbert_envelope(x) -> np.ndarray:
 
     FFT length is padded to a fast size internally; accuracy guarantees hold
     on the interior of the signal (edges show the usual Hilbert roll-off).
+    Bit-identical to abs(scipy.signal.hilbert(x, N)[:n]) at that size.
     """
-    from scipy import signal as sps
-    from scipy.fft import next_fast_len
     x = np.asarray(x, dtype=float)
     if x.size < 4:
         raise InputError("waveform too short for envelope")
-    n = next_fast_len(x.size)
-    analytic = sps.hilbert(x, N=n)[: x.size]
-    return np.abs(analytic)
+    n = _next_fast_len(x.size)
+    spectrum = np.fft.rfft(x, n)
+    spectrum[1:(n + 1) // 2] *= 2
+    return np.abs(np.fft.ifft(spectrum, n)[:x.size])
 
 
 def best_lag(x, y, max_lag: int):

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -146,6 +146,11 @@ class TestBatchedBestLag:
     @given(lag_problems(FLOATS), st.floats(1e-3, 1e3))
     def test_lags_invariant_to_scale(self, problem, k):
         x, rows, max_lag = problem
+        # k * a is a scaled copy of a only while no nonzero value is or
+        # becomes subnormal: 5e-324 * 0.5 is 0, a constant row
+        tiny = np.finfo(float).tiny
+        assume(all(np.all((a == 0) | ((np.abs(a) >= tiny) & (np.abs(k * a) >= tiny)))
+                   for a in (x, rows)))
         assert best_lag(k * x, k * rows, max_lag).tolist() == best_lag(x, rows, max_lag).tolist()
 
     def test_tiny_and_huge_amplitudes(self):

@@ -176,6 +176,7 @@ template_start_s = 1.5
     @pytest.mark.parametrize("field,value", [
         ("threshold_frac", 0.0), ("threshold_frac", 1.0), ("threshold_frac", 1.5),
         ("lowpass_cutoff_hz", 0.0), ("lowpass_cutoff_hz", 160.0), ("lowpass_cutoff_hz", -5.0),
+        ("lowpass_cutoff_hz", 0.3),
         ("min_separation_s", 0.0), ("min_separation_s", -0.4),
         ("acquisition_fs", float("nan")), ("acquisition_fs", 0.0), ("acquisition_fs", -320.0),
         ("analysis_fs", 0.0),
@@ -188,7 +189,7 @@ template_start_s = 1.5
             PipelineConfig(**{field: value})
 
     def test_in_range_accepted(self):
-        cfg = PipelineConfig(threshold_frac=0.01, lowpass_cutoff_hz=159.9,
+        cfg = PipelineConfig(threshold_frac=0.01, lowpass_cutoff_hz=159.5,
                              min_separation_s=0.01)
         assert cfg.min_separation_s == 0.01
 
@@ -362,6 +363,7 @@ class TestCli:
     @pytest.mark.parametrize("line,field", [
         ("threshold_frac = 1.5", "threshold_frac"),
         ("lowpass_cutoff_hz = 200", "lowpass_cutoff_hz"),
+        ("lowpass_cutoff_hz = 0.3", "lowpass_cutoff_hz"),
         ("min_separation_s = 0", "min_separation_s"),
         ("acquisition_fs = nan", "acquisition_fs"),
         ("template_start_s = nan", "template_start_s"),
@@ -431,9 +433,10 @@ class TestCli:
         assert res.exit_code == 2
 
 
-# Imports the package and the CLI, then runs `report --check` and a short
-# `synth` in the same interpreter, listing the scipy modules loaded after
-# each step. argv: report path, synth output directory.
+# Imports the package and the CLI, then runs `report --check`, a short
+# `synth` and `run` on what that `synth` wrote, all in the same interpreter,
+# listing the scipy modules loaded after each step. argv: report path, synth
+# output directory, run output directory.
 IMPORT_GUARD = """
 import json, sys
 import cardioseis, cardioseis.cli
@@ -443,7 +446,9 @@ def scipy_loaded():
 
 seen = {"import": scipy_loaded()}
 for name, args in (("report", ["report", "--check", sys.argv[1]]),
-                   ("synth", ["synth", "--fs", "320", "--duration", "10", "--out", sys.argv[2]])):
+                   ("synth", ["synth", "--fs", "320", "--duration", "10", "--out", sys.argv[2]]),
+                   ("run", ["run", "--config", sys.argv[2] + "/pipeline.cfg",
+                            "--out", sys.argv[3]])):
     try:
         cardioseis.cli.main.main(args=args, standalone_mode=False)
     except SystemExit as exc:
@@ -454,19 +459,18 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_loaded_only_by_run(tmp_path):
-    """Importing the CLI, `report --check` and `synth` load no scipy
-    module; `run` (which does) still accepts what that `synth` wrote."""
+def test_no_command_loads_scipy(tmp_path):
+    """Importing the CLI, `report --check`, `synth` and a full `run` on
+    what that `synth` wrote load no scipy module."""
     src = Path(cardioseis.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = tmp_path / "synth"
+    analysis = tmp_path / "analysis"
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
-                           str(DATA_DIR / "reference_tables.json"), str(out)],
+                           str(DATA_DIR / "reference_tables.json"), str(tmp_path / "synth"),
+                           str(analysis)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"import": [], "report": [], "synth": []}
-    res = CliRunner().invoke(main, ["run", "--config", str(out / "pipeline.cfg"),
-                                    "--out", str(tmp_path / "analysis")])
-    assert res.exit_code == 0, res.output
+    assert seen == {"import": [], "report": [], "synth": [], "run": []}
+    assert (analysis / "report.json").is_file()

@@ -1,0 +1,154 @@
+"""The numpy DSP primitives against the scipy.signal calls they replace.
+
+Each one follows scipy's order of operations, so the comparisons are bit
+for bit. scipy is needed only by these tests.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal as sps
+from scipy.fft import next_fast_len
+
+from cardioseis.event_detection import _find_peaks
+from cardioseis.signal_core import (_firwin, _freqz, _lowpass_taps, _next_fast_len,
+                                    _resample_poly, hilbert_envelope)
+
+# up/down ratios: 10 kHz to 320 Hz, rates beyond 6 significant digits,
+# and upsampling
+RATIOS = [(4, 125), (8, 25), (1, 5), (3, 7), (215, 6719), (320, 333),
+          (25, 8), (125, 4), (6719, 215), (1, 1)]
+
+ORACLE = settings(max_examples=40, deadline=None)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def signal(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+
+
+@ORACLE
+@given(numtaps=st.integers(1, 3001), cutoff=st.floats(1e-4, 0.999))
+def test_firwin(numtaps, cutoff):
+    # even lengths too: a low-pass filter may have any length
+    assert same_bits(_firwin(numtaps, cutoff), sps.firwin(numtaps, cutoff, window="hamming"))
+
+
+@pytest.mark.parametrize("numtaps,cutoff", [(2501, 0.9 / 125), (134381, 0.9 / 6719)])
+def test_firwin_resample_kernels(numtaps, cutoff):
+    assert same_bits(_firwin(numtaps, cutoff), sps.firwin(numtaps, cutoff, window="hamming"))
+
+
+@ORACLE
+@given(numtaps=st.integers(1, 2048).map(lambda k: 2 * k - 1), cutoff=st.floats(1e-3, 0.999),
+       fs=st.sampled_from([100.5, 150.0, 320.0, 1000.0, 10000.37]))
+def test_freqz_probe(numtaps, cutoff, fs):
+    taps = _firwin(numtaps, cutoff)
+    w, h = _freqz(taps, fs)
+    w_ref, h_ref = sps.freqz(taps, worN=2048, fs=fs)
+    assert same_bits(w, w_ref)
+    # the two FFTs may disagree on the sign of a zero, never on a value
+    assert h.dtype == h_ref.dtype and np.array_equal(h, h_ref)
+
+
+def reference_lowpass_taps(cutoff_hz, fs):
+    """The kernel design loop as written on scipy.signal."""
+    for numtaps in range(11, 4097, 2):
+        taps = sps.firwin(numtaps, cutoff_hz, window="hamming", fs=fs)
+        w, h = sps.freqz(taps, worN=2048, fs=fs)
+        mag = np.abs(h)
+        pb = mag[w <= 0.8 * cutoff_hz]
+        sb = mag[w >= min(1.5 * cutoff_hz, 0.999 * fs / 2)]
+        if ((pb.size == 0 or (np.all(pb >= 10 ** (-0.5 / 20)) and np.all(pb <= 10 ** (0.5 / 20))))
+                and (sb.size == 0 or np.all(sb <= 10 ** (-40 / 20)))):
+            return taps
+    return None
+
+
+@pytest.mark.parametrize("cutoff_hz,fs", [(100.0, 320.0), (128.0, 320.0), (60.0, 150.0),
+                                          (40.2, 100.5), (5.0, 320.0), (155.0, 320.0)])
+def test_lowpass_taps(cutoff_hz, fs):
+    assert same_bits(_lowpass_taps(cutoff_hz, fs), reference_lowpass_taps(cutoff_hz, fs))
+
+
+@ORACLE
+@given(ratio=st.sampled_from(RATIOS), n=st.integers(1, 5000), pad=st.integers(0, 300),
+       extra=st.integers(-5, 5), seed=st.integers(0, 2**32 - 1))
+def test_resample_poly(ratio, n, pad, extra, seed):
+    # past ceil(n * up / down) samples the input continues as zeros
+    up, down = ratio
+    m = max(up, down)
+    taps = sps.firwin(20 * m + 1, 0.9 / m, window="hamming")
+    x = signal(seed, n)
+    want = sps.resample_poly(np.concatenate([x, np.zeros(pad)]), up, down, window=taps)
+    n_out = max(0, min(len(want), math.ceil(n * up / down) + extra))
+    assert same_bits(_resample_poly(x, taps, up, down, n_out), want[:n_out])
+
+
+@pytest.mark.parametrize("ratio", [(4, 125), (215, 6719)])
+def test_resample_poly_long_channel(ratio):
+    # a 120 s channel at 10 kHz, to 320 Hz
+    up, down = ratio
+    taps = sps.firwin(20 * down + 1, 0.9 / down, window="hamming")
+    x = signal(0, 1_200_000)
+    want = sps.resample_poly(x, up, down, window=taps)
+    assert same_bits(_resample_poly(x, taps, up, down, len(want)), want)
+
+
+def test_next_fast_len():
+    for n in list(range(1, 3000)) + [38_400, 38_479, 1_200_000, 1_200_013]:
+        assert _next_fast_len(n) == next_fast_len(n), n
+
+
+@ORACLE
+@given(n=st.integers(4, 20000), seed=st.integers(0, 2**32 - 1))
+def test_hilbert_envelope(n, seed):
+    x = signal(seed, n)
+    want = np.abs(sps.hilbert(x, N=next_fast_len(n))[:n])
+    assert same_bits(hilbert_envelope(x), want)
+
+
+def reference_peaks(x, height, distance):
+    return sps.find_peaks(x, height=height, distance=distance)[0]
+
+
+@ORACLE
+@given(n=st.integers(0, 400), height=st.integers(-1, 3), distance=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_find_peaks_plateaus_and_ties(n, height, distance, seed):
+    # four levels make flat tops and equal heights common; with more than
+    # 16 peaks np.argsort no longer keeps ties in order, and which of two
+    # tied peaks too close together survives follows its order
+    x = np.random.default_rng(seed).integers(0, 4, n).astype(float)
+    assert same_bits(_find_peaks(x, height, distance), reference_peaks(x, height, distance))
+
+
+@ORACLE
+@given(n=st.integers(0, 3000), height=st.floats(-1.0, 2.0), distance=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_find_peaks_floats(n, height, distance, seed):
+    x = np.random.default_rng(seed).standard_normal(n)
+    assert same_bits(_find_peaks(x, height, distance), reference_peaks(x, height, distance))
+
+
+@pytest.mark.parametrize("x", [
+    [2, 2, 1, 0, 1, 0],         # flat top at the start
+    [0, 1, 0, 1, 2, 2],         # flat top at the end
+    [2, 2, 2, 2],               # one flat run
+    [0, 2, 2, 2, 1, 2, 2, 0],   # two flat tops, one sample apart
+    [1, 0, 1],
+    [0, 1], [1], [],
+])
+def test_find_peaks_edges(x):
+    x = np.array(x, dtype=float)
+    for height in (0.0, 1.0, 2.0):
+        for distance in (1, 2, 5):
+            assert same_bits(_find_peaks(x, height, distance),
+                             reference_peaks(x, height, distance))
