@@ -8,14 +8,16 @@ around each mapped peak.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import DegenerateAnalysisError, InputError
-from .respiration import FlowPhase, VolumePhase
 from .signal_core import Channel, hilbert_envelope
+
+if TYPE_CHECKING:  # respiration labels events, so it imports this module
+    from .respiration import FlowPhase, VolumePhase
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,10 @@ def detect_events(
         return []
     distance = max(1, int(round(min_separation_s * ch.fs)))
     peaks = _find_peaks(env, thr, distance)
-    offset = _peak_offset(tpl)
     length = tpl.length
-    events = []
-    for k in peaks:
-        ref = int(k) - offset
-        start = ref - length // 2
-        if start < 0 or start + length > len(ch):
-            continue
-        events.append(ScgEvent(ref_index=ref, window=ch.samples[start:start + length].copy()))
-    return events
+    refs = peaks - _peak_offset(tpl)
+    starts = refs - length // 2
+    fits = (starts >= 0) & (starts + length <= len(ch))
+    windows = ch.samples[starts[fits, None] + np.arange(length)]
+    return [ScgEvent(ref_index=ref, window=window)
+            for ref, window in zip(refs[fits].tolist(), windows)]

@@ -70,22 +70,23 @@ class CriterionComparison:
         return (self.inspiration, self.expiration, self.llv, self.hlv)
 
 
-def _windows(events) -> np.ndarray:
-    """A group's event windows as one (n, L) matrix."""
+def _stack(events):
+    """A group's ref indices, and its event windows as one (n, L) matrix."""
     if not events:
         raise DegenerateAnalysisError("empty group")
     if len({len(ev.window) for ev in events}) != 1:
         raise InputError("event windows differ in length")
-    return np.stack([np.asarray(ev.window, dtype=float) for ev in events])
+    return (np.array([ev.ref_index for ev in events]),
+            np.array([ev.window for ev in events], dtype=float))
 
 
 def _rms_rows(a) -> np.ndarray:
     return np.sqrt(np.mean(np.square(a), axis=-1))
 
 
-def _max_shift(events) -> int:
+def _max_shift(windows) -> int:
     """The alignment search bound: a quarter of the event window."""
-    return len(events[0].window) // 4
+    return windows.shape[1] // 4
 
 
 def _shift_to(target, samples, refs, windows, max_shift: int):
@@ -100,6 +101,25 @@ def _shift_to(target, samples, refs, windows, max_shift: int):
     half = length // 2
     refs = refs + np.clip(lags, half - refs, len(samples) - length + half - refs)
     return refs, samples[(refs - half)[:, None] + np.arange(length)]
+
+
+def _nonconstant(windows) -> np.ndarray:
+    """Mask of the rows that are not constant. Warns about the others, and
+    raises if no row is left."""
+    keep = np.ptp(windows, axis=1) > 0
+    if not keep.all():
+        log.warning("align_events: dropped %d constant-window event(s)", np.sum(~keep))
+    if not keep.any():
+        raise DegenerateAnalysisError("empty group")
+    return keep
+
+
+def _align(refs, windows, samples, max_shift: int):
+    """The two alignment passes on non-constant windows: returns the
+    aligned (refs, windows)."""
+    reference = windows[np.argmax(_rms_rows(windows))]
+    refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
+    return _shift_to(ensemble_average(windows), samples, refs, windows, max_shift)
 
 
 def align_events(events, samples, max_shift: int):
@@ -119,19 +139,10 @@ def align_events(events, samples, max_shift: int):
     Returns (kept events, aligned ref indices, aligned (n, L) windows); the
     kept events themselves are unchanged.
     """
-    windows = _windows(events)
-    keep = np.ptp(windows, axis=1) > 0
-    if not keep.all():
-        log.warning("align_events: dropped %d constant-window event(s)", np.sum(~keep))
-    if not keep.any():
-        raise DegenerateAnalysisError("empty group")
+    refs, windows = _stack(events)
+    keep = _nonconstant(windows)
     kept = [ev for ev, k in zip(events, keep) if k]
-    refs = np.array([ev.ref_index for ev in kept])
-    windows = windows[keep]
-    reference = windows[np.argmax(_rms_rows(windows))]
-    refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
-    refs, windows = _shift_to(ensemble_average(windows), samples, refs, windows, max_shift)
-    return kept, refs, windows
+    return (kept, *_align(refs[keep], windows[keep], samples, max_shift))
 
 
 def ensemble_average(windows) -> np.ndarray:
@@ -192,17 +203,17 @@ def evaluate_criterion(events, criterion: Criterion, samples):
     as morphology differences), and finally the RD. Lags are searched
     within a quarter of the event window.
     """
-    if not events:
-        raise DegenerateAnalysisError("empty group")
-    max_shift = _max_shift(events)
+    refs, windows = _stack(events)
+    max_shift = _max_shift(windows)
     attr, labels = _GROUPS[criterion]
     aligned = {}
     for label in labels:
-        members = [ev for ev in events if getattr(ev, attr) is label]
-        if not members:
+        member = np.array([getattr(ev, attr) is label for ev in events])
+        if not member.any():
             raise DegenerateAnalysisError(f"degenerate split: {criterion.value} "
                                           f"group {label.value} is empty")
-        aligned[label] = align_events(members, samples, max_shift)[1:]
+        keep = _nonconstant(windows[member])
+        aligned[label] = _align(refs[member][keep], windows[member][keep], samples, max_shift)
     averages = {label: ensemble_average(windows) for label, (_, windows) in aligned.items()}
     stats = []
     for label, other in (labels, labels[::-1]):
@@ -248,14 +259,16 @@ def screen_outliers(events, samples):
     """
     if len(events) < 3:
         return list(events), 0
-    usable = [ev for ev in events if np.ptp(ev.window) > 0]
-    if len(usable) < 3:
-        return usable, len(events) - len(usable)
-    *_, windows = align_events(usable, samples, _max_shift(usable))
+    refs, windows = _stack(events)
+    usable = np.ptp(windows, axis=1) > 0
+    kept = [ev for ev, u in zip(events, usable) if u]
+    if len(kept) < 3:
+        return kept, len(events) - len(kept)
+    _, windows = _align(refs[usable], windows[usable], samples, _max_shift(windows))
     avg = ensemble_average(windows)
     if np.ptp(avg) == 0:
-        return usable, len(events) - len(usable)
-    vals = normalized_dissim(windows, avg)  # >= 3 rows: align_events kept every usable event
+        return kept, len(events) - len(kept)
+    vals = normalized_dissim(windows, avg)  # >= 3 rows, all non-constant
     limit = vals.mean() + 3.0 * vals.std(ddof=1)
-    kept = [ev for ev, v in zip(usable, vals) if v <= limit]
+    kept = [ev for ev, v in zip(kept, vals) if v <= limit]
     return kept, len(events) - len(kept)

@@ -8,11 +8,12 @@ of the flow at the event instant.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
+from .event_detection import ScgEvent
 from .signal_core import Channel
 
 
@@ -54,18 +55,23 @@ def integrate_flow(flow: Channel, detrend: bool = True) -> RespirationTrace:
     return RespirationTrace(flow=flow, volume=vol_ch, mean_volume=float(np.mean(volume)))
 
 
-def flow_phase_at(trace: RespirationTrace, index: int) -> FlowPhase:
-    """Positive flow -> Inspiration; zero or negative -> Expiration."""
-    if not 0 <= index < len(trace.flow):
-        raise InputError(f"index {index} out of range")
-    return FlowPhase.INSPIRATION if trace.flow.samples[index] > 0 else FlowPhase.EXPIRATION
+_FLOW_PHASES = np.array([FlowPhase.EXPIRATION, FlowPhase.INSPIRATION], dtype=object)
+_VOLUME_PHASES = np.array([VolumePhase.LLV, VolumePhase.HLV], dtype=object)
 
 
-def volume_phase_at(trace: RespirationTrace, index: int) -> VolumePhase:
-    """Volume above the recording mean -> HLV; at or below -> LLV."""
-    if not 0 <= index < len(trace.volume):
-        raise InputError(f"index {index} out of range")
-    return VolumePhase.HLV if trace.volume.samples[index] > trace.mean_volume else VolumePhase.LLV
+def phases_at(trace: RespirationTrace, indices) -> tuple[list, list]:
+    """Flow and volume phase at each sample index.
+
+    Positive flow -> Inspiration; zero or negative -> Expiration. Volume
+    above the recording mean -> HLV; at or below -> LLV.
+    """
+    indices = np.asarray(indices, dtype=int)
+    outside = (indices < 0) | (indices >= len(trace.flow))
+    if outside.any():
+        raise InputError(f"index {indices[outside][0]} out of range")
+    inspiring = trace.flow.samples[indices] > 0
+    high = trace.volume.samples[indices] > trace.mean_volume
+    return _FLOW_PHASES[inspiring.astype(int)].tolist(), _VOLUME_PHASES[high.astype(int)].tolist()
 
 
 def label_events(events, trace: RespirationTrace):
@@ -74,6 +80,5 @@ def label_events(events, trace: RespirationTrace):
     The trace must already be at the rate of the channel the events were
     detected in.
     """
-    return [replace(ev, flow_phase=flow_phase_at(trace, ev.ref_index),
-                    volume_phase=volume_phase_at(trace, ev.ref_index))
-            for ev in events]
+    flow, volume = phases_at(trace, [ev.ref_index for ev in events])
+    return [ScgEvent(ev.ref_index, ev.window, f, v) for ev, f, v in zip(events, flow, volume)]

@@ -224,6 +224,39 @@ def hilbert_envelope(x) -> np.ndarray:
     return np.abs(np.fft.ifft(spectrum, n)[:x.size])
 
 
+# a lag's score must beat the best so far by more than this to replace it
+_TIE_MARGIN = 1e-15
+
+
+@lru_cache(maxsize=64)
+def _lag_order(lo: int, hi: int) -> np.ndarray:
+    """The lags lo..hi in tie-break order: by |lag|, then negative first."""
+    lags = np.array(sorted(range(lo, hi + 1), key=lambda l: (abs(l), l)), dtype=int)
+    lags.flags.writeable = False
+    return lags
+
+
+def _pick_columns(scores) -> np.ndarray:
+    """Per row of an (n, K) score matrix whose columns are in tie-break
+    order, the column that a sequential scan keeps: a column replaces the
+    best so far only if it beats it by more than _TIE_MARGIN.
+
+    Scores lie in [-1, 1], where the rounding of best + _TIE_MARGIN is far
+    below the margin. So on a row with no score within twice the margin
+    below the row maximum, the scan keeps the first maximum, which is
+    np.argmax; only the other rows are scanned.
+    """
+    picks = np.argmax(scores, axis=1)
+    top = scores[np.arange(len(scores)), picks][:, None]
+    near = ((scores < top) & (scores >= top - 2 * _TIE_MARGIN)).any(axis=1)
+    for i in np.flatnonzero(near):
+        best = -np.inf
+        for k, r in enumerate(scores[i].tolist()):
+            if r > best + _TIE_MARGIN:
+                best, picks[i] = r, k
+    return picks
+
+
 def best_lag(x, y, max_lag: int):
     """Lag maximizing Pearson-normalized cross-correlation of x against y.
 
@@ -235,10 +268,12 @@ def best_lag(x, y, max_lag: int):
     (which would let alignment lock onto a neighboring carrier cycle).
     Lags whose overlap is shorter than 2 samples are not considered.
 
-    y is an (n, L) stack of waveforms; L may differ from len(x). The lags
-    of all rows come back as an int array from one pass over the lags; a
-    row whose correlation is degenerate (a constant input or no usable lag)
-    gets lag 0.
+    y is an (n, L) stack of waveforms; L may differ from len(x). The scores
+    of all rows at all lags come from one (n, L) @ (L, K) product, where
+    column k holds the zero-padded target shifted by the k-th lag in
+    tie-break order; _pick_columns resolves near-ties. A row whose
+    correlation is degenerate (a constant input or no usable lag) gets
+    lag 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -249,29 +284,21 @@ def best_lag(x, y, max_lag: int):
     if x.size == 0 or y.shape[1] == 0:
         raise InputError("empty waveform")
     lx, ly = len(x), y.shape[1]
+    # lags outside [2 - lx, ly - 2] overlap by fewer than 2 samples
+    lo, hi = max(-max_lag, 2 - lx), min(max_lag, ly - 2)
+    if lo > hi:
+        return np.zeros(len(y), dtype=int)
     x_spread, y_spread = np.ptp(x), np.ptp(y, axis=1)
     xc = _unit_scale(x - x.mean(), x_spread)
     yc = _unit_scale(y - y.mean(axis=1, keepdims=True), y_spread[:, None])
     denom = np.linalg.norm(xc) * np.linalg.norm(yc, axis=1)
     degenerate = (y_spread == 0) | (denom == 0) | (x_spread == 0)
     denom[degenerate] = 1.0
-    # lags outside [2 - lx, ly - 2] overlap by fewer than 2 samples
-    usable = range(max(-max_lag, 2 - lx), min(max_lag, ly - 2) + 1) if min(lx, ly) >= 2 else ()
-    if not usable:
-        degenerate[:] = True
-    best_r = np.full(len(y), -np.inf)
-    lags = np.zeros(len(y), dtype=int)
-    for lag in sorted(usable, key=lambda l: (abs(l), l)):
-        if lag >= 0:
-            n = min(lx, ly - lag)
-            xs, ys = xc[:n], yc[:, lag:lag + n]
-        else:
-            n = min(lx + lag, ly)
-            xs, ys = xc[-lag:-lag + n], yc[:, :n]
-        r = (ys @ xs) / denom
-        better = r > best_r + 1e-15
-        best_r[better] = r[better]
-        lags[better] = lag
+    lags = _lag_order(lo, hi)
+    # column k is xc delayed by lags[k] along y's axis, zero where it has no sample
+    padded = np.concatenate((np.zeros(ly), xc, np.zeros(ly)))
+    shifted = padded[np.arange(ly)[:, None] + (ly - lags)]
+    lags = lags[_pick_columns((yc @ shifted) / denom[:, None])]
     lags[degenerate] = 0
     return lags
 

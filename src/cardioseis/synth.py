@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .respiration import (FlowPhase, RespirationTrace, VolumePhase, flow_phase_at,
-                          volume_phase_at)
+from .respiration import FlowPhase, RespirationTrace, VolumePhase, phases_at
 from .signal_core import Channel, Recording, rms
 
 DEFAULT_MORPH_LENGTH_S = 0.25
@@ -95,12 +94,12 @@ def gen_respiration(cfg: SynthConfig):
     return Channel(flow, cfg.fs, "flow"), Channel(volume, cfg.fs, "volume")
 
 
-def _alpha_at(cfg: SynthConfig, trace: RespirationTrace, index: int) -> float:
+def _alpha_at(cfg: SynthConfig, index: int, phase: FlowPhase) -> float:
     if cfg.coupling is Coupling.VOLUME:
         # closed-form volume normalized to [0, 1]
         frac = 0.5 * (1.0 - np.cos(2 * np.pi * _RESP_FREQ * (index / cfg.fs)))
     elif cfg.coupling is Coupling.FLOW:
-        frac = 1.0 if flow_phase_at(trace, index) is FlowPhase.INSPIRATION else 0.0
+        frac = 1.0 if phase is FlowPhase.INSPIRATION else 0.0
     else:
         frac = 0.5
     return cfg.coupling_strength * float(frac)
@@ -129,19 +128,20 @@ def gen_recording(cfg: SynthConfig):
     flow_ch, volume_ch = gen_respiration(cfg)
     trace = RespirationTrace(flow_ch, volume_ch, float(np.mean(volume_ch.samples)))
 
-    scg = np.zeros(n)
-    ecg = np.zeros(n)
-    beat_indices, alphas = [], []
+    starts = []
     pos = float(length)  # start margin: one morphology length
     while pos + length <= n - length:
-        start = int(round(pos))
-        center = start + length // 2
-        alpha = _alpha_at(cfg, trace, center)
+        starts.append(int(round(pos)))
+        pos += period * (1.0 + rng.uniform(-jitter, jitter))
+    beat_indices = [start + length // 2 for start in starts]
+    flow_phase, volume_phase = phases_at(trace, beat_indices)
+
+    scg = np.zeros(n)
+    ecg = np.zeros(n)
+    alphas = [_alpha_at(cfg, center, phase) for center, phase in zip(beat_indices, flow_phase)]
+    for start, center, alpha in zip(starts, beat_indices, alphas):
         scg[start:start + length] += (1 - alpha) * m_low + alpha * m_high
         ecg[center] = 1.0
-        beat_indices.append(center)
-        alphas.append(alpha)
-        pos += period * (1.0 + rng.uniform(-jitter, jitter))
 
     if math.isfinite(cfg.snr_db):
         noise_rms = rms(scg) * 10 ** (-cfg.snr_db / 20.0)
@@ -150,8 +150,8 @@ def gen_recording(cfg: SynthConfig):
     truth = GroundTruth(
         beat_indices=beat_indices,
         alpha=alphas,
-        flow_phase=[flow_phase_at(trace, i) for i in beat_indices],
-        volume_phase=[volume_phase_at(trace, i) for i in beat_indices],
+        flow_phase=flow_phase,
+        volume_phase=volume_phase,
     )
     rec = Recording(
         channels={

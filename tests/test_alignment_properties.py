@@ -18,7 +18,7 @@ from cardioseis.errors import DegenerateAnalysisError, InputError
 from cardioseis.event_detection import ScgEvent
 from cardioseis.grouping import align_events, compare_criteria
 from cardioseis.respiration import integrate_flow, label_events
-from cardioseis.signal_core import best_lag, rms
+from cardioseis.signal_core import _pick_columns, best_lag, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 from conftest import run_synth_analysis
@@ -176,6 +176,65 @@ class TestBatchedBestLag:
             best_lag(np.arange(3.0), np.ones((1, 1, 3)), 1)
         with pytest.raises(InputError):
             best_lag(np.arange(3.0), np.ones(3), 1)
+
+
+def sequential_pick(scores):
+    """Per row, the column a scan in column order keeps: a score replaces
+    the best so far only if it beats it by more than 1e-15."""
+    picks = []
+    for row in scores:
+        best, pick = -np.inf, 0
+        for k, r in enumerate(row):
+            if r > best + 1e-15:
+                best, pick = r, k
+        picks.append(pick)
+    return picks
+
+
+@st.composite
+def near_tie_scores(draw):
+    """(n, K) scores in [-1, 1]: each row spreads around a base value in
+    steps of 2**-52 to 2**-49, so it holds exact ties and chains of scores
+    closer than 1e-15 to each other, mixed with scores far apart."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rows = []
+    for _ in range(n):
+        base = draw(st.sampled_from([1.0, -1.0, 0.0, 0.5]) | st.floats(-1.0, 1.0))
+        step = 2.0 ** draw(st.integers(-52, -49))
+        row = [base + draw(st.integers(-12, 12)) * step
+               if draw(st.booleans()) else draw(st.floats(-1.0, 1.0)) for _ in range(k)]
+        rows.append(np.clip(row, -1.0, 1.0))
+    return np.array(rows)
+
+
+class TestPickColumns:
+    @PROPERTY
+    @given(near_tie_scores())
+    def test_matches_sequential_scan(self, scores):
+        assert _pick_columns(scores).tolist() == sequential_pick(scores)
+
+    def test_near_tie_keeps_the_earlier_column(self):
+        # 2**-51 is within the margin, so the later, larger score loses;
+        # np.argmax alone would pick column 1
+        scores = np.array([[1.0, 1.0 + 2.0 ** -51]])
+        assert np.argmax(scores) == 1
+        assert _pick_columns(scores).tolist() == [0] == sequential_pick(scores)
+
+    def test_margin_is_strict(self):
+        # a score exactly the margin above the best so far does not replace it
+        scores = np.array([[0.5, 0.5 + 1e-15], [0.5, 0.5 + 2e-15]])
+        assert _pick_columns(scores).tolist() == [0, 1]
+
+    def test_exact_tie_keeps_the_first_column(self):
+        scores = np.array([[0.25, 0.5, 0.5], [0.5, -1.0, 0.5]])
+        assert _pick_columns(scores).tolist() == [1, 0]
+
+    def test_chain_of_near_ties(self):
+        # each step is within the margin of the one before, but the last is
+        # more than the margin above the first
+        step = 0.75e-15
+        scores = np.array([[0.5, 0.5 + step, 0.5 + 2 * step, 0.5 + 3 * step]])
+        assert _pick_columns(scores).tolist() == sequential_pick(scores) == [2]
 
 
 BURST = np.sin(2 * np.pi * 20 * np.arange(80) / 320) * np.exp(-np.arange(80) / 16)

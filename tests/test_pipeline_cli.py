@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -290,6 +291,31 @@ class TestRunPipeline:
             run_pipeline(config)
             outs.append((Path(config.out_dir) / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+# SHA-256 of report.json for each recording of a fixed synthetic corpus
+# (seed 3, 60 s); a change that moves any reported number moves its hash
+PINNED_REPORTS = {
+    ("volume", 320.0): "97e6f60913f0b375dc5c02fa955f1617f12fdb122c2ef31e5b34b8b2513ba6d0",
+    ("flow", 320.0): "80ccb24857c2191003a02c609c593532382c580f74a7d33f8e6377519f8bed70",
+    ("none", 320.0): "d5dece5d8bc6880e0499e1a2ed81a1590897ea12d3f714dd55b2cee8a37e8ead",
+    # acquired at 1 kHz, so the resampling stage runs
+    ("volume", 1000.0): "30f0acab4e38a59a2fd06afc7f712677320e452c7c76e260dff2e2137c6f3846",
+}
+
+
+@pytest.mark.parametrize("coupling,fs", list(PINNED_REPORTS))
+def test_report_json_bytes_pinned(tmp_path, coupling, fs):
+    cfg = SynthConfig(seed=3, coupling=Coupling(coupling), duration_s=60.0, fs=fs)
+    rec, truth = gen_recording(cfg)
+    path = tmp_path / f"{rec.recording_id}-{fs:g}.csv"
+    write_recording_csv(rec, path)
+    config = PipelineConfig(inputs=(str(path),), acquisition_fs=fs, analysis_fs=320.0,
+                            template_start_s=truth.beat_indices[0] / fs - 0.125,
+                            template_length_s=0.25, out_dir=str(tmp_path / "out"))
+    run_pipeline(config)
+    report = (tmp_path / "out" / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PINNED_REPORTS[(coupling, fs)]
 
 
 class TestCli:

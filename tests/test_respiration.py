@@ -3,9 +3,7 @@ import pytest
 
 from cardioseis.errors import InputError
 from cardioseis.event_detection import ScgEvent
-from cardioseis.respiration import (FlowPhase, VolumePhase, flow_phase_at,
-                                    integrate_flow, label_events,
-                                    volume_phase_at)
+from cardioseis.respiration import FlowPhase, VolumePhase, integrate_flow, label_events
 from cardioseis.signal_core import Channel, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
@@ -70,35 +68,53 @@ class TestIntegrateFlow:
                 assert got.tobytes() == want.tobytes(), (n, fs)
 
 
+def labels_at(trace, index):
+    """(flow phase, volume phase) that label_events gives an event at index."""
+    (ev,) = label_events([ScgEvent(ref_index=index, window=np.zeros(8))], trace)
+    return ev.flow_phase, ev.volume_phase
+
+
 class TestPhaseLabels:
     def trace(self):
         flow = Channel(np.array([0.3, -0.3, 0.0, 0.1]), 1.0, "flow")
         return integrate_flow(flow, detrend=False)
 
     def test_positive_flow_is_inspiration(self):
-        assert flow_phase_at(self.trace(), 0) is FlowPhase.INSPIRATION
+        assert labels_at(self.trace(), 0)[0] is FlowPhase.INSPIRATION
 
     def test_negative_flow_is_expiration(self):
-        assert flow_phase_at(self.trace(), 1) is FlowPhase.EXPIRATION
+        assert labels_at(self.trace(), 1)[0] is FlowPhase.EXPIRATION
 
     def test_zero_flow_tiebreak(self):
-        assert flow_phase_at(self.trace(), 2) is FlowPhase.EXPIRATION
+        assert labels_at(self.trace(), 2)[0] is FlowPhase.EXPIRATION
 
     def test_out_of_range(self):
-        with pytest.raises(InputError):
-            flow_phase_at(self.trace(), 99)
+        with pytest.raises(InputError, match=r"index 99 out of range"):
+            labels_at(self.trace(), 99)
+
+    @pytest.mark.parametrize("index", [4, -1])
+    def test_just_outside_the_trace(self, index):
+        # the trace has 4 samples; -1 must not wrap around to the last one
+        with pytest.raises(InputError, match=rf"index {index} out of range"):
+            labels_at(self.trace(), index)
+
+    def test_out_of_range_among_valid_refs(self):
+        events = [ScgEvent(ref_index=i, window=np.zeros(8)) for i in (0, 3, 7, 2)]
+        with pytest.raises(InputError, match=r"index 7 out of range"):
+            label_events(events, self.trace())
 
     def test_volume_below_mean_is_llv(self):
         trace = integrate_flow(sine_flow(), detrend=False)
         lo = int(np.argmin(trace.volume.samples))
         hi = int(np.argmax(trace.volume.samples))
-        assert volume_phase_at(trace, lo) is VolumePhase.LLV
-        assert volume_phase_at(trace, hi) is VolumePhase.HLV
+        assert labels_at(trace, lo)[1] is VolumePhase.LLV
+        assert labels_at(trace, hi)[1] is VolumePhase.HLV
 
     def test_volume_equal_mean_tiebreak(self):
         flow = Channel(np.zeros(10), 1.0, "flow")
         trace = integrate_flow(flow, detrend=False)
-        assert volume_phase_at(trace, 5) is VolumePhase.LLV
+        assert trace.volume.samples[5] == trace.mean_volume
+        assert labels_at(trace, 5)[1] is VolumePhase.LLV
 
     def test_sine_phase_geometry(self):
         # Inspiration occupies positive half-cycles; HLV lags it by T/4
@@ -106,9 +122,12 @@ class TestPhaseLabels:
         trace = integrate_flow(sine_flow(1.0, freq, fs, 20.0), detrend=False)
         n = len(trace.flow)
         period = fs / freq
-        for i in range(1, n - 1):
+        indices = range(1, n - 1)
+        labeled = label_events([ScgEvent(ref_index=i, window=np.zeros(8)) for i in indices],
+                               trace)
+        for i, ev in zip(indices, labeled):
             expect_insp = (i % period) < period / 2
-            got = flow_phase_at(trace, i) is FlowPhase.INSPIRATION
+            got = ev.flow_phase is FlowPhase.INSPIRATION
             if min(i % (period / 2), period / 2 - i % (period / 2)) > 1:
                 assert got == expect_insp
 
