@@ -17,7 +17,7 @@ from .errors import DegenerateAnalysisError, InputError
 from .ingest import write_recording_csv
 from .pipeline import StageError, run_pipeline
 from .report import check_report
-from .synth import Coupling, SynthConfig, gen_recording
+from .synth import DEFAULT_MORPH_LENGTH_S, Coupling, SynthConfig, gen_recording
 
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
@@ -103,7 +103,6 @@ def synth(seed, coupling, out_dir, duration, fs, snr_db, coupling_strength):
 def _synth_config(csv_path, cfg: SynthConfig, truth) -> str:
     """Config text pointing at the generated file, with a template span on
     the first generated beat so `cardioseis run` works out of the box."""
-    from .synth import DEFAULT_MORPH_LENGTH_S
     length_s = DEFAULT_MORPH_LENGTH_S
     first = truth.beat_indices[0]
     start_s = max(0.0, first / cfg.fs - length_s / 2)

@@ -1,23 +1,20 @@
 """Matched-filter heartbeat detection on the conditioned SCG channel.
 
 The filter is the time-reversed user template; its output envelope is
-peak-picked with a relative threshold, and fixed-length windows are cut
-around each mapped peak.
+peak-picked with a relative threshold. An event is its ref index, the
+mapped peak sample; its window is the template-length cut around it, which
+cut_windows makes wherever a stage needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import DegenerateAnalysisError, InputError
 from .signal_core import Channel, hilbert_envelope
-
-if TYPE_CHECKING:  # respiration labels events, so it imports this module
-    from .respiration import FlowPhase, VolumePhase
 
 
 @dataclass(frozen=True)
@@ -40,19 +37,10 @@ class Template:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class ScgEvent:
-    """One detected heartbeat window.
-
-    ref_index is the mapped envelope-peak sample in the conditioned SCG
-    channel; window is the template-length cut centered on it
-    (start = ref - L//2). The phase labels are filled by the label stage.
-    """
-
-    ref_index: int
-    window: np.ndarray
-    flow_phase: Optional[FlowPhase] = None
-    volume_phase: Optional[VolumePhase] = None
+def cut_windows(samples, refs, length: int) -> np.ndarray:
+    """The (n, length) windows of the events at refs: row i is
+    samples[refs[i] - length//2:][:length]. Every window must fit."""
+    return samples[(np.asarray(refs) - length // 2)[:, None] + np.arange(length)]
 
 
 def template_from_channel(ch: Channel, start_s: float, length_s: float) -> Template:
@@ -128,15 +116,16 @@ def detect_events(
     tpl: Template,
     threshold_frac: float = PipelineConfig.threshold_frac,
     min_separation_s: float = PipelineConfig.min_separation_s,
-) -> list[ScgEvent]:
-    """Detect heartbeat events in a conditioned channel.
+) -> np.ndarray:
+    """Detect heartbeat events in a conditioned channel; returns their ref
+    indices, in ascending order.
 
     Peaks of the Hilbert envelope of the matched-filter output above
     threshold_frac times the envelope's 95th percentile, separated by at
-    least min_separation_s, become events. Windows of template length are
-    cut around each mapped peak; peaks too close to either end to fit a
-    window are dropped. The threshold is relative, so detection is
-    invariant to amplitude scaling of the channel.
+    least min_separation_s, become events. Peaks too close to either end to
+    fit a template-length window around their ref are dropped. The
+    threshold is relative, so detection is invariant to amplitude scaling
+    of the channel.
     """
     if not (0 < threshold_frac < 1):
         raise InputError(f"threshold_frac must be in (0,1), got {threshold_frac}")
@@ -147,13 +136,10 @@ def detect_events(
     env = hilbert_envelope(y)
     thr = threshold_frac * float(np.percentile(env, 95))
     if thr <= 0:
-        return []
+        return np.empty(0, dtype=int)
     distance = max(1, int(round(min_separation_s * ch.fs)))
     peaks = _find_peaks(env, thr, distance)
     length = tpl.length
     refs = peaks - _peak_offset(tpl)
     starts = refs - length // 2
-    fits = (starts >= 0) & (starts + length <= len(ch))
-    windows = ch.samples[starts[fits, None] + np.arange(length)]
-    return [ScgEvent(ref_index=ref, window=window)
-            for ref, window in zip(refs[fits].tolist(), windows)]
+    return refs[(starts >= 0) & (starts + length <= len(ch))]

@@ -6,6 +6,9 @@ pointwise difference, normalized by the RMS of the average (in percent).
 A group's relative difference (RD) compares its mean dissimilarity against
 the alternate group's average with that against its own; positive RD means
 the grouping is doing its job.
+
+Events are ref indices into the conditioned SCG samples, and a criterion's
+split is a bool mask over them. Each stage cuts the windows it needs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAnalysisError, InputError
+from .event_detection import cut_windows
 from .respiration import FlowPhase, VolumePhase
 from .signal_core import best_lag, rms
 
@@ -70,23 +74,8 @@ class CriterionComparison:
         return (self.inspiration, self.expiration, self.llv, self.hlv)
 
 
-def _stack(events):
-    """A group's ref indices, and its event windows as one (n, L) matrix."""
-    if not events:
-        raise DegenerateAnalysisError("empty group")
-    if len({len(ev.window) for ev in events}) != 1:
-        raise InputError("event windows differ in length")
-    return (np.array([ev.ref_index for ev in events]),
-            np.array([ev.window for ev in events], dtype=float))
-
-
 def _rms_rows(a) -> np.ndarray:
     return np.sqrt(np.mean(np.square(a), axis=-1))
-
-
-def _max_shift(windows) -> int:
-    """The alignment search bound: a quarter of the event window."""
-    return windows.shape[1] // 4
 
 
 def _shift_to(target, samples, refs, windows, max_shift: int):
@@ -100,49 +89,37 @@ def _shift_to(target, samples, refs, windows, max_shift: int):
     length = windows.shape[1]
     half = length // 2
     refs = refs + np.clip(lags, half - refs, len(samples) - length + half - refs)
-    return refs, samples[(refs - half)[:, None] + np.arange(length)]
+    return refs, cut_windows(samples, refs, length)
 
 
-def _nonconstant(windows) -> np.ndarray:
-    """Mask of the rows that are not constant. Warns about the others, and
-    raises if no row is left."""
-    keep = np.ptp(windows, axis=1) > 0
-    if not keep.all():
-        log.warning("align_events: dropped %d constant-window event(s)", np.sum(~keep))
-    if not keep.any():
-        raise DegenerateAnalysisError("empty group")
-    return keep
+def align(refs, samples, length: int, max_shift: int):
+    """Two-pass time alignment of the events at refs.
 
-
-def _align(refs, windows, samples, max_shift: int):
-    """The two alignment passes on non-constant windows: returns the
-    aligned (refs, windows)."""
-    reference = windows[np.argmax(_rms_rows(windows))]
-    refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
-    return _shift_to(ensemble_average(windows), samples, refs, windows, max_shift)
-
-
-def align_events(events, samples, max_shift: int):
-    """Two-pass time alignment of equal-length event windows.
-
-    samples is the channel the windows were cut from; an aligned window is
-    re-cut from it. Pass one aligns everything to the highest-RMS event;
-    pass two re-aligns to the pass-one ensemble average. Constant-window
-    events are dropped with a warning. Lags come from Pearson-normalized
-    cross-correlation, computed for the whole group at once by best_lag on
-    the window stack.
+    samples is the channel the events were detected in; each event's
+    window is cut from it, and re-cut when the event moves. Events whose
+    window is constant are dropped with a warning. Pass one aligns the rest
+    to the highest-RMS window; pass two re-aligns to the pass-one ensemble
+    average. Lags come from Pearson-normalized cross-correlation, computed
+    for the whole group at once by best_lag on the window stack.
 
     A burst that fills its window can end one sample off: a jittered window
     cuts part of it, and the mean subtraction in best_lag then moves the
     correlation peak. This is a limit of the method, not of the batching.
 
-    Returns (kept events, aligned ref indices, aligned (n, L) windows); the
-    kept events themselves are unchanged.
+    Returns the aligned refs of the kept events, in input order, and their
+    aligned (n, length) windows.
     """
-    refs, windows = _stack(events)
-    keep = _nonconstant(windows)
-    kept = [ev for ev, k in zip(events, keep) if k]
-    return (kept, *_align(refs[keep], windows[keep], samples, max_shift))
+    windows = cut_windows(samples, refs, length)
+    keep = np.ptp(windows, axis=1) > 0
+    if not keep.all():
+        log.warning("group: dropped %d constant-window event(s) before alignment",
+                    np.sum(~keep))
+    if not keep.any():
+        raise DegenerateAnalysisError("empty group")
+    refs, windows = refs[keep], windows[keep]
+    reference = windows[np.argmax(_rms_rows(windows))]
+    refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
+    return _shift_to(ensemble_average(windows), samples, refs, windows, max_shift)
 
 
 def ensemble_average(windows) -> np.ndarray:
@@ -189,41 +166,39 @@ def relative_difference(mean_same: float, mean_alt: float) -> float:
     return 100.0 * (mean_alt - mean_same) / mean_same
 
 
-_GROUPS = {Criterion.FLOW_RATE: ("flow_phase", (FlowPhase.INSPIRATION, FlowPhase.EXPIRATION)),
-           Criterion.LUNG_VOLUME: ("volume_phase", (VolumePhase.LLV, VolumePhase.HLV))}
+# each criterion's two groups: the one its mask selects, then the rest
+_GROUP_IDS = {Criterion.FLOW_RATE: (FlowPhase.INSPIRATION.value, FlowPhase.EXPIRATION.value),
+              Criterion.LUNG_VOLUME: (VolumePhase.LLV.value, VolumePhase.HLV.value)}
 
 
-def evaluate_criterion(events, criterion: Criterion, samples):
-    """Split labeled events by one criterion and compute both GroupStats.
+def evaluate_criterion(refs, first, criterion: Criterion, samples, length: int):
+    """Split the events at refs by one criterion and compute both GroupStats.
 
-    samples is the conditioned channel the events were detected in. Per
-    group: align, ensemble-average, mean dissimilarity against the own
-    average, then against the alternate group's average (each event is
-    re-aligned to that average first so timing offsets do not masquerade
-    as morphology differences), and finally the RD. Lags are searched
-    within a quarter of the event window.
+    first masks the events of the criterion's first group (Inspiration or
+    LLV); the others form the second. samples is the conditioned channel
+    the events were detected in, and length the template length. Per group:
+    align, ensemble-average, mean dissimilarity against the own average,
+    then against the alternate group's average (each event is re-aligned to
+    that average first so timing offsets do not masquerade as morphology
+    differences), and finally the RD. Lags are searched within a quarter of
+    the event window.
     """
-    refs, windows = _stack(events)
-    max_shift = _max_shift(windows)
-    attr, labels = _GROUPS[criterion]
-    aligned = {}
-    for label in labels:
-        member = np.array([getattr(ev, attr) is label for ev in events])
+    max_shift = length // 4
+    aligned = []
+    for group_id, member in zip(_GROUP_IDS[criterion], (first, ~first)):
         if not member.any():
             raise DegenerateAnalysisError(f"degenerate split: {criterion.value} "
-                                          f"group {label.value} is empty")
-        keep = _nonconstant(windows[member])
-        aligned[label] = _align(refs[member][keep], windows[member][keep], samples, max_shift)
-    averages = {label: ensemble_average(windows) for label, (_, windows) in aligned.items()}
+                                          f"group {group_id} is empty")
+        aligned.append(align(refs[member], samples, length, max_shift))
+    averages = [ensemble_average(windows) for _, windows in aligned]
     stats = []
-    for label, other in (labels, labels[::-1]):
-        refs, windows = aligned[label]
-        own_avg, alt_avg = averages[label], averages[other]
+    for group_id, (refs, windows), own_avg, alt_avg in zip(
+            _GROUP_IDS[criterion], aligned, averages, averages[::-1]):
         mean_same, sd_same = mean_dissimilarity(windows, own_avg)
         _, realigned = _shift_to(alt_avg, samples, refs, windows, max_shift)
         mean_alt, sd_alt = mean_dissimilarity(realigned, alt_avg)
         stats.append(GroupStats(
-            group_id=label.value, n=len(windows), ensemble_avg=own_avg,
+            group_id=group_id, n=len(windows), ensemble_avg=own_avg,
             mean_dissim_same=mean_same, sd_same=sd_same,
             mean_dissim_alt=mean_alt, sd_alt=sd_alt,
             rd=relative_difference(mean_same, mean_alt)))
@@ -236,39 +211,36 @@ def _pick_winner(rd_fr: float, rd_lv: float) -> Winner:
     return Winner.LUNG_VOLUME if rd_lv > rd_fr else Winner.FLOW_RATE
 
 
-def compare_criteria(events, samples) -> CriterionComparison:
-    """Evaluate both grouping criteria and flag the winner per group pair.
-
-    samples is the conditioned channel the events were detected in.
-    """
-    insp, exp = evaluate_criterion(events, Criterion.FLOW_RATE, samples)
-    llv, hlv = evaluate_criterion(events, Criterion.LUNG_VOLUME, samples)
+def compare_criteria(refs, inspiring, high_volume, samples, length: int) -> CriterionComparison:
+    """Evaluate both criteria on the events at refs, split by their
+    label_events masks, and flag the winner per group pair."""
+    insp, exp = evaluate_criterion(refs, inspiring, Criterion.FLOW_RATE, samples, length)
+    llv, hlv = evaluate_criterion(refs, ~high_volume, Criterion.LUNG_VOLUME, samples, length)
     return CriterionComparison(
         inspiration=insp, expiration=exp, llv=llv, hlv=hlv,
         winner_insp_llv=_pick_winner(insp.rd, llv.rd),
         winner_exp_hlv=_pick_winner(exp.rd, hlv.rd))
 
 
-def screen_outliers(events, samples):
+def screen_outliers(refs, samples, length: int):
     """Drop events whose dissimilarity to the all-event ensemble average
     exceeds mean + 3 SD. Stand-in for the manual artifact check.
-    samples is the conditioned channel the events were detected in.
+    samples is the conditioned channel the events were detected in, and
+    length the template length. Events with a constant window are dropped
+    too, and fewer than three events are kept as they are.
 
-    Returns (kept_events, n_dropped). Kept events keep their original
-    (pre-screening-alignment) windows.
+    Returns (kept refs, n_dropped). Kept events keep their detected refs;
+    the screen's own alignment only serves the comparison.
     """
-    if len(events) < 3:
-        return list(events), 0
-    refs, windows = _stack(events)
-    usable = np.ptp(windows, axis=1) > 0
-    kept = [ev for ev, u in zip(events, usable) if u]
+    if len(refs) < 3:
+        return refs, 0
+    kept = refs[np.ptp(cut_windows(samples, refs, length), axis=1) > 0]
     if len(kept) < 3:
-        return kept, len(events) - len(kept)
-    _, windows = _align(refs[usable], windows[usable], samples, _max_shift(windows))
+        return kept, len(refs) - len(kept)
+    _, windows = align(kept, samples, length, length // 4)
     avg = ensemble_average(windows)
     if np.ptp(avg) == 0:
-        return kept, len(events) - len(kept)
+        return kept, len(refs) - len(kept)
     vals = normalized_dissim(windows, avg)  # >= 3 rows, all non-constant
-    limit = vals.mean() + 3.0 * vals.std(ddof=1)
-    kept = [ev for ev, v in zip(kept, vals) if v <= limit]
-    return kept, len(events) - len(kept)
+    kept = kept[vals <= vals.mean() + 3.0 * vals.std(ddof=1)]
+    return kept, len(refs) - len(kept)

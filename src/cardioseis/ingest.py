@@ -46,6 +46,8 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
         for role, name in COLUMNS.items():
             if name not in header:
                 raise InputError(f"missing channel: {role}")
+            if header.count(name) > 1:
+                raise InputError(f"{path}: the header names {name} {header.count(name)} times")
             cols[role] = header.index(name)
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)

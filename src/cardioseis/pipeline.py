@@ -1,26 +1,44 @@
-"""End-to-end orchestration: condition -> detect -> label -> group -> report.
+"""End-to-end orchestration: condition -> detect -> screen -> label -> group -> report.
 
-Stage failures are re-raised with a stage tag so the CLI can print where a
-run died and exit with the right code.
+Between stages an event is its ref index into the conditioned SCG channel,
+and its labels are two bool masks. Stage failures are re-raised with a
+stage tag so the CLI can print where a run died and exit with the right
+code.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import CardioseisError, DegenerateAnalysisError, InputError
-from .event_detection import detect_events, template_from_channel
+from .event_detection import cut_windows, detect_events, template_from_channel
 from .grouping import compare_criteria, screen_outliers
 from .ingest import ingest_csv
 from .report import (GROUP_ORDER, comparison_to_row, write_report_csv,
                      write_report_json)
-from .respiration import integrate_flow, label_events
+from .respiration import FlowPhase, VolumePhase, integrate_flow, label_events, phases
 from .signal_core import Recording, lowpass, resample
 from .svgplot import bar_chart, line_plot
+
+
+@dataclass(frozen=True)
+class ScgEvent:
+    """One event that a run kept, as analyze_recording reports it.
+
+    ref_index is its sample in the conditioned SCG channel, and window the
+    template-length cut centred on it (start = ref - L//2), as detected,
+    before any alignment.
+    """
+
+    ref_index: int
+    window: np.ndarray
+    flow_phase: FlowPhase
+    volume_phase: VolumePhase
 
 
 class StageError(CardioseisError):
@@ -39,22 +57,26 @@ def _stage(name, fn, *args, **kwargs):
 def analyze_recording(rec: Recording, config: PipelineConfig):
     """Run the analysis chain on an in-memory recording.
 
-    Returns (CriterionComparison, context dict with the labelled events
-    and the number of outliers dropped).
+    Returns (CriterionComparison, context dict with the kept events as
+    ScgEvents and the number of outliers dropped).
     """
     scg = _stage("resample", resample, rec["scg"], config.analysis_fs)
     flow = _stage("resample", resample, rec["flow"], config.analysis_fs)
     scg = _stage("lowpass", lowpass, scg, config.lowpass_cutoff_hz)
     tpl = _stage("template", template_from_channel, scg,
                  config.template_start_s, config.template_length_s)
-    events = _stage("detect", detect_events, scg, tpl,
-                    config.threshold_frac, config.min_separation_s)
+    refs = _stage("detect", detect_events, scg, tpl,
+                  config.threshold_frac, config.min_separation_s)
     trace = _stage("respiration", integrate_flow, flow)
-    events = _stage("label", label_events, events, trace)
-    events, dropped = _stage("screen", screen_outliers, events, scg.samples)
-    if not events:
+    refs, dropped = _stage("screen", screen_outliers, refs, scg.samples, tpl.length)
+    if not len(refs):
         raise StageError("group", DegenerateAnalysisError("no events detected"))
-    cmp = _stage("group", compare_criteria, events, scg.samples)
+    inspiring, high_volume = _stage("label", label_events, refs, trace)
+    cmp = _stage("group", compare_criteria, refs, inspiring, high_volume,
+                 scg.samples, tpl.length)
+    events = [ScgEvent(*fields) for fields in zip(
+        refs.tolist(), cut_windows(scg.samples, refs, tpl.length),
+        *phases(inspiring, high_volume))]
     return cmp, {"events": events, "outliers_dropped": dropped}
 
 
@@ -69,9 +91,9 @@ def _write_artifacts(rec_id: str, cmp, fs: float, out_dir: Path):
             writer.writerow([i] + ["%.9g" % averages[g][i] for g in GROUP_ORDER])
     t = np.arange(n) / fs
     ens_svg = out_dir / f"{rec_id}_ensemble_averages.svg"
-    line_plot({g: averages[g] for g in GROUP_ORDER}, ens_svg,
+    line_plot({g: averages[g] for g in GROUP_ORDER}, ens_svg, t,
               title=f"{rec_id}: ensemble-averaged SCG per group",
-              xlabel="time (s)", ylabel="amplitude", x=t)
+              xlabel="time (s)", ylabel="amplitude")
     rd_svg = out_dir / f"{rec_id}_rd_bars.svg"
     bar_chart(GROUP_ORDER, [st.rd for st in cmp.groups], rd_svg,
               title=f"{rec_id}: relative difference per group", ylabel="RD (%)")
@@ -92,9 +114,8 @@ def run_pipeline(config: PipelineConfig):
     for path in config.inputs:
         rec = _stage("ingest", ingest_csv, path, config)
         cmp, context = analyze_recording(rec, config)
-        rows.append(comparison_to_row(rec.recording_id, cmp,
-                                      extras={"outliers_dropped": context["outliers_dropped"],
-                                              "n_events": len(context["events"])}))
+        rows.append(comparison_to_row(rec.recording_id, cmp, len(context["events"]),
+                                      context["outliers_dropped"]))
         artifacts += _write_artifacts(rec.recording_id, cmp, config.analysis_fs, out_dir)
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"

@@ -20,7 +20,8 @@ GROUP_ORDER = ("Inspiration", "Expiration", "LLV", "HLV")
 RD_CHECK_TOLERANCE = 0.01
 
 
-def comparison_to_row(recording_id: str, cmp: CriterionComparison, extras: dict | None = None) -> dict:
+def comparison_to_row(recording_id: str, cmp: CriterionComparison, n_events: int,
+                      outliers_dropped: int) -> dict:
     groups = []
     for st in cmp.groups:
         groups.append({
@@ -32,17 +33,16 @@ def comparison_to_row(recording_id: str, cmp: CriterionComparison, extras: dict 
             "sd_alt": round(st.sd_alt, 4),
             "rd": round(st.rd, 2),
         })
-    row = {
+    return {
         "recording_id": recording_id,
         "groups": groups,
         "winners": {
             "inspiration_vs_llv": cmp.winner_insp_llv.value,
             "expiration_vs_hlv": cmp.winner_exp_hlv.value,
         },
+        "n_events": n_events,
+        "outliers_dropped": outliers_dropped,
     }
-    if extras:
-        row.update(extras)
-    return row
 
 
 def write_report_json(rows: list[dict], path):

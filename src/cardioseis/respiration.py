@@ -2,7 +2,8 @@
 
 Volume is the cumulative trapezoidal integral of flow; the recording-mean
 volume is the low/high lung-volume threshold. Flow phase is just the sign
-of the flow at the event instant.
+of the flow at the event instant. The labels are two bool masks over the
+events; phases turns them into the phase enums.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .event_detection import ScgEvent
 from .signal_core import Channel
 
 
@@ -55,30 +55,21 @@ def integrate_flow(flow: Channel, detrend: bool = True) -> RespirationTrace:
     return RespirationTrace(flow=flow, volume=vol_ch, mean_volume=float(np.mean(volume)))
 
 
-_FLOW_PHASES = np.array([FlowPhase.EXPIRATION, FlowPhase.INSPIRATION], dtype=object)
-_VOLUME_PHASES = np.array([VolumePhase.LLV, VolumePhase.HLV], dtype=object)
-
-
-def phases_at(trace: RespirationTrace, indices) -> tuple[list, list]:
-    """Flow and volume phase at each sample index.
+def label_events(refs, trace: RespirationTrace):
+    """The labels of the events at refs: (inspiring, high_volume) masks.
 
     Positive flow -> Inspiration; zero or negative -> Expiration. Volume
-    above the recording mean -> HLV; at or below -> LLV.
+    above the recording mean -> HLV; at or below -> LLV. The trace must
+    already be at the rate of the channel the events were detected in.
     """
-    indices = np.asarray(indices, dtype=int)
-    outside = (indices < 0) | (indices >= len(trace.flow))
+    refs = np.asarray(refs, dtype=int)
+    outside = (refs < 0) | (refs >= len(trace.flow))
     if outside.any():
-        raise InputError(f"index {indices[outside][0]} out of range")
-    inspiring = trace.flow.samples[indices] > 0
-    high = trace.volume.samples[indices] > trace.mean_volume
-    return _FLOW_PHASES[inspiring.astype(int)].tolist(), _VOLUME_PHASES[high.astype(int)].tolist()
+        raise InputError(f"index {refs[outside][0]} out of range")
+    return trace.flow.samples[refs] > 0, trace.volume.samples[refs] > trace.mean_volume
 
 
-def label_events(events, trace: RespirationTrace):
-    """Attach flow and volume phase labels at each event's reference instant.
-
-    The trace must already be at the rate of the channel the events were
-    detected in.
-    """
-    flow, volume = phases_at(trace, [ev.ref_index for ev in events])
-    return [ScgEvent(ev.ref_index, ev.window, f, v) for ev, f, v in zip(events, flow, volume)]
+def phases(inspiring, high_volume) -> tuple[list[FlowPhase], list[VolumePhase]]:
+    """The flow and volume phase of each event, from label_events' masks."""
+    return ([FlowPhase.INSPIRATION if i else FlowPhase.EXPIRATION for i in inspiring],
+            [VolumePhase.HLV if h else VolumePhase.LLV for h in high_volume])

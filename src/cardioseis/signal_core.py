@@ -121,7 +121,8 @@ def lowpass(ch: Channel, cutoff_hz: float) -> Channel:
     delay in the output.
     """
     if cutoff_hz <= 0 or cutoff_hz >= ch.fs / 2:
-        raise InputError("cutoff above Nyquist")
+        raise InputError(f"cutoff {cutoff_hz:g} Hz is outside (0, fs/2) = (0, {ch.fs / 2:g}) "
+                         "Hz, the band from zero to Nyquist")
     taps = _lowpass_taps(float(cutoff_hz), float(ch.fs))
     half = len(taps) // 2
     x = ch.samples

@@ -17,11 +17,10 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi == lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(v) for v in raw]
+    return [float(v) for v in np.linspace(lo, hi, 5)]
 
 
 def _header(title):
@@ -53,13 +52,12 @@ def _axes(parts, xlo, xhi, ylo, yhi, xlabel, ylabel):
     return px, py
 
 
-def line_plot(series: dict, path, title="", xlabel="time (s)", ylabel="", x=None):
-    """series: label -> 1-D array. All series share the x axis."""
+def line_plot(series: dict, path, x, title="", xlabel="time (s)", ylabel=""):
+    """series: label -> 1-D array. All series share the x axis x."""
     ys = [np.asarray(v, dtype=float) for v in series.values()]
     if not ys:
         raise ValueError("no series to plot")
-    n = max(len(y) for y in ys)
-    xs = np.asarray(x, dtype=float) if x is not None else np.arange(n, dtype=float)
+    xs = np.asarray(x, dtype=float)
     xlo, xhi = float(xs.min()), float(xs.max())
     ylo = min(float(y.min()) for y in ys)
     yhi = max(float(y.max()) for y in ys)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .respiration import FlowPhase, RespirationTrace, VolumePhase, phases_at
+from .respiration import FlowPhase, RespirationTrace, VolumePhase, label_events, phases
 from .signal_core import Channel, Recording, rms
 
 DEFAULT_MORPH_LENGTH_S = 0.25
@@ -134,7 +134,7 @@ def gen_recording(cfg: SynthConfig):
         starts.append(int(round(pos)))
         pos += period * (1.0 + rng.uniform(-jitter, jitter))
     beat_indices = [start + length // 2 for start in starts]
-    flow_phase, volume_phase = phases_at(trace, beat_indices)
+    flow_phase, volume_phase = phases(*label_events(beat_indices, trace))
 
     scg = np.zeros(n)
     ecg = np.zeros(n)

@@ -12,10 +12,14 @@ from cardioseis.synth import SynthConfig, default_morphologies, gen_recording
 DATA_DIR = Path(__file__).parent / "data"
 
 
+# the template length of run_synth_analysis, at the synth default rate
+TEMPLATE_LENGTH = len(default_morphologies(SynthConfig().fs)[0])
+
+
 def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True, coupling_strength=1.0):
     """Generate a recording and run the in-memory analysis chain on it.
 
-    Returns (comparison, detected events, ground truth, conditioned scg).
+    Returns (comparison, detected refs, ground truth, conditioned scg).
     """
     cfg = SynthConfig(coupling=coupling, seed=seed, snr_db=snr_db,
                       coupling_strength=coupling_strength)
@@ -24,18 +28,15 @@ def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True, coupling_streng
     length = len(default_morphologies(cfg.fs)[0])
     first = truth.beat_indices[0]
     tpl = template_from_channel(scg, (first - length // 2) / cfg.fs, length / cfg.fs)
-    events = detect_events(scg, tpl)
-    trace = integrate_flow(rec["flow"])
-    labeled = label_events(events, trace)
-    if screen:
-        labeled, _ = screen_outliers(labeled, scg.samples)
-    comparison = compare_criteria(labeled, scg.samples)
-    return comparison, events, truth, scg
+    refs = detect_events(scg, tpl)
+    kept = screen_outliers(refs, scg.samples, length)[0] if screen else refs
+    comparison = compare_criteria(kept, *label_events(kept, integrate_flow(rec["flow"])),
+                                  scg.samples, length)
+    return comparison, refs, truth, scg
 
 
-def detection_scores(events, truth, tol=2):
+def detection_scores(refs, truth, tol=2):
     """(recall, precision, max_ref_error) of detections vs ground truth."""
-    refs = np.array([ev.ref_index for ev in events])
     beats = np.array(truth.beat_indices)
     if refs.size == 0:
         return 0.0, 0.0, np.inf

@@ -75,15 +75,15 @@ def test_criterion_2_headline_finding_100_seeds():
 def test_criterion_3_detection_accuracy():
     with criterion(3, "detection recall/precision and graceful degradation"):
         for seed in range(5):
-            _, events, truth, _ = run_synth_analysis(Coupling.VOLUME, seed + 200)
-            recall, precision, max_err = detection_scores(events, truth, tol=2)
+            _, refs, truth, _ = run_synth_analysis(Coupling.VOLUME, seed + 200)
+            recall, precision, max_err = detection_scores(refs, truth, tol=2)
             assert recall >= 0.99, (seed, recall)
             assert precision >= 0.99, (seed, precision)
             assert max_err <= 2
         for seed in range(5):
-            _, events, truth, _ = run_synth_analysis(Coupling.VOLUME, seed + 300,
-                                                     snr_db=10.0)
-            recall, _, _ = detection_scores(events, truth, tol=2)
+            _, refs, truth, _ = run_synth_analysis(Coupling.VOLUME, seed + 300,
+                                                   snr_db=10.0)
+            recall, _, _ = detection_scores(refs, truth, tol=2)
             assert recall >= 0.9, (seed, recall)
 
 

@@ -1,11 +1,10 @@
 """Batched alignment against the per-event loop it replaced, as properties.
 
-`loop_best_lag` and `loop_align_events` are the one-event-at-a-time
-implementations that `signal_core.best_lag` and `grouping.align_events`
-replaced; they are kept here as the oracle for the batched kernels.
+`loop_best_lag` and `loop_align` are the one-event-at-a-time
+implementations that `signal_core.best_lag` and `grouping.align` replaced;
+they are kept here as the oracle for the batched kernels.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -15,13 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cardioseis.errors import DegenerateAnalysisError, InputError
-from cardioseis.event_detection import ScgEvent
-from cardioseis.grouping import align_events, compare_criteria
+from cardioseis.event_detection import cut_windows
+from cardioseis.grouping import align, compare_criteria
 from cardioseis.respiration import integrate_flow, label_events
 from cardioseis.signal_core import _pick_columns, best_lag, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
-from conftest import run_synth_analysis
+from conftest import TEMPLATE_LENGTH, run_synth_analysis
 
 PROPERTY = settings(max_examples=300, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -84,16 +83,17 @@ def _loop_shift(samples, ref, window, shift, lag):
     return ref, samples[start:start + length].copy(), shift + lag
 
 
-def loop_align_events(events, samples, max_shift):
+def loop_align(refs, samples, length, max_shift):
     """The per-event two-pass alignment: one best_lag call per event.
 
     Returns one (ref, window, cumulative shift) per event with a
     non-constant window."""
-    usable = [ev for ev in events if np.ptp(ev.window) > 0]
-    reference = max(usable, key=lambda ev: rms(ev.window))
-    aligned = [_loop_shift(samples, ev.ref_index, ev.window, 0,
-                           loop_lag_or_zero(reference.window, ev.window, max_shift))
-               for ev in usable]
+    events = [(ref, samples[ref - length // 2:][:length].copy()) for ref in refs]
+    usable = [(ref, window) for ref, window in events if np.ptp(window) > 0]
+    reference = max((window for _, window in usable), key=rms)
+    aligned = [_loop_shift(samples, ref, window, 0,
+                           loop_lag_or_zero(reference, window, max_shift))
+               for ref, window in usable]
     avg = np.mean(np.stack([window for _, window, _ in aligned]), axis=0)
     if np.ptp(avg) > 0:
         aligned = [_loop_shift(samples, ref, window, shift,
@@ -102,10 +102,11 @@ def loop_align_events(events, samples, max_shift):
     return aligned
 
 
-def refs_and_shifts(events, samples, max_shift):
-    """align_events' (aligned ref, shift) per kept event, and its windows."""
-    kept, refs, windows = align_events(events, samples, max_shift)
-    return list(zip(refs.tolist(), (refs - [ev.ref_index for ev in kept]).tolist())), windows
+def refs_and_shifts(refs, samples, length, max_shift):
+    """align's (aligned ref, shift) per kept event, and its windows."""
+    kept = refs[np.ptp(cut_windows(samples, refs, length), axis=1) > 0]
+    aligned, windows = align(refs, samples, length, max_shift)
+    return list(zip(aligned.tolist(), (aligned - kept).tolist())), windows
 
 
 # integer values make exact ties between lags common
@@ -252,9 +253,8 @@ class TestAlignEventsProperties:
         x = np.zeros(centers[-1] + 400)
         for c in centers:
             x[c - 24:c + 24] += burst
-        events = [ScgEvent(c + j, x[c + j - 40:c + j + 40].copy())
-                  for c, j in zip(centers, jitters)]
-        aligned, windows = refs_and_shifts(events, x, 8)
+        refs = np.array([c + j for c, j in zip(centers, jitters)])
+        aligned, windows = refs_and_shifts(refs, x, 80, 8)
         offsets = {ref - c for (ref, _), c in zip(aligned, centers)}
         assert len(offsets) == 1
         (offset,) = offsets
@@ -266,10 +266,10 @@ class TestAlignEventsProperties:
                                                (Coupling.FLOW, 42),
                                                (Coupling.NONE, 43)])
     def test_matches_loop_on_synthetic_groups(self, coupling, seed):
-        _, events, _, scg = run_synth_analysis(coupling, seed=seed, screen=False)
+        _, refs, _, scg = run_synth_analysis(coupling, seed=seed, screen=False)
         for max_shift in (0, 5, 20, 100):
-            got, windows = refs_and_shifts(events, scg.samples, max_shift)
-            want = loop_align_events(events, scg.samples, max_shift)
+            got, windows = refs_and_shifts(refs, scg.samples, TEMPLATE_LENGTH, max_shift)
+            want = loop_align(refs, scg.samples, TEMPLATE_LENGTH, max_shift)
             assert got == [(ref, shift) for ref, _, shift in want]
             assert all(np.array_equal(a, b) for a, (_, b, _) in zip(windows, want))
 
@@ -280,9 +280,9 @@ class TestAlignEventsProperties:
         x = np.zeros(880)
         for c in centers:
             x[c - 24:c + 24] += BURST[:48]
-        events = [ScgEvent(ref, x[ref - 40:ref + 40].copy()) for ref in (40, 440, 840)]
-        got, windows = refs_and_shifts(events, x, 8)
-        want = loop_align_events(events, x, 8)
+        refs = np.array([40, 440, 840])
+        got, windows = refs_and_shifts(refs, x, 80, 8)
+        want = loop_align(refs, x, 80, 8)
         assert got == [(ref, shift) for ref, _, shift in want]
         assert (got[0][0], got[-1][0]) == (40, 840)
         for (ref, _), window in zip(got, windows):
@@ -291,21 +291,21 @@ class TestAlignEventsProperties:
 
 @lru_cache(maxsize=None)
 def _labeled_volume_events():
-    _, events, _, scg = run_synth_analysis(Coupling.VOLUME, seed=44, screen=False)
+    """Detected refs, their label masks and the conditioned SCG samples."""
+    _, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=44, screen=False)
     rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=44))[0]
-    return label_events(events, integrate_flow(rec["flow"])), scg.samples
+    return refs, label_events(refs, integrate_flow(rec["flow"])), scg.samples
 
 
 class TestScaleInvariance:
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from([1e-3, 0.37, 3.0, 1e4]) | st.floats(0.01, 100.0))
     def test_lags_and_rds_unchanged_by_scale(self, k):
-        events, samples = _labeled_volume_events()
-        scaled = [replace(ev, window=k * ev.window) for ev in events]
-        assert refs_and_shifts(scaled, k * samples, 20)[0] == \
-            refs_and_shifts(events, samples, 20)[0]
-        base = compare_criteria(events, samples)
-        other = compare_criteria(scaled, k * samples)
+        refs, labels, samples = _labeled_volume_events()
+        assert refs_and_shifts(refs, k * samples, TEMPLATE_LENGTH, 20)[0] == \
+            refs_and_shifts(refs, samples, TEMPLATE_LENGTH, 20)[0]
+        base = compare_criteria(refs, *labels, samples, TEMPLATE_LENGTH)
+        other = compare_criteria(refs, *labels, k * samples, TEMPLATE_LENGTH)
         for a, b in zip(base.groups, other.groups):
             assert b.n == a.n
             assert b.rd == pytest.approx(a.rd, rel=1e-9)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioseis.errors import DegenerateAnalysisError, InputError
-from cardioseis.event_detection import (Template, build_matched_filter,
+from cardioseis.event_detection import (Template, build_matched_filter, cut_windows,
                                         detect_events, matched_filter_output,
                                         template_from_channel)
 from cardioseis.signal_core import Channel, lowpass, rms
@@ -103,16 +103,16 @@ class TestDetectEvents:
     def test_three_planted_events(self):
         offsets = [500, 1200, 2500]
         ch = self._planted_channel(offsets)
-        events = detect_events(ch, make_template(BURST))
-        assert len(events) == 3
+        refs = detect_events(ch, make_template(BURST))
+        assert len(refs) == 3
         expected = [p + len(BURST) // 2 for p in offsets]
-        for ev, want in zip(events, expected):
-            assert abs(ev.ref_index - want) <= 2
-            assert len(ev.window) == len(BURST)
+        for ref, want in zip(refs, expected):
+            assert abs(ref - want) <= 2
+        assert cut_windows(ch.samples, refs, len(BURST)).shape == (3, len(BURST))
 
     def test_all_zero_signal(self):
         ch = Channel(np.zeros(2000), 320.0)
-        assert detect_events(ch, make_template(BURST)) == []
+        assert detect_events(ch, make_template(BURST)).tolist() == []
 
     def test_collision_keeps_larger_peak(self):
         n = 3000
@@ -120,32 +120,31 @@ class TestDetectEvents:
         x[1000:1000 + len(BURST)] += 1.0 * BURST
         x[1050:1050 + len(BURST)] += 0.6 * BURST  # closer than 0.4 s = 128 samples
         ch = Channel(x, 320.0)
-        events = detect_events(ch, make_template(BURST), min_separation_s=0.4)
-        assert len(events) == 1
-        assert abs(events[0].ref_index - (1000 + len(BURST) // 2)) <= 2
+        refs = detect_events(ch, make_template(BURST), min_separation_s=0.4)
+        assert len(refs) == 1
+        assert abs(refs[0] - (1000 + len(BURST) // 2)) <= 2
 
     def test_amplitude_scale_invariance(self):
         ch = self._planted_channel([400, 1300, 2200], seed=3)
         tpl = make_template(BURST)
-        refs = [ev.ref_index for ev in detect_events(ch, tpl)]
+        refs = detect_events(ch, tpl).tolist()
         scaled = Channel(7.5 * ch.samples, 320.0)
-        assert [ev.ref_index for ev in detect_events(scaled, tpl)] == refs
+        assert detect_events(scaled, tpl).tolist() == refs
 
     @settings(max_examples=60, deadline=None)
     @given(coupling=st.sampled_from(list(Coupling)), seed=st.integers(0, 7),
            k=st.sampled_from([1e-3, 1e4]) | st.floats(1e-3, 1e4))
     def test_amplitude_scale_invariance_property(self, coupling, seed, k):
         scg, tpl = synth_scg(coupling, seed)
-        refs = [ev.ref_index for ev in detect_events(scg, tpl)]
+        refs = detect_events(scg, tpl).tolist()
         assert refs
         scaled = Channel(k * scg.samples, scg.fs)
-        assert [ev.ref_index for ev in detect_events(scaled, tpl)] == refs
+        assert detect_events(scaled, tpl).tolist() == refs
 
     def test_pairwise_separation(self, rng):
         offsets = sorted(rng.choice(np.arange(200, 3600, 200), size=8, replace=False))
         ch = self._planted_channel(list(offsets), seed=5)
-        events = detect_events(ch, make_template(BURST), min_separation_s=0.4)
-        refs = [ev.ref_index for ev in events]
+        refs = detect_events(ch, make_template(BURST), min_separation_s=0.4).tolist()
         assert all(b - a >= 0.4 * 320 for a, b in zip(refs, refs[1:]))
 
     def test_degenerate_template(self):
@@ -156,15 +155,15 @@ class TestDetectEvents:
         x = np.zeros(300)
         x[0:len(BURST)] += BURST  # too close to the start for a centered window
         ch = Channel(x, 320.0)
-        events = detect_events(ch, make_template(BURST))
-        assert all(ev.ref_index - len(BURST) // 2 >= 0 for ev in events)
+        refs = detect_events(ch, make_template(BURST))
+        assert all(ref - len(BURST) // 2 >= 0 for ref in refs)
 
 
 class TestSyntheticAccuracy:
     def test_detection_recall_precision(self):
         from conftest import run_synth_analysis
-        _, events, truth, _ = run_synth_analysis(Coupling.VOLUME, seed=11)
-        recall, precision, max_err = detection_scores(events, truth, tol=2)
+        _, refs, truth, _ = run_synth_analysis(Coupling.VOLUME, seed=11)
+        recall, precision, max_err = detection_scores(refs, truth, tol=2)
         assert recall >= 0.99
         assert precision >= 0.99
         assert max_err <= 2

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+import logging
 from functools import lru_cache
 from pathlib import Path
 
@@ -9,23 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioseis.errors import DegenerateAnalysisError, InputError
-from cardioseis.event_detection import ScgEvent
-from cardioseis.grouping import (RD_TIE_TOLERANCE, align_events, compare_criteria,
+from cardioseis.event_detection import cut_windows
+from cardioseis.grouping import (RD_TIE_TOLERANCE, align, compare_criteria,
                                  ensemble_average, evaluate_criterion,
                                  mean_dissimilarity, normalized_dissim,
                                  relative_difference, Criterion, Winner)
-from cardioseis.respiration import FlowPhase, VolumePhase, integrate_flow, label_events
+from cardioseis.respiration import integrate_flow, label_events
 from cardioseis.signal_core import Channel
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
-from conftest import DATA_DIR, run_synth_analysis
+from conftest import DATA_DIR, TEMPLATE_LENGTH, run_synth_analysis
 
 BURST = np.sin(2 * np.pi * 20 * np.arange(80) / 320) * np.exp(-np.arange(80) / 16)
 
 
-def event_at(ch, ref, length=80, **labels):
-    window = ch.samples[ref - length // 2: ref - length // 2 + length].copy()
-    return ScgEvent(ref_index=ref, window=window, **labels)
+def window_at(ch, ref, length=80):
+    return ch.samples[ref - length // 2: ref - length // 2 + length].copy()
 
 
 def planted_channel(offsets, length=80):
@@ -38,21 +37,17 @@ def planted_channel(offsets, length=80):
 
 @lru_cache(maxsize=None)
 def labeled_synth_events(coupling, seed):
-    """Detected, labeled, unscreened events of one synthetic recording, and
-    the conditioned SCG samples they were cut from."""
-    _, events, _, scg = run_synth_analysis(coupling, seed=seed, screen=False)
+    """Detected, unscreened refs of one synthetic recording, their
+    (inspiring, high_volume) label masks, and the conditioned SCG samples
+    they index."""
+    _, refs, _, scg = run_synth_analysis(coupling, seed=seed, screen=False)
     rec = gen_recording(SynthConfig(coupling=coupling, seed=seed))[0]
-    return tuple(label_events(events, integrate_flow(rec["flow"]))), scg.samples
+    return refs, label_events(refs, integrate_flow(rec["flow"])), scg.samples
 
 
-def shifts(kept, refs):
+def shifts(refs, aligned):
     """Each aligned ref index minus the event's detected one."""
-    return (refs - [ev.ref_index for ev in kept]).tolist()
-
-
-OTHER_LABEL = {FlowPhase.INSPIRATION: FlowPhase.EXPIRATION,
-               FlowPhase.EXPIRATION: FlowPhase.INSPIRATION,
-               VolumePhase.LLV: VolumePhase.HLV, VolumePhase.HLV: VolumePhase.LLV}
+    return (aligned - refs).tolist()
 
 
 def pair_winner(rd_flow, rd_volume):
@@ -65,18 +60,18 @@ def pair_winner(rd_flow, rd_volume):
 class TestAlignEvents:
     def test_identical_events_zero_shift(self):
         ch = planted_channel([200, 600, 1000])
-        events = [event_at(ch, p + 40) for p in (200, 600, 1000)]
-        kept, refs, _ = align_events(events, ch.samples, 10)
-        assert shifts(kept, refs) == [0, 0, 0]
+        refs = np.array([p + 40 for p in (200, 600, 1000)])
+        aligned, _ = align(refs, ch.samples, 80, 10)
+        assert shifts(refs, aligned) == [0, 0, 0]
 
     def test_known_jitter_recovered(self):
         ch = planted_channel([200, 600, 1000, 1400])
         jitters = [0, 3, -4, 2]
-        events = [event_at(ch, p + 40 + j) for p, j in zip((200, 600, 1000, 1400), jitters)]
-        kept, refs, _ = align_events(events, ch.samples, 8)
+        refs = np.array([p + 40 + j for p, j in zip((200, 600, 1000, 1400), jitters)])
+        aligned, _ = align(refs, ch.samples, 80, 8)
         # after alignment every ref lands back on the true beat center
-        assert [ref - p - 40 for ref, p in zip(refs, (200, 600, 1000, 1400))] == [0] * 4
-        assert shifts(kept, refs) == [-j for j in jitters]
+        assert [ref - p - 40 for ref, p in zip(aligned, (200, 600, 1000, 1400))] == [0] * 4
+        assert shifts(refs, aligned) == [-j for j in jitters]
 
     @pytest.mark.xfail(strict=True, reason="a limit of the method: when the burst fills "
                        "its window, jittered windows cut it and the mean subtraction moves "
@@ -85,37 +80,45 @@ class TestAlignEvents:
         offsets = (200, 600, 1000)
         ch = planted_channel(offsets)
         jitters = [0, 4, 4]
-        events = [event_at(ch, p + 40 + j) for p, j in zip(offsets, jitters)]
-        kept, refs, _ = align_events(events, ch.samples, 8)
-        assert [ref - p - 40 for ref, p in zip(refs, offsets)] == [0] * 3
-        assert shifts(kept, refs) == [-j for j in jitters]
+        refs = np.array([p + 40 + j for p, j in zip(offsets, jitters)])
+        aligned, _ = align(refs, ch.samples, 80, 8)
+        assert [ref - p - 40 for ref, p in zip(aligned, offsets)] == [0] * 3
+        assert shifts(refs, aligned) == [-j for j in jitters]
 
     def test_single_event_unchanged(self):
         ch = planted_channel([300])
-        ev = event_at(ch, 340)
-        kept, refs, windows = align_events([ev], ch.samples, 10)
-        assert shifts(kept, refs) == [0]
-        assert np.array_equal(windows[0], ev.window)
+        refs = np.array([340])
+        aligned, windows = align(refs, ch.samples, 80, 10)
+        assert shifts(refs, aligned) == [0]
+        assert np.array_equal(windows[0], window_at(ch, 340))
 
     def test_constant_window_dropped(self):
         ch = planted_channel([300, 700])
-        flat = ScgEvent(ref_index=500, window=np.zeros(80))
-        kept, _, _ = align_events([event_at(ch, 340), flat, event_at(ch, 740)], ch.samples, 8)
-        assert len(kept) == 2
+        # the window around 500 lies between the two bursts: all zeros
+        assert np.ptp(window_at(ch, 500)) == 0
+        aligned, _ = align(np.array([340, 500, 740]), ch.samples, 80, 8)
+        assert len(aligned) == 2
 
     def test_empty_errors(self):
         with pytest.raises(DegenerateAnalysisError):
-            align_events([], np.zeros(80), 8)
+            align(np.array([], dtype=int), np.zeros(80), 80, 8)
+
+    def test_cut_windows(self):
+        ch = planted_channel([300, 700])
+        windows = cut_windows(ch.samples, np.array([340, 500, 740]), 80)
+        assert windows.shape == (3, 80)
+        for window, ref in zip(windows, (340, 500, 740)):
+            assert np.array_equal(window, window_at(ch, ref))
 
 
 class TestEnsembleAverage:
     def test_identical_windows_exact(self):
-        window = event_at(planted_channel([300]), 340).window
+        window = window_at(planted_channel([300]), 340)
         avg = ensemble_average(np.stack([window] * 5))
         assert np.array_equal(avg, window)
 
     def test_cancellation(self):
-        window = event_at(planted_channel([300]), 340).window
+        window = window_at(planted_channel([300]), 340)
         assert np.allclose(ensemble_average([window, -window]), 0.0)
 
     def test_matches_brute_force_mean(self, rng):
@@ -228,40 +231,46 @@ class TestCriteria:
 
     def test_degenerate_split_named(self):
         ch = planted_channel([300, 700])
-        events = [event_at(ch, 340, flow_phase=FlowPhase.INSPIRATION,
-                           volume_phase=VolumePhase.LLV),
-                  event_at(ch, 740, flow_phase=FlowPhase.INSPIRATION,
-                           volume_phase=VolumePhase.LLV)]
+        # both events inspiring: the Expiration group is empty
         with pytest.raises(DegenerateAnalysisError, match="degenerate split.*FlowRate"):
-            evaluate_criterion(events, Criterion.FLOW_RATE, ch.samples)
+            evaluate_criterion(np.array([340, 740]), np.array([True, True]),
+                               Criterion.FLOW_RATE, ch.samples, 80)
+
+    def test_constant_window_warns_and_yields_stats(self, caplog):
+        x = np.zeros(1900)
+        for p, k in zip((300, 700, 1100, 1500), (1.0, 1.2, 0.8, 1.5)):
+            x[p:p + 80] += k * BURST
+        ch = Channel(x, 320.0)
+        # the window around 1300 lies between two bursts: all zeros
+        refs = np.array([340, 740, 1140, 1300, 1540])
+        first = np.array([True, True, False, False, False])
+        with caplog.at_level(logging.WARNING, logger="cardioseis.grouping"):
+            first_stats, second_stats = evaluate_criterion(refs, first, Criterion.FLOW_RATE,
+                                                           ch.samples, 80)
+        assert [r.getMessage() for r in caplog.records] == [
+            "group: dropped 1 constant-window event(s) before alignment"]
+        assert (first_stats.n, second_stats.n) == (2, 2)
+        assert first_stats.group_id == "Inspiration"
 
     def test_amplitude_invariance_of_stats(self):
-        cmp, events, _, scg = run_synth_analysis(Coupling.VOLUME, seed=34, screen=False)
+        cmp, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=34, screen=False)
         rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=34))[0]
-        labeled = label_events(events, integrate_flow(rec["flow"]))
-        base = compare_criteria(labeled, scg.samples)
-        scaled_events = [ScgEvent(ev.ref_index, 3.0 * ev.window,
-                                  flow_phase=ev.flow_phase, volume_phase=ev.volume_phase)
-                         for ev in labeled]
-        scaled = compare_criteria(scaled_events, 3.0 * scg.samples)
+        labels = label_events(refs, integrate_flow(rec["flow"]))
+        base = compare_criteria(refs, *labels, scg.samples, TEMPLATE_LENGTH)
+        scaled = compare_criteria(refs, *labels, 3.0 * scg.samples, TEMPLATE_LENGTH)
         for a, b in zip(base.groups, scaled.groups):
             assert b.mean_dissim_same == pytest.approx(a.mean_dissim_same, rel=1e-9)
             assert b.mean_dissim_alt == pytest.approx(a.mean_dissim_alt, rel=1e-9)
             assert b.rd == pytest.approx(a.rd, rel=1e-9)
 
     def test_label_permutation_symmetry(self):
-        _, events, _, scg = run_synth_analysis(Coupling.VOLUME, seed=35, screen=False)
+        _, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=35, screen=False)
         rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=35))[0]
-        labeled = label_events(events, integrate_flow(rec["flow"]))
-        def flipped(ev):
-            return ScgEvent(ev.ref_index, ev.window,
-                            flow_phase=(FlowPhase.EXPIRATION
-                                        if ev.flow_phase is FlowPhase.INSPIRATION
-                                        else FlowPhase.INSPIRATION),
-                            volume_phase=ev.volume_phase)
-        insp, exp = evaluate_criterion(labeled, Criterion.FLOW_RATE, scg.samples)
-        insp_f, exp_f = evaluate_criterion([flipped(ev) for ev in labeled], Criterion.FLOW_RATE,
-                                           scg.samples)
+        inspiring, _ = label_events(refs, integrate_flow(rec["flow"]))
+        insp, exp = evaluate_criterion(refs, inspiring, Criterion.FLOW_RATE, scg.samples,
+                                       TEMPLATE_LENGTH)
+        insp_f, exp_f = evaluate_criterion(refs, ~inspiring, Criterion.FLOW_RATE, scg.samples,
+                                           TEMPLATE_LENGTH)
         assert insp_f.n == exp.n and exp_f.n == insp.n
         assert insp_f.mean_dissim_same == pytest.approx(exp.mean_dissim_same, rel=1e-9)
         assert exp_f.rd == pytest.approx(insp.rd, rel=1e-9)
@@ -273,15 +282,11 @@ class TestCriteria:
         """Swapping every event's flow label swaps the Inspiration and
         Expiration stats; swapping its volume label swaps LLV and HLV; the
         pair winners follow the swapped RDs, and swapping both mirrors them."""
-        events, samples = labeled_synth_events(coupling, seed)
+        refs, (inspiring, high_volume), samples = labeled_synth_events(coupling, seed)
         swap_flow, swap_volume = swap in ("flow", "both"), swap in ("volume", "both")
-        swapped = [replace(ev,
-                           flow_phase=OTHER_LABEL[ev.flow_phase] if swap_flow else ev.flow_phase,
-                           volume_phase=(OTHER_LABEL[ev.volume_phase] if swap_volume
-                                         else ev.volume_phase))
-                   for ev in events]
-        base = compare_criteria(list(events), samples)
-        mirrored = compare_criteria(swapped, samples)
+        base = compare_criteria(refs, inspiring, high_volume, samples, TEMPLATE_LENGTH)
+        mirrored = compare_criteria(refs, inspiring ^ swap_flow, high_volume ^ swap_volume,
+                                    samples, TEMPLATE_LENGTH)
         insp, exp = (base.expiration, base.inspiration) if swap_flow else (base.inspiration,
                                                                           base.expiration)
         llv, hlv = (base.hlv, base.llv) if swap_volume else (base.llv, base.hlv)

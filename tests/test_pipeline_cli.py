@@ -61,6 +61,16 @@ class TestIngest:
         with pytest.raises(InputError, match="missing channel: flow"):
             ingest_csv(p, PipelineConfig())
 
+    def test_repeated_column_rejected_before_parse(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        # the data row would not parse: only the header can be the reason
+        p.write_text("time_s,scg_z,scg_z,flow_lps\n0,abc,0,0\n")
+        with pytest.raises(InputError, match="header names scg_z 2 times"):
+            ingest_csv(p, PipelineConfig())
+        res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "header names scg_z 2 times" in res.output
+
     def test_non_uniform_timestamps(self, tmp_path):
         p = tmp_path / "bad.csv"
         rows = ["time_s,scg_z,ecg,flow_lps"]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cardioseis.errors import InputError
-from cardioseis.event_detection import ScgEvent
-from cardioseis.respiration import FlowPhase, VolumePhase, integrate_flow, label_events
+from cardioseis.respiration import FlowPhase, VolumePhase, integrate_flow, label_events, phases
 from cardioseis.signal_core import Channel, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
@@ -70,8 +69,8 @@ class TestIntegrateFlow:
 
 def labels_at(trace, index):
     """(flow phase, volume phase) that label_events gives an event at index."""
-    (ev,) = label_events([ScgEvent(ref_index=index, window=np.zeros(8))], trace)
-    return ev.flow_phase, ev.volume_phase
+    ((flow,), (volume,)) = phases(*label_events([index], trace))
+    return flow, volume
 
 
 class TestPhaseLabels:
@@ -99,9 +98,8 @@ class TestPhaseLabels:
             labels_at(self.trace(), index)
 
     def test_out_of_range_among_valid_refs(self):
-        events = [ScgEvent(ref_index=i, window=np.zeros(8)) for i in (0, 3, 7, 2)]
         with pytest.raises(InputError, match=r"index 7 out of range"):
-            label_events(events, self.trace())
+            label_events(np.array([0, 3, 7, 2]), self.trace())
 
     def test_volume_below_mean_is_llv(self):
         trace = integrate_flow(sine_flow(), detrend=False)
@@ -123,11 +121,10 @@ class TestPhaseLabels:
         n = len(trace.flow)
         period = fs / freq
         indices = range(1, n - 1)
-        labeled = label_events([ScgEvent(ref_index=i, window=np.zeros(8)) for i in indices],
-                               trace)
-        for i, ev in zip(indices, labeled):
+        flow, _ = phases(*label_events(np.array(indices), trace))
+        for i, phase in zip(indices, flow):
             expect_insp = (i % period) < period / 2
-            got = ev.flow_phase is FlowPhase.INSPIRATION
+            got = phase is FlowPhase.INSPIRATION
             if min(i % (period / 2), period / 2 - i % (period / 2)) > 1:
                 assert got == expect_insp
 
@@ -138,42 +135,45 @@ class TestLabelEvents:
         flow = sine_flow(1.0, 0.25, fs, 20.0)
         trace = integrate_flow(flow, detrend=False)
         # early in the first breath: inhaling, volume still below mean
-        ev = ScgEvent(ref_index=100, window=np.zeros(8))
-        labeled = label_events([ev], trace)
-        assert labeled[0].flow_phase is FlowPhase.INSPIRATION
-        assert labeled[0].volume_phase is VolumePhase.LLV
+        inspiring, high_volume = label_events(np.array([100]), trace)
+        flow, volume = phases(inspiring, high_volume)
+        assert inspiring.tolist() == [True] and high_volume.tolist() == [False]
+        assert flow[0] is FlowPhase.INSPIRATION
+        assert volume[0] is VolumePhase.LLV
 
     def test_empty_list(self):
         trace = integrate_flow(sine_flow())
-        assert label_events([], trace) == []
+        inspiring, high_volume = label_events(np.array([], dtype=int), trace)
+        assert inspiring.tolist() == [] and high_volume.tolist() == []
+        assert phases(inspiring, high_volume) == ([], [])
 
     def test_partition_property(self):
         from conftest import run_synth_analysis
-        _, events, _, scg = run_synth_analysis(Coupling.VOLUME, seed=21, screen=False)
+        _, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=21, screen=False)
         cfg = SynthConfig(coupling=Coupling.VOLUME, seed=21)
         rec, _ = gen_recording(cfg)
-        labeled = label_events(events, integrate_flow(rec["flow"]))
-        insp = sum(ev.flow_phase is FlowPhase.INSPIRATION for ev in labeled)
-        exp = sum(ev.flow_phase is FlowPhase.EXPIRATION for ev in labeled)
-        llv = sum(ev.volume_phase is VolumePhase.LLV for ev in labeled)
-        hlv = sum(ev.volume_phase is VolumePhase.HLV for ev in labeled)
-        assert insp + exp == len(labeled)
-        assert llv + hlv == len(labeled)
+        flow, volume = phases(*label_events(refs, integrate_flow(rec["flow"])))
+        insp = sum(phase is FlowPhase.INSPIRATION for phase in flow)
+        exp = sum(phase is FlowPhase.EXPIRATION for phase in flow)
+        llv = sum(phase is VolumePhase.LLV for phase in volume)
+        hlv = sum(phase is VolumePhase.HLV for phase in volume)
+        assert insp + exp == len(refs)
+        assert llv + hlv == len(refs)
 
     def test_labels_match_ground_truth(self):
         from conftest import run_synth_analysis
-        _, events, truth, _ = run_synth_analysis(Coupling.VOLUME, seed=22, screen=False)
+        _, refs, truth, _ = run_synth_analysis(Coupling.VOLUME, seed=22, screen=False)
         cfg = SynthConfig(coupling=Coupling.VOLUME, seed=22)
         rec, _ = gen_recording(cfg)
-        labeled = label_events(events, integrate_flow(rec["flow"]))
+        flow, volume = phases(*label_events(refs, integrate_flow(rec["flow"])))
         beats = np.array(truth.beat_indices)
         ok = total = 0
-        for ev in labeled:
-            k = int(np.argmin(np.abs(beats - ev.ref_index)))
-            if abs(beats[k] - ev.ref_index) > 2:
+        for ref, flow_phase, volume_phase in zip(refs, flow, volume):
+            k = int(np.argmin(np.abs(beats - ref)))
+            if abs(beats[k] - ref) > 2:
                 continue
             total += 1
-            ok += (ev.flow_phase is truth.flow_phase[k]
-                   and ev.volume_phase is truth.volume_phase[k])
+            ok += (flow_phase is truth.flow_phase[k]
+                   and volume_phase is truth.volume_phase[k])
         assert total > 0
         assert ok / total >= 0.99

@@ -59,6 +59,16 @@ class TestLowpass:
         with pytest.raises(InputError, match="Nyquist"):
             lowpass(Channel(np.ones(100), 320.0), 200.0)
 
+    @pytest.mark.parametrize("cutoff", [-5.0, 0.0])
+    def test_cutoff_below_band_names_the_range(self, cutoff):
+        with pytest.raises(InputError, match=r"outside \(0, fs/2\) = \(0, 160\) Hz"):
+            lowpass(Channel(np.ones(100), 320.0), cutoff)
+
+    @pytest.mark.parametrize("cutoff", [160.0, 200.0])
+    def test_cutoff_above_band_names_the_range(self, cutoff):
+        with pytest.raises(InputError, match=r"outside \(0, fs/2\) = \(0, 160\) Hz"):
+            lowpass(Channel(np.ones(100), 320.0), cutoff)
+
     def test_linearity(self, rng):
         x = Channel(rng.normal(size=800), 320.0)
         y = Channel(rng.normal(size=800), 320.0)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from cardioseis.errors import InputError
-from cardioseis.event_detection import ScgEvent
-from cardioseis.respiration import integrate_flow, label_events
+from cardioseis.respiration import integrate_flow, label_events, phases
 from cardioseis.signal_core import rms
 from cardioseis.synth import (Coupling, SynthConfig, default_morphologies,
                               gen_recording, gen_respiration)
@@ -85,11 +84,10 @@ class TestGenRecording:
         rec, truth = gen_recording(cfg)
         trace = integrate_flow(rec["flow"], detrend=True)
         agree = 0
-        labeled = label_events([ScgEvent(ref_index=b, window=np.zeros(8))
-                                for b in truth.beat_indices], trace)
-        for i, ev in enumerate(labeled):
-            agree += (ev.flow_phase is truth.flow_phase[i]
-                      and ev.volume_phase is truth.volume_phase[i])
+        flow, volume = phases(*label_events(truth.beat_indices, trace))
+        for i, (flow_phase, volume_phase) in enumerate(zip(flow, volume)):
+            agree += (flow_phase is truth.flow_phase[i]
+                      and volume_phase is truth.volume_phase[i])
         assert agree / len(truth.beat_indices) >= 0.99
 
     def test_ground_truth_round_trip(self, tmp_path):
