@@ -15,7 +15,7 @@ import click
 from .config import PipelineConfig, load_config, parse_config
 from .errors import DegenerateAnalysisError, InputError
 from .ingest import write_recording_csv
-from .pipeline import StageError, run_pipeline
+from .pipeline import StageError, make_out_dir, run_pipeline
 from .report import check_report
 from .synth import DEFAULT_MORPH_LENGTH_S, Coupling, SynthConfig, gen_recording
 
@@ -90,7 +90,7 @@ def synth(seed, coupling, out_dir, duration, fs, snr_db, coupling_strength):
             raise InputError(f"--out {out_dir!r}: the input line of pipeline.cfg would not "
                              f"read back as {csv_path} (it must hold no comma, no '#' after "
                              "whitespace, and no whitespace at either end)")
-        out.mkdir(parents=True, exist_ok=True)
+        make_out_dir(out, "--out")
         write_recording_csv(rec, csv_path)
         truth.to_json(out / f"{rec.recording_id}_truth.json")
         cfg_path.write_text(run_config)

@@ -8,22 +8,29 @@ but is not kept.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import re
+import shutil
+import sys
+import tempfile
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
+from . import csvrows
 from .config import PipelineConfig
 from .errors import InputError
 from .signal_core import Channel, Recording
 
 COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
-CSV_BLOCK_ROWS = 65536     # rows formatted per write; bounds the writer's memory
-_CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS)
-_CSV_ROW = "%.9g,%.9g,%.9g,%.9g\r\n"
+# rows formatted per write, which bounds the writer's memory; the writer's
+# slices, one per usable core, start at multiples of it
+CSV_BLOCK_ROWS = 65536
+_CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
 
 
 def ingest_csv(path, config: PipelineConfig) -> Recording:
@@ -102,19 +109,72 @@ def write_recording_csv(rec: Recording, path):
     """Write a recording in the ingestible CSV format (%.9g precision),
     with the COLUMNS names and an ecg column after scg_z.
 
-    The body is formatted CSV_BLOCK_ROWS rows at a time, one %-format per
-    block, into the bytes csv.writer writes row by row.
+    The body is cut at CSV_BLOCK_ROWS edges into one contiguous slice per
+    usable core, at most one per block. This process formats the first
+    slice into the file, CSV_BLOCK_ROWS rows per %-format, while each other
+    slice goes as raw float64 rows to a csvrows worker interpreter, which
+    formats it the same way into an anonymous file in the CSV's directory;
+    those files are then appended in order. The bytes do not depend on the
+    split. A worker that fails raises OSError, and no worker outlives the
+    call.
     """
     scg, ecg, flow = rec["scg"], rec["ecg"], rec["flow"]
     n = len(scg)
     fs = scg.fs
-    with open(path, "w", newline="") as fh:
-        fh.write(_CSV_HEADER)
-        for s in range(0, n, CSV_BLOCK_ROWS):
-            e = min(s + CSV_BLOCK_ROWS, n)
+
+    def blocks(start, stop):
+        for s in range(start, stop, CSV_BLOCK_ROWS):
+            e = min(s + CSV_BLOCK_ROWS, stop)
             block = np.empty((e - s, 4))
             block[:, 0] = np.arange(s, e) / fs  # the same IEEE value as i / fs
             block[:, 1] = scg.samples[s:e]
             block[:, 2] = ecg.samples[s:e]
             block[:, 3] = flow.samples[s:e]
-            fh.write((_CSV_ROW * (e - s)) % tuple(block.ravel().tolist()))
+            yield block
+
+    n_blocks = -(-n // CSV_BLOCK_ROWS)
+    parts = max(1, min(_usable_cores(), n_blocks))
+    edges = [min(n, j * n_blocks // parts * CSV_BLOCK_ROWS) for j in range(parts + 1)]
+    path = Path(path)
+    with contextlib.ExitStack() as stack, open(path, "wb") as fh:
+        fh.write(_CSV_HEADER)
+        workers = []
+        if parts > 1:
+            import subprocess  # here, so that importing the CLI does not pay for it
+            # every worker starts before any is fed, so their start-ups overlap
+            for start, stop in zip(edges[1:], edges[2:]):
+                out = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                proc = subprocess.Popen(
+                    [sys.executable, "-I", "-S", csvrows.__file__,
+                     str(4 * (stop - start)), str(CSV_BLOCK_ROWS)],
+                    stdin=subprocess.PIPE, stdout=out)
+                stack.callback(_reap, proc)
+                workers.append((proc, out, start, stop))
+        for proc, _, start, stop in workers:
+            for block in blocks(start, stop):
+                proc.stdin.write(block)
+            proc.stdin.close()
+        for block in blocks(0, edges[1]):
+            fh.write(csvrows.format_rows(block.ravel().tolist()))
+        for proc, out, _, _ in workers:
+            if proc.wait() != 0:
+                raise OSError(f"{path}: the worker formatting a slice of the rows "
+                              f"exited with status {proc.returncode}")
+            out.seek(0)
+            shutil.copyfileobj(out, fh)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; every core where the platform
+    has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _reap(proc) -> None:
+    """Stop a worker that still runs and wait for it."""
+    proc.kill()  # does nothing once the worker has been waited for
+    proc.wait()
+    with contextlib.suppress(BrokenPipeError):  # rows left in the pipe's buffer
+        proc.stdin.close()

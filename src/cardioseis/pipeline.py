@@ -100,6 +100,16 @@ def _write_artifacts(rec_id: str, cmp, fs: float, out_dir: Path):
     return [avg_csv, ens_svg, rd_svg]
 
 
+def make_out_dir(path: Path, name: str) -> None:
+    """Create the output directory `path` and its parents. A file at the
+    path or above it is an InputError that names the option `name`."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InputError(f"{name} {str(path)!r}: a file stands where the output "
+                         f"directory would go: {exc}") from None
+
+
 def run_pipeline(config: PipelineConfig):
     """Process every configured input file and write reports and plots.
 
@@ -109,7 +119,7 @@ def run_pipeline(config: PipelineConfig):
     if not config.inputs:
         raise InputError("no input files configured")
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out_dir, "out_dir")
     rows, artifacts = [], []
     for path in config.inputs:
         rec = _stage("ingest", ingest_csv, path, config)

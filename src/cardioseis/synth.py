@@ -41,14 +41,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("duration_s", "fs"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.duration_s <= 0:
             raise InputError("duration_s must be > 0")
         if self.fs <= 0:
             raise InputError("fs must be > 0")
         if not 0 <= self.coupling_strength <= 1:
             raise InputError("coupling_strength must be in [0, 1]")
-        if math.isnan(self.snr_db):
-            raise InputError("snr_db must not be NaN")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise InputError(f"snr_db must be a number or inf (noiseless), got {self.snr_db}")
 
 
 @dataclass(frozen=True)

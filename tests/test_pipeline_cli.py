@@ -421,6 +421,34 @@ class TestCli:
         assert field in res.output
         assert ingested == []
 
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_run_out_on_a_file_exits_2_before_ingest(self, tmp_path, monkeypatch, under):
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        ingested = []
+        monkeypatch.setattr("cardioseis.pipeline.ingest_csv",
+                            lambda *args: ingested.append(args))
+        res = CliRunner().invoke(main, ["run", "--input", str(path),
+                                        "--out", str(blocker / under)])
+        assert res.exit_code == 2, res.output
+        assert "out_dir" in res.output
+        assert ingested == []
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_synth_out_on_a_file_exits_2_before_writing(self, tmp_path, monkeypatch, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        written = []
+        monkeypatch.setattr("cardioseis.cli.write_recording_csv",
+                            lambda *args: written.append(args))
+        res = CliRunner().invoke(main, ["synth", "--duration", "5",
+                                        "--out", str(blocker / under)])
+        assert res.exit_code == 2, res.output
+        assert "--out" in res.output
+        assert written == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
     def test_run_missing_input_exit_2(self, tmp_path):
         runner = CliRunner()
         res = runner.invoke(main, ["run", "--input", str(tmp_path / "nope.csv")])

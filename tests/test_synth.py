@@ -110,3 +110,14 @@ class TestSynthConfigValidation:
     def test_bad_strength(self):
         with pytest.raises(InputError):
             SynthConfig(coupling_strength=1.5)
+
+    @pytest.mark.parametrize("field", ["duration_s", "fs"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_duration_or_rate(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be finite"):
+            SynthConfig(**{field: value})
+
+    def test_minus_inf_snr(self):
+        # only +inf means noiseless
+        with pytest.raises(InputError, match="snr_db"):
+            SynthConfig(snr_db=-math.inf)
