@@ -75,13 +75,11 @@ def run(config_path, inputs, out_dir):
 @click.option("--fs", type=float, default=320.0, show_default=True,
               help="Sampling rate of the generated recording.")
 @click.option("--snr", "snr_db", type=float, default=20.0, show_default=True)
-@click.option("--coupling-strength", type=float, default=1.0, show_default=True)
-def synth(seed, coupling, out_dir, duration, fs, snr_db, coupling_strength):
+def synth(seed, coupling, out_dir, duration, fs, snr_db):
     """Generate a synthetic recording, ground truth, and a ready-to-run config."""
     try:
         cfg = SynthConfig(duration_s=duration, fs=fs, snr_db=snr_db,
-                          coupling=Coupling(coupling),
-                          coupling_strength=coupling_strength, seed=seed)
+                          coupling=Coupling(coupling), seed=seed)
         rec, truth = gen_recording(cfg)
         out = Path(out_dir)
         csv_path, cfg_path = out / f"{rec.recording_id}.csv", out / "pipeline.cfg"

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
 from .errors import DegenerateAnalysisError, InputError
 from .signal_core import Channel, hilbert_envelope
 
@@ -39,8 +38,14 @@ class Template:
 
 def cut_windows(samples, refs, length: int) -> np.ndarray:
     """The (n, length) windows of the events at refs: row i is
-    samples[refs[i] - length//2:][:length]. Every window must fit."""
+    samples[refs[i] - length//2:][:length]. Every ref must lie within
+    ref_bounds."""
     return samples[(np.asarray(refs) - length // 2)[:, None] + np.arange(length)]
+
+
+def ref_bounds(n: int, length: int) -> tuple[int, int]:
+    """The first and last ref whose length-sample window fits in n samples."""
+    return length // 2, n - length + length // 2
 
 
 def template_from_channel(ch: Channel, start_s: float, length_s: float) -> Template:
@@ -111,12 +116,8 @@ def _find_peaks(x, height: float, distance: int) -> np.ndarray:
     return peaks
 
 
-def detect_events(
-    ch: Channel,
-    tpl: Template,
-    threshold_frac: float = PipelineConfig.threshold_frac,
-    min_separation_s: float = PipelineConfig.min_separation_s,
-) -> np.ndarray:
+def detect_events(ch: Channel, tpl: Template, threshold_frac: float,
+                  min_separation_s: float) -> np.ndarray:
     """Detect heartbeat events in a conditioned channel; returns their ref
     indices, in ascending order.
 
@@ -139,7 +140,6 @@ def detect_events(
         return np.empty(0, dtype=int)
     distance = max(1, int(round(min_separation_s * ch.fs)))
     peaks = _find_peaks(env, thr, distance)
-    length = tpl.length
     refs = peaks - _peak_offset(tpl)
-    starts = refs - length // 2
-    return refs[(starts >= 0) & (starts + length <= len(ch))]
+    first, last = ref_bounds(len(ch), tpl.length)
+    return refs[(refs >= first) & (refs <= last)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAnalysisError, InputError
-from .event_detection import cut_windows
+from .event_detection import cut_windows, ref_bounds
 from .respiration import FlowPhase, VolumePhase
 from .signal_core import best_lag, rms
 
@@ -81,14 +81,13 @@ def _rms_rows(a) -> np.ndarray:
 def _shift_to(target, samples, refs, windows, max_shift: int):
     """Shift every row toward its best lag against target.
 
-    Each window is re-cut lag samples later in the source, with the lag
-    clamped so the window stays inside the recording; a row with a
+    Each window is re-cut lag samples later in the source, with the shifted
+    ref clamped to ref_bounds so the window stays inside it; a row with a
     degenerate correlation keeps its place. Returns the new (refs, windows).
     """
-    lags = best_lag(target, windows, max_shift)
     length = windows.shape[1]
-    half = length // 2
-    refs = refs + np.clip(lags, half - refs, len(samples) - length + half - refs)
+    lags = best_lag(target, windows, max_shift)
+    refs = np.clip(refs + lags, *ref_bounds(len(samples), length))
     return refs, cut_windows(samples, refs, length)
 
 

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import csvrows
-from .config import PipelineConfig
 from .errors import InputError
 from .signal_core import Channel, Recording
 
@@ -33,8 +32,8 @@ CSV_BLOCK_ROWS = 65536
 _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
 
 
-def ingest_csv(path, config: PipelineConfig) -> Recording:
-    """Read a recording at the acquisition rate, validating as we go.
+def ingest_csv(path, acquisition_fs: float) -> Recording:
+    """Read a recording sampled at acquisition_fs, validating as we go.
 
     Timestamps must be uniform to within a tenth of a sample period; any
     NaN/Inf sample aborts with its row index.
@@ -74,9 +73,8 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
         # a column the header does not name would shift the named ones
         raise InputError(f"{path}: rows have {data.shape[1]} fields, header has {len(header)}")
 
-    fs = config.acquisition_fs
     t = data[:, cols["time"]]
-    dt = 1.0 / fs
+    dt = 1.0 / acquisition_fs
     expected = t[0] + np.arange(len(t)) * dt
     dev = np.abs(t - expected)
     if np.any(dev > TIME_TOLERANCE_FRAC * dt):
@@ -91,7 +89,7 @@ def ingest_csv(path, config: PipelineConfig) -> Recording:
         if np.any(bad):
             row = int(np.flatnonzero(bad)[0])
             raise InputError(f"{path}: non-finite {role} sample at row {_file_line(path, row)}")
-        channels[role] = Channel(col, fs, role)
+        channels[role] = Channel(col, acquisition_fs, role)
     return Recording(channels=channels, recording_id=path.stem)
 
 

@@ -19,8 +19,7 @@ from .errors import CardioseisError, DegenerateAnalysisError, InputError
 from .event_detection import cut_windows, detect_events, template_from_channel
 from .grouping import compare_criteria, screen_outliers
 from .ingest import ingest_csv
-from .report import (GROUP_ORDER, comparison_to_row, write_report_csv,
-                     write_report_json)
+from .report import comparison_to_row, write_report_csv, write_report_json
 from .respiration import FlowPhase, VolumePhase, integrate_flow, label_events, phases
 from .signal_core import Recording, lowpass, resample
 from .svgplot import bar_chart, line_plot
@@ -67,11 +66,11 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
                  config.template_start_s, config.template_length_s)
     refs = _stage("detect", detect_events, scg, tpl,
                   config.threshold_frac, config.min_separation_s)
-    trace = _stage("respiration", integrate_flow, flow)
+    volume = _stage("respiration", integrate_flow, flow)
     refs, dropped = _stage("screen", screen_outliers, refs, scg.samples, tpl.length)
     if not len(refs):
         raise StageError("group", DegenerateAnalysisError("no events detected"))
-    inspiring, high_volume = _stage("label", label_events, refs, trace)
+    inspiring, high_volume = _stage("label", label_events, refs, flow.samples, volume)
     cmp = _stage("group", compare_criteria, refs, inspiring, high_volume,
                  scg.samples, tpl.length)
     events = [ScgEvent(*fields) for fields in zip(
@@ -82,20 +81,19 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
 
 def _write_artifacts(rec_id: str, cmp, fs: float, out_dir: Path):
     averages = {st.group_id: st.ensemble_avg for st in cmp.groups}
-    n = len(next(iter(averages.values())))
+    n = len(cmp.inspiration.ensemble_avg)
     avg_csv = out_dir / f"{rec_id}_ensemble_averages.csv"
     with open(avg_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_index"] + [g.lower() for g in GROUP_ORDER])
+        writer.writerow(["sample_index"] + [g.lower() for g in averages])
         for i in range(n):
-            writer.writerow([i] + ["%.9g" % averages[g][i] for g in GROUP_ORDER])
+            writer.writerow([i] + ["%.9g" % avg[i] for avg in averages.values()])
     t = np.arange(n) / fs
     ens_svg = out_dir / f"{rec_id}_ensemble_averages.svg"
-    line_plot({g: averages[g] for g in GROUP_ORDER}, ens_svg, t,
-              title=f"{rec_id}: ensemble-averaged SCG per group",
+    line_plot(averages, ens_svg, t, title=f"{rec_id}: ensemble-averaged SCG per group",
               xlabel="time (s)", ylabel="amplitude")
     rd_svg = out_dir / f"{rec_id}_rd_bars.svg"
-    bar_chart(GROUP_ORDER, [st.rd for st in cmp.groups], rd_svg,
+    bar_chart(list(averages), [st.rd for st in cmp.groups], rd_svg,
               title=f"{rec_id}: relative difference per group", ylabel="RD (%)")
     return [avg_csv, ens_svg, rd_svg]
 
@@ -118,11 +116,20 @@ def run_pipeline(config: PipelineConfig):
     """
     if not config.inputs:
         raise InputError("no input files configured")
+    paths = [Path(p) for p in config.inputs]
+    stems = [p.stem for p in paths]
+    for path in paths:
+        # the stem is the recording id, which names its artifacts and report row
+        if stems.count(path.stem) > 1:
+            raise InputError(f"{stems.count(path.stem)} inputs share the file stem "
+                             f"{path.stem!r}")
+        if not path.is_file():
+            raise InputError(f"input file not found: {path}")
     out_dir = Path(config.out_dir)
     make_out_dir(out_dir, "out_dir")
     rows, artifacts = [], []
-    for path in config.inputs:
-        rec = _stage("ingest", ingest_csv, path, config)
+    for path in paths:
+        rec = _stage("ingest", ingest_csv, path, config.acquisition_fs)
         cmp, context = analyze_recording(rec, config)
         rows.append(comparison_to_row(rec.recording_id, cmp, len(context["events"]),
                                       context["outliers_dropped"]))

@@ -9,7 +9,6 @@ events; phases turns them into the phase enums.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +26,9 @@ class VolumePhase(enum.Enum):
     HLV = "HLV"
 
 
-@dataclass(frozen=True)
-class RespirationTrace:
-    """Flow channel plus derived lung-volume channel and its mean."""
-
-    flow: Channel
-    volume: Channel
-    mean_volume: float
-
-
-def integrate_flow(flow: Channel, detrend: bool = True) -> RespirationTrace:
-    """Cumulative trapezoidal integral of flow (L/s -> L), starting at 0.
+def integrate_flow(flow: Channel, detrend: bool = True) -> np.ndarray:
+    """The volume samples: the cumulative trapezoidal integral of flow
+    (L/s -> L), starting at 0.
 
     With detrend the flow is offset-corrected so the trapezoidal integral
     over the whole recording is exactly zero, killing spirometer-offset
@@ -50,23 +41,22 @@ def integrate_flow(flow: Channel, detrend: bool = True) -> RespirationTrace:
     if detrend and len(f) > 1:
         f = f - np.trapezoid(f) / (len(f) - 1)
     # scipy's cumulative_trapezoid(f, dx=1/fs, initial=0), in its order of operations
-    volume = np.concatenate(([0.0], np.cumsum((1.0 / flow.fs) * (f[1:] + f[:-1]) / 2.0)))
-    vol_ch = Channel(volume, flow.fs, "volume")
-    return RespirationTrace(flow=flow, volume=vol_ch, mean_volume=float(np.mean(volume)))
+    return np.concatenate(([0.0], np.cumsum((1.0 / flow.fs) * (f[1:] + f[:-1]) / 2.0)))
 
 
-def label_events(refs, trace: RespirationTrace):
+def label_events(refs, flow, volume):
     """The labels of the events at refs: (inspiring, high_volume) masks.
 
-    Positive flow -> Inspiration; zero or negative -> Expiration. Volume
-    above the recording mean -> HLV; at or below -> LLV. The trace must
-    already be at the rate of the channel the events were detected in.
+    flow and volume are sample arrays of one length, at the rate of the
+    channel the events were detected in. Positive flow -> Inspiration; zero
+    or negative -> Expiration. Volume above its recording mean -> HLV; at or
+    below -> LLV.
     """
     refs = np.asarray(refs, dtype=int)
-    outside = (refs < 0) | (refs >= len(trace.flow))
+    outside = (refs < 0) | (refs >= len(flow))
     if outside.any():
         raise InputError(f"index {refs[outside][0]} out of range")
-    return trace.flow.samples[refs] > 0, trace.volume.samples[refs] > trace.mean_volume
+    return flow[refs] > 0, volume[refs] > float(np.mean(volume))
 
 
 def phases(inspiring, high_volume) -> tuple[list[FlowPhase], list[VolumePhase]]:

@@ -130,8 +130,9 @@ def lowpass(ch: Channel, cutoff_hz: float) -> Channel:
         return ch.with_samples(x)
     pad = min(half, x.size - 1)
     padded = np.pad(x, pad, mode="reflect")
-    y = np.convolve(padded, taps, mode="same")
-    return ch.with_samples(y[pad:pad + x.size] if pad else y)
+    # the "same" part of the full convolution, centred on padded even when
+    # the taps are the longer operand
+    return ch.with_samples(np.convolve(padded, taps)[half + pad:half + pad + x.size])
 
 
 def resample(ch: Channel, target_fs: float) -> Channel:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .respiration import FlowPhase, RespirationTrace, VolumePhase, label_events, phases
+from .respiration import FlowPhase, VolumePhase, label_events, phases
 from .signal_core import Channel, Recording, rms
 
 DEFAULT_MORPH_LENGTH_S = 0.25
@@ -36,7 +36,6 @@ class SynthConfig:
     duration_s: float = 120.0
     fs: float = 320.0
     coupling: Coupling = Coupling.VOLUME
-    coupling_strength: float = 1.0   # alpha_max in [0, 1]
     snr_db: float = 20.0             # math.inf for noiseless
     seed: int = 0
 
@@ -49,10 +48,10 @@ class SynthConfig:
             raise InputError("duration_s must be > 0")
         if self.fs <= 0:
             raise InputError("fs must be > 0")
-        if not 0 <= self.coupling_strength <= 1:
-            raise InputError("coupling_strength must be in [0, 1]")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise InputError(f"snr_db must be a number or inf (noiseless), got {self.snr_db}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,10 @@ def gen_respiration(cfg: SynthConfig):
 def _alpha_at(cfg: SynthConfig, index: int, phase: FlowPhase) -> float:
     if cfg.coupling is Coupling.VOLUME:
         # closed-form volume normalized to [0, 1]
-        frac = 0.5 * (1.0 - np.cos(2 * np.pi * _RESP_FREQ * (index / cfg.fs)))
-    elif cfg.coupling is Coupling.FLOW:
-        frac = 1.0 if phase is FlowPhase.INSPIRATION else 0.0
-    else:
-        frac = 0.5
-    return cfg.coupling_strength * float(frac)
+        return float(0.5 * (1.0 - np.cos(2 * np.pi * _RESP_FREQ * (index / cfg.fs))))
+    if cfg.coupling is Coupling.FLOW:
+        return 1.0 if phase is FlowPhase.INSPIRATION else 0.0
+    return 0.5
 
 
 def gen_recording(cfg: SynthConfig):
@@ -130,7 +127,6 @@ def gen_recording(cfg: SynthConfig):
 
     rng = np.random.default_rng(cfg.seed)
     flow_ch, volume_ch = gen_respiration(cfg)
-    trace = RespirationTrace(flow_ch, volume_ch, float(np.mean(volume_ch.samples)))
 
     starts = []
     pos = float(length)  # start margin: one morphology length
@@ -138,7 +134,8 @@ def gen_recording(cfg: SynthConfig):
         starts.append(int(round(pos)))
         pos += period * (1.0 + rng.uniform(-jitter, jitter))
     beat_indices = [start + length // 2 for start in starts]
-    flow_phase, volume_phase = phases(*label_events(beat_indices, trace))
+    flow_phase, volume_phase = phases(*label_events(beat_indices, flow_ch.samples,
+                                                    volume_ch.samples))
 
     scg = np.zeros(n)
     ecg = np.zeros(n)

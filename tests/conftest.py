@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cardioseis.config import PipelineConfig
 from cardioseis.event_detection import detect_events, template_from_channel
 from cardioseis.grouping import compare_criteria, screen_outliers
 from cardioseis.respiration import integrate_flow, label_events
@@ -14,23 +15,25 @@ DATA_DIR = Path(__file__).parent / "data"
 
 # the template length of run_synth_analysis, at the synth default rate
 TEMPLATE_LENGTH = len(default_morphologies(SynthConfig().fs)[0])
+# detect_events' threshold_frac and min_separation_s, as a run uses them by default
+DETECT_DEFAULTS = (PipelineConfig.threshold_frac, PipelineConfig.min_separation_s)
 
 
-def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True, coupling_strength=1.0):
+def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True):
     """Generate a recording and run the in-memory analysis chain on it.
 
     Returns (comparison, detected refs, ground truth, conditioned scg).
     """
-    cfg = SynthConfig(coupling=coupling, seed=seed, snr_db=snr_db,
-                      coupling_strength=coupling_strength)
+    cfg = SynthConfig(coupling=coupling, seed=seed, snr_db=snr_db)
     rec, truth = gen_recording(cfg)
     scg = lowpass(rec["scg"], 100.0)
     length = len(default_morphologies(cfg.fs)[0])
     first = truth.beat_indices[0]
     tpl = template_from_channel(scg, (first - length // 2) / cfg.fs, length / cfg.fs)
-    refs = detect_events(scg, tpl)
+    refs = detect_events(scg, tpl, *DETECT_DEFAULTS)
     kept = screen_outliers(refs, scg.samples, length)[0] if screen else refs
-    comparison = compare_criteria(kept, *label_events(kept, integrate_flow(rec["flow"])),
+    flow = rec["flow"]
+    comparison = compare_criteria(kept, *label_events(kept, flow.samples, integrate_flow(flow)),
                                   scg.samples, length)
     return comparison, refs, truth, scg
 
@@ -50,3 +53,20 @@ def detection_scores(refs, truth, tol=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def working_directory_stays_clean():
+    """Fail the session if a visible name appears in the working directory
+    while it runs. Hidden caches such as .pytest_cache and .hypothesis are
+    ignored."""
+    cwd = Path.cwd()
+
+    def visible():
+        return {p.name for p in cwd.iterdir() if not p.name.startswith(".")}
+
+    before = visible()
+    yield
+    made = sorted(visible() - before)
+    if made:
+        pytest.fail(f"the tests left {made} in the working directory {cwd}")

@@ -124,9 +124,9 @@ def test_criterion_4_dsp_primitive_oracles():
         # flow integration vs closed-form antiderivative, 1% RMS
         amp, freq = 1.0, 0.25
         flow = Channel(amp * np.sin(2 * np.pi * freq * t), fs, "flow")
-        trace = integrate_flow(flow, detrend=False)
+        volume = integrate_flow(flow, detrend=False)
         expected = (amp / (2 * np.pi * freq)) * (1 - np.cos(2 * np.pi * freq * t))
-        assert rms(trace.volume.samples - expected) / rms(expected) < 0.01
+        assert rms(volume - expected) / rms(expected) < 0.01
 
 
 def test_criterion_5_metric_identities():

@@ -293,8 +293,8 @@ class TestAlignEventsProperties:
 def _labeled_volume_events():
     """Detected refs, their label masks and the conditioned SCG samples."""
     _, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=44, screen=False)
-    rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=44))[0]
-    return refs, label_events(refs, integrate_flow(rec["flow"])), scg.samples
+    flow = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=44))[0]["flow"]
+    return refs, label_events(refs, flow.samples, integrate_flow(flow)), scg.samples
 
 
 class TestScaleInvariance:

@@ -60,11 +60,11 @@ def test_context_events_expose_ref_window_and_phases():
     rec, config = sweep_recording(1, Coupling.VOLUME)
     _, ctx = pipeline.analyze_recording(rec, config)
     scg = lowpass(resample(rec["scg"], config.analysis_fs), config.lowpass_cutoff_hz)
-    trace = integrate_flow(resample(rec["flow"], config.analysis_fs))
+    flow = resample(rec["flow"], config.analysis_fs)
     refs = np.array([ev.ref_index for ev in ctx["events"]])
     length = len(ctx["events"][0].window)
     assert length == round(config.template_length_s * config.analysis_fs)
-    inspiring, high_volume = label_events(refs, trace)
+    inspiring, high_volume = label_events(refs, flow.samples, integrate_flow(flow))
     for ev, insp, high in zip(ctx["events"], inspiring, high_volume):
         start = ev.ref_index - length // 2
         assert isinstance(ev.ref_index, int)

@@ -41,8 +41,8 @@ def labeled_synth_events(coupling, seed):
     (inspiring, high_volume) label masks, and the conditioned SCG samples
     they index."""
     _, refs, _, scg = run_synth_analysis(coupling, seed=seed, screen=False)
-    rec = gen_recording(SynthConfig(coupling=coupling, seed=seed))[0]
-    return refs, label_events(refs, integrate_flow(rec["flow"])), scg.samples
+    flow = gen_recording(SynthConfig(coupling=coupling, seed=seed))[0]["flow"]
+    return refs, label_events(refs, flow.samples, integrate_flow(flow)), scg.samples
 
 
 def shifts(refs, aligned):
@@ -254,8 +254,8 @@ class TestCriteria:
 
     def test_amplitude_invariance_of_stats(self):
         cmp, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=34, screen=False)
-        rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=34))[0]
-        labels = label_events(refs, integrate_flow(rec["flow"]))
+        flow = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=34))[0]["flow"]
+        labels = label_events(refs, flow.samples, integrate_flow(flow))
         base = compare_criteria(refs, *labels, scg.samples, TEMPLATE_LENGTH)
         scaled = compare_criteria(refs, *labels, 3.0 * scg.samples, TEMPLATE_LENGTH)
         for a, b in zip(base.groups, scaled.groups):
@@ -265,8 +265,8 @@ class TestCriteria:
 
     def test_label_permutation_symmetry(self):
         _, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=35, screen=False)
-        rec = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=35))[0]
-        inspiring, _ = label_events(refs, integrate_flow(rec["flow"]))
+        flow = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=35))[0]["flow"]
+        inspiring, _ = label_events(refs, flow.samples, integrate_flow(flow))
         insp, exp = evaluate_criterion(refs, inspiring, Criterion.FLOW_RATE, scg.samples,
                                        TEMPLATE_LENGTH)
         insp_f, exp_f = evaluate_criterion(refs, ~inspiring, Criterion.FLOW_RATE, scg.samples,

@@ -49,8 +49,7 @@ def pipeline_config(tmp_path, csv_path, truth, cfg, **overrides):
 class TestIngest:
     def test_round_trip(self, tmp_path):
         path, rec, _, cfg = synth_csv(tmp_path, duration=5.0)
-        config = PipelineConfig(acquisition_fs=cfg.fs, analysis_fs=cfg.fs)
-        loaded = ingest_csv(path, config)
+        loaded = ingest_csv(path, cfg.fs)
         for name in ("scg", "flow"):
             assert len(loaded[name]) == len(rec[name])
             assert np.allclose(loaded[name].samples, rec[name].samples, atol=1e-9)
@@ -59,14 +58,14 @@ class TestIngest:
         p = tmp_path / "bad.csv"
         p.write_text("time_s,scg_z,ecg\n0,0,0\n")
         with pytest.raises(InputError, match="missing channel: flow"):
-            ingest_csv(p, PipelineConfig())
+            ingest_csv(p, PipelineConfig.acquisition_fs)
 
     def test_repeated_column_rejected_before_parse(self, tmp_path):
         p = tmp_path / "bad.csv"
         # the data row would not parse: only the header can be the reason
         p.write_text("time_s,scg_z,scg_z,flow_lps\n0,abc,0,0\n")
         with pytest.raises(InputError, match="header names scg_z 2 times"):
-            ingest_csv(p, PipelineConfig())
+            ingest_csv(p, PipelineConfig.acquisition_fs)
         res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "header names scg_z 2 times" in res.output
@@ -77,27 +76,24 @@ class TestIngest:
         rows += [f"{i / 320.0:.9g},0,0,0" for i in range(10)]
         rows[5] = "0.2,0,0,0"  # row 5 is wildly off
         p.write_text("\n".join(rows) + "\n")
-        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
         with pytest.raises(InputError, match="non-uniform timestamps.*row 6"):
-            ingest_csv(p, cfgp)
+            ingest_csv(p, 320.0)
 
     def test_nan_sample(self, tmp_path):
         p = tmp_path / "bad.csv"
         rows = ["time_s,scg_z,ecg,flow_lps"]
         rows += [f"{i / 320.0:.9g},{'nan' if i == 3 else '0'},0,0" for i in range(8)]
         p.write_text("\n".join(rows) + "\n")
-        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
         with pytest.raises(InputError, match="non-finite scg sample at row 5"):
-            ingest_csv(p, cfgp)
+            ingest_csv(p, 320.0)
 
     def test_parse_error_names_file_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         rows = ["time_s,scg_z,ecg,flow_lps"]
         rows += [f"{i / 320.0:.9g},{'abc' if i == 4 else '0'},0,0" for i in range(8)]
         p.write_text("\n".join(rows) + "\n")  # 'abc' sits on line 6
-        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
         with pytest.raises(InputError, match="'abc'.* at line 6, column 2"):
-            ingest_csv(p, cfgp)
+            ingest_csv(p, 320.0)
 
     def test_errors_count_blank_lines(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -105,12 +101,11 @@ class TestIngest:
         rows += [f"{i / 320.0:.9g},{'nan' if i == 3 else '0'},0,0" for i in range(8)]
         rows.insert(2, "")  # the nan moves to line 6
         p.write_text("\n".join(rows) + "\n")
-        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
         with pytest.raises(InputError, match="non-finite scg sample at row 6"):
-            ingest_csv(p, cfgp)
+            ingest_csv(p, 320.0)
         p.write_text("\n".join(rows).replace("nan", "x") + "\n")
         with pytest.raises(InputError, match="at line 6,"):
-            ingest_csv(p, cfgp)
+            ingest_csv(p, 320.0)
 
     def test_ecg_column_optional(self, tmp_path):
         path, *_ = synth_csv(tmp_path, duration=5.0)
@@ -118,8 +113,7 @@ class TestIngest:
         cut = tmp_path / "no_ecg.csv"
         cut.write_text("\n".join(",".join(f for k, f in enumerate(line.split(",")) if k != 2)
                                  for line in lines) + "\n")
-        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
-        with_ecg, without = ingest_csv(path, cfgp), ingest_csv(cut, cfgp)
+        with_ecg, without = ingest_csv(path, 320.0), ingest_csv(cut, 320.0)
         assert set(with_ecg.channels) == set(without.channels) == {"scg", "flow"}
         for name in ("scg", "flow"):
             assert np.array_equal(with_ecg[name].samples, without[name].samples)
@@ -131,7 +125,7 @@ class TestIngest:
         p = tmp_path / "wide.csv"
         p.write_text("\n".join(["time_s,scg_z,flow_lps"] + lines[1:]) + "\n")
         with pytest.raises(InputError, match="rows have 4 fields, header has 3"):
-            ingest_csv(p, PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0))
+            ingest_csv(p, 320.0)
 
     @pytest.mark.parametrize("ragged_line", [5, 11])
     def test_ragged_row_names_file_line(self, tmp_path, ragged_line):
@@ -141,9 +135,8 @@ class TestIngest:
         rows += [f"{i / 320.0:.9g},0,0,0" for i in range(10)]
         rows[ragged_line - 1] += ",0"
         p.write_text("\n".join(rows) + "\n")
-        cfgp = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0)
         with pytest.raises(InputError, match=f"changed from 4 to 5 at line {ragged_line}$"):
-            ingest_csv(p, cfgp)
+            ingest_csv(p, 320.0)
         res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, res.output
         assert res.output.endswith(f"at line {ragged_line}\n")
@@ -386,6 +379,13 @@ class TestCli:
         assert "duration_s = 0.5 is too short to hold one beat" in res.output
         assert not out.exists()
 
+    def test_synth_negative_seed_exits_2(self, tmp_path):
+        out = tmp_path / "synth"
+        res = CliRunner().invoke(main, ["synth", "--seed", "-1", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "seed must be >= 0, got -1" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["a, b", "a #b"])
     def test_synth_out_unreadable_in_config_exits_2(self, tmp_path, name):
         # a comma splits the input list and ' #' starts a comment, so run
@@ -449,10 +449,31 @@ class TestCli:
         assert written == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
-    def test_run_missing_input_exit_2(self, tmp_path):
+    def test_run_missing_input_exit_2(self, tmp_path, monkeypatch):
+        # without --out, the default out_dir would be made in the working directory
+        monkeypatch.chdir(tmp_path)
         runner = CliRunner()
         res = runner.invoke(main, ["run", "--input", str(tmp_path / "nope.csv")])
         assert res.exit_code == 2
+        assert "input file not found" in res.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_repeated_stem_exits_2_before_ingest(self, tmp_path, monkeypatch):
+        # each recording's artifacts and report row are named by its file stem
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+        (tmp_path / "b").mkdir()
+        other = tmp_path / "b" / path.name
+        other.write_bytes(path.read_bytes())
+        ingested = []
+        monkeypatch.setattr("cardioseis.pipeline.ingest_csv",
+                            lambda *args: ingested.append(args))
+        out = tmp_path / "out"
+        res = CliRunner().invoke(main, ["run", "--input", str(path), "--input", str(other),
+                                        "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"2 inputs share the file stem {path.stem!r}" in res.output
+        assert ingested == []
+        assert not out.exists()
 
     def test_report_check_fixture(self):
         runner = CliRunner()

@@ -15,21 +15,19 @@ def sine_flow(amp=1.0, freq=0.25, fs=320.0, duration=20.0):
 class TestIntegrateFlow:
     def test_trapezoid_by_hand(self):
         flow = Channel(np.array([0.0, 1, 1, 0]), 1.0, "flow")
-        trace = integrate_flow(flow, detrend=False)
-        assert np.allclose(trace.volume.samples, [0, 0.5, 1.5, 2.0])
+        assert np.allclose(integrate_flow(flow, detrend=False), [0, 0.5, 1.5, 2.0])
 
     def test_zero_flow(self):
-        trace = integrate_flow(Channel(np.zeros(100), 320.0), detrend=False)
-        assert np.allclose(trace.volume.samples, 0.0)
-        assert trace.mean_volume == 0.0
+        volume = integrate_flow(Channel(np.zeros(100), 320.0), detrend=False)
+        assert np.allclose(volume, 0.0)
 
     def test_sine_closed_form(self):
         amp, freq, fs = 1.0, 0.25, 320.0
         flow = sine_flow(amp, freq, fs, 20.0)
-        trace = integrate_flow(flow, detrend=False)
+        volume = integrate_flow(flow, detrend=False)
         t = np.arange(len(flow)) / fs
         expected = (amp / (2 * np.pi * freq)) * (1 - np.cos(2 * np.pi * freq * t))
-        err = rms(trace.volume.samples - expected) / rms(expected)
+        err = rms(volume - expected) / rms(expected)
         assert err < 0.01
 
     def test_linearity(self, rng):
@@ -37,18 +35,13 @@ class TestIntegrateFlow:
         base = integrate_flow(Channel(f, 320.0), detrend=False)
         for k in (-2.0, 0.5, 3.0):
             scaled = integrate_flow(Channel(k * f, 320.0), detrend=False)
-            assert np.allclose(scaled.volume.samples, k * base.volume.samples, rtol=1e-9,
-                               atol=1e-12)
+            assert np.allclose(scaled, k * base, rtol=1e-9, atol=1e-12)
 
     def test_detrend_zero_net_drift(self, rng):
         f = rng.normal(size=2000) + 0.3  # spirometer offset
-        trace = integrate_flow(Channel(f, 320.0), detrend=True)
-        assert abs(trace.volume.samples[-1]) < 1e-9
-        assert trace.volume.samples[0] == 0.0
-
-    def test_mean_volume_invariant(self):
-        trace = integrate_flow(sine_flow(), detrend=True)
-        assert trace.mean_volume == pytest.approx(np.mean(trace.volume.samples))
+        volume = integrate_flow(Channel(f, 320.0), detrend=True)
+        assert abs(volume[-1]) < 1e-9
+        assert volume[0] == 0.0
 
     def test_empty_flow(self):
         with pytest.raises(InputError):
@@ -60,68 +53,70 @@ class TestIntegrateFlow:
         for n in (1, 2, 3, 17, 1000, 4999):
             for fs in (10.0, 320.0, 10000.37):
                 f = rng.uniform(-1, 1, size=n) * 10.0 ** rng.uniform(-5, 5)
-                got = integrate_flow(Channel(f, fs), detrend=detrend).volume.samples
+                got = integrate_flow(Channel(f, fs), detrend=detrend)
                 if detrend and n > 1:
                     f = f - np.trapezoid(f) / (n - 1)
                 want = cumulative_trapezoid(f, dx=1.0 / fs, initial=0.0)
                 assert got.tobytes() == want.tobytes(), (n, fs)
 
 
-def labels_at(trace, index):
+def labels_at(flow, volume, index):
     """(flow phase, volume phase) that label_events gives an event at index."""
-    ((flow,), (volume,)) = phases(*label_events([index], trace))
-    return flow, volume
+    ((flow_phase,), (volume_phase,)) = phases(*label_events([index], flow, volume))
+    return flow_phase, volume_phase
+
+
+def flow_and_volume(flow: Channel):
+    """The flow samples and their integral without detrending."""
+    return flow.samples, integrate_flow(flow, detrend=False)
 
 
 class TestPhaseLabels:
     def trace(self):
-        flow = Channel(np.array([0.3, -0.3, 0.0, 0.1]), 1.0, "flow")
-        return integrate_flow(flow, detrend=False)
+        return flow_and_volume(Channel(np.array([0.3, -0.3, 0.0, 0.1]), 1.0, "flow"))
 
     def test_positive_flow_is_inspiration(self):
-        assert labels_at(self.trace(), 0)[0] is FlowPhase.INSPIRATION
+        assert labels_at(*self.trace(), 0)[0] is FlowPhase.INSPIRATION
 
     def test_negative_flow_is_expiration(self):
-        assert labels_at(self.trace(), 1)[0] is FlowPhase.EXPIRATION
+        assert labels_at(*self.trace(), 1)[0] is FlowPhase.EXPIRATION
 
     def test_zero_flow_tiebreak(self):
-        assert labels_at(self.trace(), 2)[0] is FlowPhase.EXPIRATION
+        assert labels_at(*self.trace(), 2)[0] is FlowPhase.EXPIRATION
 
     def test_out_of_range(self):
         with pytest.raises(InputError, match=r"index 99 out of range"):
-            labels_at(self.trace(), 99)
+            labels_at(*self.trace(), 99)
 
     @pytest.mark.parametrize("index", [4, -1])
     def test_just_outside_the_trace(self, index):
         # the trace has 4 samples; -1 must not wrap around to the last one
         with pytest.raises(InputError, match=rf"index {index} out of range"):
-            labels_at(self.trace(), index)
+            labels_at(*self.trace(), index)
 
     def test_out_of_range_among_valid_refs(self):
         with pytest.raises(InputError, match=r"index 7 out of range"):
-            label_events(np.array([0, 3, 7, 2]), self.trace())
+            label_events(np.array([0, 3, 7, 2]), *self.trace())
 
     def test_volume_below_mean_is_llv(self):
-        trace = integrate_flow(sine_flow(), detrend=False)
-        lo = int(np.argmin(trace.volume.samples))
-        hi = int(np.argmax(trace.volume.samples))
-        assert labels_at(trace, lo)[1] is VolumePhase.LLV
-        assert labels_at(trace, hi)[1] is VolumePhase.HLV
+        flow, volume = flow_and_volume(sine_flow())
+        lo = int(np.argmin(volume))
+        hi = int(np.argmax(volume))
+        assert labels_at(flow, volume, lo)[1] is VolumePhase.LLV
+        assert labels_at(flow, volume, hi)[1] is VolumePhase.HLV
 
     def test_volume_equal_mean_tiebreak(self):
-        flow = Channel(np.zeros(10), 1.0, "flow")
-        trace = integrate_flow(flow, detrend=False)
-        assert trace.volume.samples[5] == trace.mean_volume
-        assert labels_at(trace, 5)[1] is VolumePhase.LLV
+        flow, volume = flow_and_volume(Channel(np.zeros(10), 1.0, "flow"))
+        assert volume[5] == np.mean(volume)
+        assert labels_at(flow, volume, 5)[1] is VolumePhase.LLV
 
     def test_sine_phase_geometry(self):
         # Inspiration occupies positive half-cycles; HLV lags it by T/4
         fs, freq = 320.0, 0.25
-        trace = integrate_flow(sine_flow(1.0, freq, fs, 20.0), detrend=False)
-        n = len(trace.flow)
+        flow, volume = flow_and_volume(sine_flow(1.0, freq, fs, 20.0))
         period = fs / freq
-        indices = range(1, n - 1)
-        flow, _ = phases(*label_events(np.array(indices), trace))
+        indices = range(1, len(flow) - 1)
+        flow, _ = phases(*label_events(np.array(indices), flow, volume))
         for i, phase in zip(indices, flow):
             expect_insp = (i % period) < period / 2
             got = phase is FlowPhase.INSPIRATION
@@ -132,18 +127,18 @@ class TestPhaseLabels:
 class TestLabelEvents:
     def test_composition(self):
         fs = 320.0
-        flow = sine_flow(1.0, 0.25, fs, 20.0)
-        trace = integrate_flow(flow, detrend=False)
+        flow, volume = flow_and_volume(sine_flow(1.0, 0.25, fs, 20.0))
         # early in the first breath: inhaling, volume still below mean
-        inspiring, high_volume = label_events(np.array([100]), trace)
+        inspiring, high_volume = label_events(np.array([100]), flow, volume)
         flow, volume = phases(inspiring, high_volume)
         assert inspiring.tolist() == [True] and high_volume.tolist() == [False]
         assert flow[0] is FlowPhase.INSPIRATION
         assert volume[0] is VolumePhase.LLV
 
     def test_empty_list(self):
-        trace = integrate_flow(sine_flow())
-        inspiring, high_volume = label_events(np.array([], dtype=int), trace)
+        flow = sine_flow()
+        inspiring, high_volume = label_events(np.array([], dtype=int), flow.samples,
+                                              integrate_flow(flow))
         assert inspiring.tolist() == [] and high_volume.tolist() == []
         assert phases(inspiring, high_volume) == ([], [])
 
@@ -152,7 +147,8 @@ class TestLabelEvents:
         _, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=21, screen=False)
         cfg = SynthConfig(coupling=Coupling.VOLUME, seed=21)
         rec, _ = gen_recording(cfg)
-        flow, volume = phases(*label_events(refs, integrate_flow(rec["flow"])))
+        flow, volume = phases(*label_events(refs, rec["flow"].samples,
+                                            integrate_flow(rec["flow"])))
         insp = sum(phase is FlowPhase.INSPIRATION for phase in flow)
         exp = sum(phase is FlowPhase.EXPIRATION for phase in flow)
         llv = sum(phase is VolumePhase.LLV for phase in volume)
@@ -165,7 +161,8 @@ class TestLabelEvents:
         _, refs, truth, _ = run_synth_analysis(Coupling.VOLUME, seed=22, screen=False)
         cfg = SynthConfig(coupling=Coupling.VOLUME, seed=22)
         rec, _ = gen_recording(cfg)
-        flow, volume = phases(*label_events(refs, integrate_flow(rec["flow"])))
+        flow, volume = phases(*label_events(refs, rec["flow"].samples,
+                                            integrate_flow(rec["flow"])))
         beats = np.array(truth.beat_indices)
         ok = total = 0
         for ref, flow_phase, volume_phase in zip(refs, flow, volume):

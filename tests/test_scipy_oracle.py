@@ -14,8 +14,8 @@ from scipy import signal as sps
 from scipy.fft import next_fast_len
 
 from cardioseis.event_detection import _find_peaks
-from cardioseis.signal_core import (_firwin, _freqz, _lowpass_taps, _next_fast_len,
-                                    _resample_poly, hilbert_envelope)
+from cardioseis.signal_core import (Channel, _firwin, _freqz, _lowpass_taps, _next_fast_len,
+                                    _resample_poly, hilbert_envelope, lowpass)
 
 # up/down ratios: 10 kHz to 320 Hz, rates beyond 6 significant digits,
 # and upsampling
@@ -76,6 +76,19 @@ def reference_lowpass_taps(cutoff_hz, fs):
                                           (40.2, 100.5), (5.0, 320.0), (155.0, 320.0)])
 def test_lowpass_taps(cutoff_hz, fs):
     assert same_bits(_lowpass_taps(cutoff_hz, fs), reference_lowpass_taps(cutoff_hz, fs))
+
+
+@pytest.mark.parametrize("cutoff_hz", [100.0, 1.0])  # 19 and 1631 taps at 320 Hz
+def test_lowpass_short_and_long_channels(cutoff_hz):
+    # channels shorter than the kernel too, where the taps are the longer operand
+    taps = _lowpass_taps(cutoff_hz, 320.0)
+    for n in [*range(1, 60), 480, 543, 544, 545, 600, 5000]:
+        x = np.random.default_rng(n).standard_normal(n)
+        pad = min(len(taps) // 2, n - 1)
+        want = sps.convolve(np.pad(x, pad, mode="reflect"), taps, mode="same")[pad:pad + n]
+        got = lowpass(Channel(x, 320.0), cutoff_hz).samples
+        assert got.shape == want.shape, n
+        assert np.max(np.abs(got - want)) < 1e-13, n
 
 
 @ORACLE
