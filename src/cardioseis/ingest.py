@@ -15,7 +15,7 @@ import re
 import shutil
 import sys
 import tempfile
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,9 @@ from .signal_core import Channel, Recording
 
 COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
-# rows formatted per write, which bounds the writer's memory; the writer's
-# slices, one per usable core, start at multiples of it
+# lines parsed per block and rows formatted per write, which bounds the
+# memory of ingest and of the writer; the writer's slices, one per usable
+# core, start at multiples of it
 CSV_BLOCK_ROWS = 65536
 _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
 
@@ -35,8 +36,12 @@ _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
 def ingest_csv(path, acquisition_fs: float) -> Recording:
     """Read a recording sampled at acquisition_fs, validating as we go.
 
-    Timestamps must be uniform to within a tenth of a sample period; any
-    NaN/Inf sample aborts with its row index.
+    The body is parsed CSV_BLOCK_ROWS file lines at a time, and each block
+    is checked before the next is read: every row has the header's field
+    count, timestamps are uniform to within a tenth of a sample period of
+    the first one, and no SCG or flow sample is NaN/Inf. The first faulty
+    row aborts the read with its file line. Only contiguous copies of the
+    SCG and flow columns outlive a block, so the whole table never exists.
     """
     path = Path(path)
     if not path.is_file():
@@ -55,51 +60,76 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
             if header.count(name) > 1:
                 raise InputError(f"{path}: the header names {name} {header.count(name)} times")
             cols[role] = header.index(name)
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            # name the file line instead of loadtxt's data row, which it
-            # counts from 1 in its column-count error and from 0 otherwise,
-            # and drop the advice after it, which names no option of run
-            msg = str(exc)
-            base = 1 if "number of columns changed" in msg else 0
-            msg = re.sub(r"\bat row (\d+)(;.*)?",
-                         lambda m: f"at line {_file_line(path, int(m.group(1)) - base)}",
-                         msg, flags=re.S)
-            raise InputError(f"{path}: could not parse data rows: {msg}") from None
-    if data.size == 0:
+        # parsed ahead of every block, so that loadtxt holds each row to the
+        # header's field count; a column the header does not name would
+        # shift the named ones
+        ref_row = ",".join(["0"] * len(header)) + "\n"
+        dt = 1.0 / acquisition_fs
+        kept = {"scg": [], "flow": []}
+        n = 0
+        for first in fh:
+            try:
+                block = np.loadtxt(chain((ref_row, first), islice(fh, CSV_BLOCK_ROWS - 1)),
+                                   delimiter=",", ndmin=2)[1:]
+            except ValueError as exc:
+                raise _parse_error(path, exc, n) from None
+            if not len(block):  # blank and comment lines only
+                continue
+            t = block[:, cols["time"]]
+            if not n:
+                t0 = t[0]
+            dev = np.abs(t - (t0 + np.arange(n, n + len(t)) * dt))
+            if np.any(dev > TIME_TOLERANCE_FRAC * dt):
+                row = n + int(np.argmax(dev > TIME_TOLERANCE_FRAC * dt))
+                raise InputError(f"{path}: non-uniform timestamps, "
+                                 f"first offending row {_file_line(path, row)}")
+            for role, parts in kept.items():
+                col = block[:, cols[role]]
+                bad = ~np.isfinite(col)
+                if np.any(bad):
+                    row = n + int(np.flatnonzero(bad)[0])
+                    raise InputError(f"{path}: non-finite {role} sample at row "
+                                     f"{_file_line(path, row)}")
+                parts.append(col.copy())
+            n += len(block)
+    if not n:
         raise InputError(f"{path}: no data rows")
-    if data.shape[1] != len(header):
-        # a column the header does not name would shift the named ones
-        raise InputError(f"{path}: rows have {data.shape[1]} fields, header has {len(header)}")
-
-    t = data[:, cols["time"]]
-    dt = 1.0 / acquisition_fs
-    expected = t[0] + np.arange(len(t)) * dt
-    dev = np.abs(t - expected)
-    if np.any(dev > TIME_TOLERANCE_FRAC * dt):
-        row = int(np.argmax(dev > TIME_TOLERANCE_FRAC * dt))
-        raise InputError(f"{path}: non-uniform timestamps, "
-                         f"first offending row {_file_line(path, row)}")
-
     channels = {}
-    for role in ("scg", "flow"):
-        col = data[:, cols[role]]
-        bad = ~np.isfinite(col)
-        if np.any(bad):
-            row = int(np.flatnonzero(bad)[0])
-            raise InputError(f"{path}: non-finite {role} sample at row {_file_line(path, row)}")
-        channels[role] = Channel(col, acquisition_fs, role)
+    for role, parts in kept.items():  # one column at a time, freeing its parts
+        channels[role] = Channel(np.concatenate(parts), acquisition_fs, role)
+        parts.clear()
     return Recording(channels=channels, recording_id=path.stem)
+
+
+def _parse_error(path, exc: ValueError, row0: int) -> InputError:
+    """The InputError for loadtxt's error on a block whose first data row is
+    row `row0` of the body, parsed after the reference row.
+
+    It names the file line instead of loadtxt's row, which loadtxt counts
+    from 1 in its column-count error and from 0 otherwise, and drops the
+    advice after it, which names no option of run.
+    """
+    msg = str(exc)
+    changed = re.search(r"changed from (\d+) to (\d+) at row (\d+)", msg)
+    if changed and row0 + int(changed[3]) == 2:
+        return InputError(f"{path}: rows have {changed[2]} fields, header has {changed[1]}, "
+                          f"at line {_file_line(path, 0)}")
+    base = 2 if changed else 1
+    msg = re.sub(r"\bat row (\d+)(;.*)?",
+                 lambda m: f"at line {_file_line(path, row0 + int(m[1]) - base)}",
+                 msg, flags=re.S)
+    return InputError(f"{path}: could not parse data rows: {msg}")
 
 
 def _file_line(path, row: int) -> int:
     """1-based file line of zero-based data row `row`, counted as loadtxt
-    counts: after the header, skipping blank and comment-only lines. A row
-    past the end gets the line it would have with no such lines."""
+    counts: after the header, skipping the lines that hold nothing but a
+    line end or a comment. A row past the end gets the line it would have
+    with no such lines."""
     with open(path, newline="") as fh:
         next(fh, None)
-        data_lines = (n for n, line in enumerate(fh, start=2) if line.split("#", 1)[0].strip())
+        data_lines = (n for n, line in enumerate(fh, start=2)
+                      if line.split("#", 1)[0].rstrip("\r\n"))
         return next(islice(data_lines, row, None), row + 2)
 
 

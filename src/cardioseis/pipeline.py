@@ -134,6 +134,7 @@ def run_pipeline(config: PipelineConfig):
         rows.append(comparison_to_row(rec.recording_id, cmp, len(context["events"]),
                                       context["outliers_dropped"]))
         artifacts += _write_artifacts(rec.recording_id, cmp, config.analysis_fs, out_dir)
+        del rec, cmp, context  # the next ingest must not hold two recordings
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
     write_report_json(rows, json_path)

@@ -163,7 +163,9 @@ def _resample_poly(x, h, up: int, down: int, n_out: int) -> np.ndarray:
     against the inputs that end at x[q*down + (p*down)//up]. As in scipy's
     upfirdn, the products are added one at a time, oldest input first, so
     the loop runs over the taps of a phase and each pass adds one
-    (up, n_out/up) block of products.
+    (up, n_out/up) block of products. Besides arrays the size of the
+    output, it makes one array the size of x: the (down, len(x)/down)
+    by-column copy of x that those passes read.
     """
     if up == down:
         y = np.zeros(n_out)
@@ -182,14 +184,25 @@ def _resample_poly(x, h, up: int, down: int, n_out: int) -> np.ndarray:
     coeffs = phase_taps[p * down % up]             # (up, per_phase)
     first = p * down // up                         # newest input of output p, less q*down
     # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
-    # which is padded[q*down + first_p + j]
+    # which is padded[q*down + first_p + j], padded being x behind
+    # per_phase - 1 zeros and ahead of more
     n_blocks = -(-(n_pre_remove + n_out) // up)
     rows = n_blocks + (first[-1] + per_phase) // down + 1
-    padded = np.zeros(rows * down)
-    padded[per_phase - 1:per_phase - 1 + len(x)] = x[:rows * down - per_phase + 1]
-    # padded[r*down + c] = by_col[c, r]; a row of by_col holds the inputs
-    # that one tap multiplies in successive output blocks
-    by_col = np.ascontiguousarray(padded.reshape(rows, down).T)
+    # by_col[c, r] = padded[r*down + c]; a row of by_col holds the inputs
+    # that one tap multiplies in successive output blocks. by_col.T is
+    # padded cut into rows of down, and x goes straight into it: the rest
+    # of the row where x starts, then whole rows, then what is left
+    by_col = np.zeros((down, rows))
+    padded = by_col.T
+    x = x[:rows * down - per_phase + 1]
+    r, c = divmod(per_phase - 1, down)
+    head = min(down - c, len(x))
+    padded[r, c:c + head] = x[:head]
+    whole = (len(x) - head) // down
+    padded[r + 1:r + 1 + whole] = x[head:head + whole * down].reshape(whole, down)
+    tail = x[head + whole * down:]
+    if len(tail):
+        padded[r + 1 + whole, :len(tail)] = tail
     runs = np.lib.stride_tricks.sliding_window_view(by_col, n_blocks, axis=1)
     acc = np.zeros((up, n_blocks))
     for j in range(per_phase):

@@ -142,6 +142,20 @@ class TestIngest:
         assert res.output.endswith(f"at line {ragged_line}\n")
         assert "usecols" not in res.output
 
+    @pytest.mark.parametrize("wide_rows", ["first", "all"])
+    def test_wide_first_row_names_line_2(self, tmp_path, wide_rows):
+        # the first row is held to the header, not the header to the first row
+        p = tmp_path / "bad.csv"
+        rows = ["time_s,scg_z,ecg,flow_lps"]
+        rows += [f"{i / 320.0:.9g},0,0,0" + (",0" if i == 0 or wide_rows == "all" else "")
+                 for i in range(10)]
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError, match="rows have 5 fields, header has 4, at line 2$"):
+            ingest_csv(p, 320.0)
+        res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert res.output.endswith("at line 2\n")
+
 
 class TestConfigFile:
     def test_parse_and_defaults(self, tmp_path):
