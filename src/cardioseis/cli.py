@@ -19,9 +19,7 @@ from .pipeline import StageError, make_out_dir, run_pipeline
 from .report import check_report
 from .synth import DEFAULT_MORPH_LENGTH_S, Coupling, SynthConfig, gen_recording
 
-EXIT_INPUT = 2
-EXIT_DEGENERATE = 3
-EXIT_INTERNAL = 4
+EXIT_INPUT, EXIT_DEGENERATE, EXIT_INTERNAL = 2, 3, 4
 
 
 def _exit_for(exc: Exception) -> int:
@@ -66,15 +64,15 @@ def run(config_path, inputs, out_dir):
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=SynthConfig.seed, show_default=True)
 @click.option("--coupling", type=click.Choice([c.value for c in Coupling]),
-              default="volume", show_default=True)
+              default=SynthConfig.coupling.value, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default="synth_out", show_default=True)
-@click.option("--duration", type=float, default=120.0, show_default=True,
+@click.option("--duration", type=float, default=SynthConfig.duration_s, show_default=True,
               help="Recording length in seconds.")
-@click.option("--fs", type=float, default=320.0, show_default=True,
+@click.option("--fs", type=float, default=SynthConfig.fs, show_default=True,
               help="Sampling rate of the generated recording.")
-@click.option("--snr", "snr_db", type=float, default=20.0, show_default=True)
+@click.option("--snr", "snr_db", type=float, default=SynthConfig.snr_db, show_default=True)
 def synth(seed, coupling, out_dir, duration, fs, snr_db):
     """Generate a synthetic recording, ground truth, and a ready-to-run config."""
     try:
@@ -104,7 +102,7 @@ def _synth_config(csv_path, cfg: SynthConfig, truth) -> str:
     length_s = DEFAULT_MORPH_LENGTH_S
     first = truth.beat_indices[0]
     start_s = max(0.0, first / cfg.fs - length_s / 2)
-    analysis_fs = min(cfg.fs, 320.0)
+    analysis_fs = min(cfg.fs, PipelineConfig.analysis_fs)
     lines = [
         f"input = {csv_path}",
         f"acquisition_fs = {_exact(cfg.fs)}",
@@ -132,9 +130,9 @@ def report(report_path):
     """Recompute RD values from a report's own mean columns."""
     try:
         problems = check_report(report_path)
-    except InputError as exc:
+    except Exception as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        sys.exit(_exit_for(exc))
     if problems:
         for p in problems:
             click.echo(f"inconsistent: {p}", err=True)

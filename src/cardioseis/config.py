@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, input_file
 from .signal_core import _lowpass_taps
 
 
@@ -42,9 +42,6 @@ class PipelineConfig:
                              f"({n_template} samples)")
         if not 0 < self.threshold_frac < 1:
             raise InputError(f"threshold_frac must be in (0, 1), got {self.threshold_frac}")
-        if not 0 < self.lowpass_cutoff_hz < self.analysis_fs / 2:
-            raise InputError(f"lowpass_cutoff_hz must be in (0, analysis_fs/2 = "
-                             f"{self.analysis_fs / 2:g}), got {self.lowpass_cutoff_hz}")
         try:
             # designed here, before any input is read; the lowpass stage reuses it
             _lowpass_taps(float(self.lowpass_cutoff_hz), float(self.analysis_fs))
@@ -57,26 +54,20 @@ class PipelineConfig:
 # `#` starts a comment at the start of a line or after whitespace, so values may contain it
 _COMMENT = re.compile(r"(?:^|(?<=\s))#")
 
-# config-file key -> (field name, parser)
-_KEYS = {
-    "input": ("inputs", lambda v: tuple(s.strip() for s in v.split(",") if s.strip())),
-    "acquisition_fs": ("acquisition_fs", float),
-    "analysis_fs": ("analysis_fs", float),
-    "lowpass_cutoff_hz": ("lowpass_cutoff_hz", float),
-    "template_start_s": ("template_start_s", float),
-    "template_length_s": ("template_length_s", float),
-    "threshold_frac": ("threshold_frac", float),
-    "min_separation_s": ("min_separation_s", float),
-    "out_dir": ("out_dir", str),
-}
+# config-file key -> (field name, parser): the key is the field name, but
+# `input` for inputs; the parser follows the type of the field's default,
+# and reads a tuple from a comma-separated list
+_KEYS = {"input" if f.name == "inputs" else f.name:
+         (f.name, type(f.default) if not isinstance(f.default, tuple)
+          else lambda v: tuple(s.strip() for s in v.split(",") if s.strip()))
+         for f in fields(PipelineConfig)}
 
 
 def load_config(path) -> PipelineConfig:
     """Parse a flat `key = value` config file. Unknown keys are errors."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"config file not found: {path}")
-    return parse_config(path.read_text(), path)
+    with input_file(path, "config file"):
+        text = Path(path).read_text(encoding="utf-8")
+    return parse_config(text, path)
 
 
 def parse_config(text: str, path) -> PipelineConfig:

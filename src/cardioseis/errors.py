@@ -1,8 +1,8 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline; cli maps each to its
+exit code."""
 
-Exit-code mapping (see cli): InputError -> 2, DegenerateAnalysisError -> 3,
-anything else -> 4.
-"""
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class CardioseisError(Exception):
@@ -15,3 +15,15 @@ class InputError(CardioseisError):
 
 class DegenerateAnalysisError(CardioseisError):
     """Analysis cannot proceed: empty group, zero-RMS average, constant signal."""
+
+
+@contextmanager
+def input_file(path, what: str):
+    """Raise an InputError naming the file `path` (as `what` if it is not
+    found) unless it exists and the block decodes it as UTF-8."""
+    if not Path(path).is_file():
+        raise InputError(f"{what} not found: {path}")
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -35,8 +35,8 @@ class Criterion(enum.Enum):
 
 
 class Winner(enum.Enum):
-    FLOW_RATE = "FlowRate"
-    LUNG_VOLUME = "LungVolume"
+    FLOW_RATE = Criterion.FLOW_RATE.value
+    LUNG_VOLUME = Criterion.LUNG_VOLUME.value
     TIE = "Tie"
 
 
@@ -74,10 +74,6 @@ class CriterionComparison:
         return (self.inspiration, self.expiration, self.llv, self.hlv)
 
 
-def _rms_rows(a) -> np.ndarray:
-    return np.sqrt(np.mean(np.square(a), axis=-1))
-
-
 def _shift_to(target, samples, refs, windows, max_shift: int):
     """Shift every row toward its best lag against target.
 
@@ -95,8 +91,8 @@ def align(refs, samples, length: int, max_shift: int):
     """Two-pass time alignment of the events at refs.
 
     samples is the channel the events were detected in; each event's
-    window is cut from it, and re-cut when the event moves. Events whose
-    window is constant are dropped with a warning. Pass one aligns the rest
+    window is cut from it, and re-cut when the event moves; no window may
+    be constant (screen_outliers drops those). Pass one aligns the events
     to the highest-RMS window; pass two re-aligns to the pass-one ensemble
     average. Lags come from Pearson-normalized cross-correlation, computed
     for the whole group at once by best_lag on the window stack.
@@ -105,18 +101,13 @@ def align(refs, samples, length: int, max_shift: int):
     cuts part of it, and the mean subtraction in best_lag then moves the
     correlation peak. This is a limit of the method, not of the batching.
 
-    Returns the aligned refs of the kept events, in input order, and their
-    aligned (n, length) windows.
+    Returns the aligned refs, in input order, and their aligned (n, length)
+    windows.
     """
-    windows = cut_windows(samples, refs, length)
-    keep = np.ptp(windows, axis=1) > 0
-    if not keep.all():
-        log.warning("group: dropped %d constant-window event(s) before alignment",
-                    np.sum(~keep))
-    if not keep.any():
+    if not len(refs):
         raise DegenerateAnalysisError("empty group")
-    refs, windows = refs[keep], windows[keep]
-    reference = windows[np.argmax(_rms_rows(windows))]
+    windows = cut_windows(samples, refs, length)
+    reference = windows[np.argmax(rms(windows))]
     refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
     return _shift_to(ensemble_average(windows), samples, refs, windows, max_shift)
 
@@ -145,7 +136,7 @@ def normalized_dissim(windows, group_avg) -> np.ndarray:
         raise DegenerateAnalysisError("degenerate group average")
     if windows.shape[1:] != group_avg.shape:
         raise InputError("length mismatch")
-    return 100.0 * _rms_rows(windows - group_avg) / denom
+    return 100.0 * rms(windows - group_avg) / denom
 
 
 def mean_dissimilarity(windows, group_avg) -> tuple[float, float]:
@@ -222,18 +213,18 @@ def compare_criteria(refs, inspiring, high_volume, samples, length: int) -> Crit
 
 
 def screen_outliers(refs, samples, length: int):
-    """Drop events whose dissimilarity to the all-event ensemble average
-    exceeds mean + 3 SD. Stand-in for the manual artifact check.
+    """Drop the events whose window is constant, with a warning, then, of
+    three or more left, those whose dissimilarity to the all-event ensemble
+    average exceeds mean + 3 SD. Stand-in for the manual artifact check.
     samples is the conditioned channel the events were detected in, and
-    length the template length. Events with a constant window are dropped
-    too, and fewer than three events are kept as they are.
+    length the template length.
 
     Returns (kept refs, n_dropped). Kept events keep their detected refs;
     the screen's own alignment only serves the comparison.
     """
-    if len(refs) < 3:
-        return refs, 0
     kept = refs[np.ptp(cut_windows(samples, refs, length), axis=1) > 0]
+    if len(kept) < len(refs):
+        log.warning("screen: dropped %d constant-window event(s)", len(refs) - len(kept))
     if len(kept) < 3:
         return kept, len(refs) - len(kept)
     _, windows = align(kept, samples, length, length // 4)

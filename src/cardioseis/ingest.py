@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvrows
-from .errors import InputError
+from .errors import InputError, input_file
 from .signal_core import Channel, Recording
 
 COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
@@ -40,13 +40,12 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
     is checked before the next is read: every row has the header's field
     count, timestamps are uniform to within a tenth of a sample period of
     the first one, and no SCG or flow sample is NaN/Inf. The first faulty
-    row aborts the read with its file line. Only contiguous copies of the
-    SCG and flow columns outlive a block, so the whole table never exists.
+    row, whatever the block size, aborts the read with its file line. Only
+    contiguous copies of the SCG and flow columns outlive a block, so the
+    whole table never exists.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
+    with input_file(path, "input file"), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -66,31 +65,25 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
         ref_row = ",".join(["0"] * len(header)) + "\n"
         dt = 1.0 / acquisition_fs
         kept = {"scg": [], "flow": []}
-        n = 0
+        n, t0 = 0, None
         for first in fh:
             try:
                 block = np.loadtxt(chain((ref_row, first), islice(fh, CSV_BLOCK_ROWS - 1)),
                                    delimiter=",", ndmin=2)[1:]
             except ValueError as exc:
-                raise _parse_error(path, exc, n) from None
+                if isinstance(exc, UnicodeDecodeError):
+                    raise
+                raise _parse_error(path, str(exc), n,
+                                   lambda rows: _fault(path, rows, cols, n, t0, dt)) from None
             if not len(block):  # blank and comment lines only
                 continue
-            t = block[:, cols["time"]]
+            fault = _fault(path, block, cols, n, t0, dt)
+            if fault:
+                raise fault
             if not n:
-                t0 = t[0]
-            dev = np.abs(t - (t0 + np.arange(n, n + len(t)) * dt))
-            if np.any(dev > TIME_TOLERANCE_FRAC * dt):
-                row = n + int(np.argmax(dev > TIME_TOLERANCE_FRAC * dt))
-                raise InputError(f"{path}: non-uniform timestamps, "
-                                 f"first offending row {_file_line(path, row)}")
+                t0 = block[0, cols["time"]]
             for role, parts in kept.items():
-                col = block[:, cols[role]]
-                bad = ~np.isfinite(col)
-                if np.any(bad):
-                    row = n + int(np.flatnonzero(bad)[0])
-                    raise InputError(f"{path}: non-finite {role} sample at row "
-                                     f"{_file_line(path, row)}")
-                parts.append(col.copy())
+                parts.append(block[:, cols[role]].copy())
             n += len(block)
     if not n:
         raise InputError(f"{path}: no data rows")
@@ -101,36 +94,62 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
     return Recording(channels=channels, recording_id=path.stem)
 
 
-def _parse_error(path, exc: ValueError, row0: int) -> InputError:
-    """The InputError for loadtxt's error on a block whose first data row is
-    row `row0` of the body, parsed after the reference row.
+def _fault(path, block, cols, row0: int, t0, dt: float) -> InputError | None:
+    """The InputError for the first faulty row of a parsed block from data
+    row `row0` on, or None; a block at row 0 sets t0. A NaN time is off the
+    grid. At one row a bad time comes first, then a bad SCG sample."""
+    t, scg, flow = (block[:, cols[role]] for role in ("time", "scg", "flow"))
+    if not row0:
+        t0 = t[0]
+    on_grid = np.abs(t - (t0 + np.arange(row0, row0 + len(t)) * dt)) <= TIME_TOLERANCE_FRAC * dt
+    ok = on_grid & np.isfinite(scg) & np.isfinite(flow)
+    if ok.all():
+        return None
+    row = int(np.argmin(ok))
+    line = _file_line(path, row0 + row)
+    if not on_grid[row]:
+        return InputError(f"{path}: non-uniform timestamps, first offending row {line}")
+    role = "scg" if not np.isfinite(scg[row]) else "flow"
+    return InputError(f"{path}: non-finite {role} sample at row {line}")
 
-    It names the file line instead of loadtxt's row, which loadtxt counts
-    from 1 in its column-count error and from 0 otherwise, and drops the
-    advice after it, which names no option of run.
-    """
-    msg = str(exc)
-    changed = re.search(r"changed from (\d+) to (\d+) at row (\d+)", msg)
-    if changed and row0 + int(changed[3]) == 2:
+
+def _parse_error(path, msg: str, row0: int, check) -> InputError:
+    """The InputError for loadtxt's error `msg` on a block whose first data
+    row is row `row0`. A fault that `check` finds in the rows before the one
+    loadtxt names, parsed again on this path only, comes first. Else the
+    error names the file line of that row, without the advice after it,
+    which names no option of run. loadtxt counts the reference row too,
+    from 1 in its column-count error and from 0 otherwise."""
+    found = re.search(r"\bat row (\d+)(;.*)?", msg, flags=re.S)
+    if not found:
+        return InputError(f"{path}: could not parse data rows: {msg}")
+    changed = re.search(r"changed from (\d+) to (\d+)", msg)
+    row = row0 + int(found[1]) - (2 if changed else 1)
+    if row > row0:
+        before = (line for _, line in islice(_data_lines(path), row0, row))
+        fault = check(np.loadtxt(before, delimiter=",", ndmin=2))
+        if fault:
+            return fault
+    if changed and row == 0:
         return InputError(f"{path}: rows have {changed[2]} fields, header has {changed[1]}, "
                           f"at line {_file_line(path, 0)}")
-    base = 2 if changed else 1
-    msg = re.sub(r"\bat row (\d+)(;.*)?",
-                 lambda m: f"at line {_file_line(path, row0 + int(m[1]) - base)}",
-                 msg, flags=re.S)
+    msg = f"{msg[:found.start()]}at line {_file_line(path, row)}{msg[found.end():]}"
     return InputError(f"{path}: could not parse data rows: {msg}")
 
 
-def _file_line(path, row: int) -> int:
-    """1-based file line of zero-based data row `row`, counted as loadtxt
-    counts: after the header, skipping the lines that hold nothing but a
-    line end or a comment. A row past the end gets the line it would have
-    with no such lines."""
-    with open(path, newline="") as fh:
+def _data_lines(path):
+    """(file line, text) of each line after the CSV's header that loadtxt
+    counts as a row: all but those of only a line end or a comment."""
+    with open(path, newline="", encoding="utf-8") as fh:
         next(fh, None)
-        data_lines = (n for n, line in enumerate(fh, start=2)
-                      if line.split("#", 1)[0].rstrip("\r\n"))
-        return next(islice(data_lines, row, None), row + 2)
+        yield from ((n, line) for n, line in enumerate(fh, start=2)
+                    if line.split("#", 1)[0].rstrip("\r\n"))
+
+
+def _file_line(path, row: int) -> int:
+    """1-based file line of zero-based data row `row`. A row past the end
+    gets the line it would have if every line after the header were a row."""
+    return next((n for n, _ in islice(_data_lines(path), row, None)), row + 2)
 
 
 def write_recording_csv(rec: Recording, path):

@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from pathlib import Path
 
-from .errors import DegenerateAnalysisError, InputError
+from .errors import DegenerateAnalysisError, InputError, input_file
 from .grouping import CriterionComparison, relative_difference
+from .respiration import FlowPhase, VolumePhase
 
-GROUP_ORDER = ("Inspiration", "Expiration", "LLV", "HLV")
+GROUP_ORDER = tuple(phase.value for phase in (*FlowPhase, *VolumePhase))
+# the columns of report.csv after recording_id: the keys of each group
+GROUP_COLUMNS = ("group", "n", "mean_dissim_same", "sd_same", "mean_dissim_alt", "sd_alt", "rd")
 RD_CHECK_TOLERANCE = 0.01
 
 
@@ -55,13 +57,10 @@ def write_report_json(rows: list[dict], path):
 def write_report_csv(rows: list[dict], path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["recording_id", "group", "n", "mean_dissim_same", "sd_same",
-                         "mean_dissim_alt", "sd_alt", "rd"])
+        writer.writerow(["recording_id", *GROUP_COLUMNS])
         for row in sorted(rows, key=lambda r: r["recording_id"]):
             for g in row["groups"]:
-                writer.writerow([row["recording_id"], g["group"], g["n"],
-                                 g["mean_dissim_same"], g["sd_same"],
-                                 g["mean_dissim_alt"], g["sd_alt"], g["rd"]])
+                writer.writerow([row["recording_id"], *(g[key] for key in GROUP_COLUMNS)])
 
 
 def check_report(path) -> list[str]:
@@ -71,11 +70,8 @@ def check_report(path) -> list[str]:
     report with no rows, or a row without the four GROUP_ORDER groups once
     each, is malformed: nothing in it would be checked.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"report file not found: {path}")
     try:
-        with open(path) as fh:
+        with input_file(path, "report file"), open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None

@@ -63,12 +63,13 @@ class Recording:
             raise InputError(f"missing channel: {name}") from None
 
 
-def rms(x) -> float:
-    """Root-mean-square of a waveform. Errors on empty input."""
+def rms(x):
+    """Root-mean-square over the last axis, like np.mean(..., axis=-1): one
+    value for a waveform, one per row for an (n, L) stack. Errors if empty."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise InputError("empty waveform")
-    return float(np.sqrt(np.mean(np.square(x))))
+    return np.sqrt(np.mean(np.square(x), axis=-1))
 
 
 def _firwin(numtaps: int, cutoff: float) -> np.ndarray:
@@ -94,9 +95,12 @@ def _lowpass_taps(cutoff_hz: float, fs: float) -> np.ndarray:
     """Smallest odd-length Hamming windowed-sinc kernel meeting the band specs.
 
     Passband: within +/-0.5 dB below 0.8*cutoff.  Stopband: >= 40 dB above
-    1.5*cutoff.  Grown in steps until a frequency-response probe passes;
-    a cutoff that needs more than 4095 taps is an InputError.
+    1.5*cutoff.  Grown in steps until a frequency-response probe passes. A
+    cutoff outside (0, fs/2) or needing over 4095 taps is an InputError.
     """
+    if not 0 < cutoff_hz < fs / 2:
+        raise InputError(f"cutoff {cutoff_hz:g} Hz is outside (0, fs/2) = (0, {fs / 2:g}) "
+                         "Hz, the band from zero to Nyquist")
     pass_edge = 0.8 * cutoff_hz
     stop_edge = 1.5 * cutoff_hz
     for numtaps in range(11, 4097, 2):
@@ -120,9 +124,6 @@ def lowpass(ch: Channel, cutoff_hz: float) -> Channel:
     kernel length, so edges carry no startup transient and there is no group
     delay in the output.
     """
-    if cutoff_hz <= 0 or cutoff_hz >= ch.fs / 2:
-        raise InputError(f"cutoff {cutoff_hz:g} Hz is outside (0, fs/2) = (0, {ch.fs / 2:g}) "
-                         "Hz, the band from zero to Nyquist")
     taps = _lowpass_taps(float(cutoff_hz), float(ch.fs))
     half = len(taps) // 2
     x = ch.samples

@@ -24,13 +24,17 @@ def _ticks(lo, hi):
 
 
 def _header(title):
-    parts = [
+    return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="18" text-anchor="middle" font-size="14">{_esc(title)}</text>',
     ]
-    return parts
+
+
+def _write(parts, path):
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n</svg>\n")
 
 
 def _axes(parts, xlo, xhi, ylo, yhi, xlabel, ylabel):
@@ -70,9 +74,7 @@ def line_plot(series: dict, path, x, title="", xlabel="time (s)", ylabel=""):
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         parts.append(f'<text x="{_W - _MR - 5}" y="{_MT + 14 + 14 * i}" text-anchor="end" '
                      f'fill="{color}">{_esc(str(label))}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(parts, path)
 
 
 def bar_chart(labels, values, path, title="", ylabel=""):
@@ -89,6 +91,4 @@ def bar_chart(labels, values, path, title="", ylabel=""):
         parts.append(f'<rect x="{xc - width / 2:.1f}" y="{top:.1f}" width="{width:.1f}" '
                      f'height="{h:.1f}" fill="{_COLORS[i % len(_COLORS)]}"/>')
         parts.append(f'<text x="{xc:.1f}" y="{_H - _MB + 30}" text-anchor="middle">{_esc(str(label))}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(parts, path)

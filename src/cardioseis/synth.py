@@ -148,18 +148,7 @@ def gen_recording(cfg: SynthConfig):
         noise_rms = rms(scg) * 10 ** (-cfg.snr_db / 20.0)
         scg = scg + rng.normal(0.0, noise_rms, size=n)
 
-    truth = GroundTruth(
-        beat_indices=beat_indices,
-        alpha=alphas,
-        flow_phase=flow_phase,
-        volume_phase=volume_phase,
-    )
-    rec = Recording(
-        channels={
-            "scg": Channel(scg, cfg.fs, "scg"),
-            "ecg": Channel(ecg, cfg.fs, "ecg"),
-            "flow": flow_ch,
-        },
-        recording_id=f"synth-{cfg.coupling.value}-seed{cfg.seed}",
-    )
-    return rec, truth
+    channels = {"scg": Channel(scg, cfg.fs, "scg"), "ecg": Channel(ecg, cfg.fs, "ecg"),
+                "flow": flow_ch}
+    return (Recording(channels, f"synth-{cfg.coupling.value}-seed{cfg.seed}"),
+            GroundTruth(beat_indices, alphas, flow_phase, volume_phase))

@@ -38,6 +38,16 @@ def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True):
     return comparison, refs, truth, scg
 
 
+def sweep_recording(seed, coupling):
+    """A recording and its config as the sweep-320 workload builds them."""
+    cfg = SynthConfig(seed=seed, coupling=coupling)
+    rec, truth = gen_recording(cfg)
+    config = PipelineConfig(acquisition_fs=cfg.fs, analysis_fs=cfg.fs,
+                            template_start_s=max(0.0, truth.beat_indices[0] / cfg.fs - 0.125),
+                            template_length_s=0.25)
+    return rec, config
+
+
 def detection_scores(refs, truth, tol=2):
     """(recall, precision, max_ref_error) of detections vs ground truth."""
     beats = np.array(truth.beat_indices)

@@ -15,11 +15,12 @@ from cardioseis.cli import main as cli_main
 from cardioseis.event_detection import matched_filter_output
 from cardioseis.grouping import (Winner, ensemble_average, mean_dissimilarity,
                                  normalized_dissim, relative_difference)
+from cardioseis.pipeline import analyze_recording
 from cardioseis.respiration import integrate_flow
 from cardioseis.signal_core import Channel, hilbert_envelope, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
-from conftest import DATA_DIR, detection_scores, run_synth_analysis
+from conftest import DATA_DIR, detection_scores, run_synth_analysis, sweep_recording
 
 
 @contextmanager
@@ -54,15 +55,15 @@ def test_criterion_2_headline_finding_100_seeds():
         t0 = time.time()
         wins = {"volume": 0, "flow": 0, "none": 0}
         for seed in range(100):
-            cmp, _, _, _ = run_synth_analysis(Coupling.VOLUME, seed)
+            cmp, _ = analyze_recording(*sweep_recording(seed, Coupling.VOLUME))
             if (cmp.winner_insp_llv is Winner.LUNG_VOLUME
                     and cmp.winner_exp_hlv is Winner.LUNG_VOLUME):
                 wins["volume"] += 1
-            cmp, _, _, _ = run_synth_analysis(Coupling.FLOW, seed)
+            cmp, _ = analyze_recording(*sweep_recording(seed, Coupling.FLOW))
             if (cmp.winner_insp_llv is Winner.FLOW_RATE
                     and cmp.winner_exp_hlv is Winner.FLOW_RATE):
                 wins["flow"] += 1
-            cmp, _, _, _ = run_synth_analysis(Coupling.NONE, seed)
+            cmp, _ = analyze_recording(*sweep_recording(seed, Coupling.NONE))
             if all(abs(st.rd) < 5.0 for st in cmp.groups):
                 wins["none"] += 1
         elapsed = time.time() - t0

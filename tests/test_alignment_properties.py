@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cardioseis.errors import DegenerateAnalysisError, InputError
-from cardioseis.event_detection import cut_windows
 from cardioseis.grouping import align, compare_criteria
 from cardioseis.respiration import integrate_flow, label_events
-from cardioseis.signal_core import _pick_columns, best_lag, rms
+from cardioseis.signal_core import _TIE_MARGIN, _pick_columns, best_lag, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 from conftest import TEMPLATE_LENGTH, run_synth_analysis
@@ -33,8 +32,9 @@ def unit_scale(a):
     return np.ldexp(a - a.mean(), -np.frexp(np.ptp(a))[1])
 
 
-def loop_best_lag(x, y, max_lag):
-    """The per-waveform loop: one dot product per lag, in tie-break order."""
+def loop_scores(x, y, max_lag):
+    """(score, lag) at each lag with an overlap of 2 or more samples, in
+    tie-break order: one dot product per lag."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.ptp(x) == 0 or np.ptp(y) == 0:
@@ -44,7 +44,7 @@ def loop_best_lag(x, y, max_lag):
     denom = np.linalg.norm(xc) * np.linalg.norm(yc)
     if denom == 0:
         raise DegenerateAnalysisError("degenerate correlation")
-    best = None
+    scores = []
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
         if lag >= 0:
             n = min(len(x), len(y) - lag)
@@ -52,9 +52,16 @@ def loop_best_lag(x, y, max_lag):
         else:
             n = min(len(x) + lag, len(y))
             xs, ys = xc[-lag:-lag + n], yc[:n]
-        if n < 2:
-            continue
-        r = float(np.dot(xs, ys) / denom)
+        if n >= 2:
+            scores.append((float(np.dot(xs, ys) / denom), lag))
+    return scores
+
+
+def loop_best_lag(x, y, max_lag):
+    """The per-waveform loop: a score replaces the best so far only if it
+    beats it by more than 1e-15."""
+    best = None
+    for r, lag in loop_scores(x, y, max_lag):
         if best is None or r > best[0] + 1e-15:
             best = (r, lag)
     if best is None:
@@ -86,14 +93,12 @@ def _loop_shift(samples, ref, window, shift, lag):
 def loop_align(refs, samples, length, max_shift):
     """The per-event two-pass alignment: one best_lag call per event.
 
-    Returns one (ref, window, cumulative shift) per event with a
-    non-constant window."""
+    Returns one (ref, window, cumulative shift) per event."""
     events = [(ref, samples[ref - length // 2:][:length].copy()) for ref in refs]
-    usable = [(ref, window) for ref, window in events if np.ptp(window) > 0]
-    reference = max((window for _, window in usable), key=rms)
+    reference = max((window for _, window in events), key=rms)
     aligned = [_loop_shift(samples, ref, window, 0,
                            loop_lag_or_zero(reference, window, max_shift))
-               for ref, window in usable]
+               for ref, window in events]
     avg = np.mean(np.stack([window for _, window, _ in aligned]), axis=0)
     if np.ptp(avg) > 0:
         aligned = [_loop_shift(samples, ref, window, shift,
@@ -103,10 +108,9 @@ def loop_align(refs, samples, length, max_shift):
 
 
 def refs_and_shifts(refs, samples, length, max_shift):
-    """align's (aligned ref, shift) per kept event, and its windows."""
-    kept = refs[np.ptp(cut_windows(samples, refs, length), axis=1) > 0]
+    """align's (aligned ref, shift) per event, and its windows."""
     aligned, windows = align(refs, samples, length, max_shift)
-    return list(zip(aligned.tolist(), (aligned - kept).tolist())), windows
+    return list(zip(aligned.tolist(), (aligned - refs).tolist())), windows
 
 
 # integer values make exact ties between lags common
@@ -128,6 +132,24 @@ def lag_problems(draw, elements):
     return x, rows, max_lag
 
 
+def assume_scaled_copies(k, *arrays):
+    """k * a is a scaled copy of a only while no nonzero value is or becomes
+    subnormal: 5e-324 * 0.5 is 0, a constant row."""
+    tiny = np.finfo(float).tiny
+    assume(all(np.all((a == 0) | ((np.abs(a) >= tiny) & (np.abs(k * a) >= tiny)))
+               for a in arrays))
+
+
+def runner_up_gap(x, y, max_lag):
+    """How far the best score of y against x beats the next best; inf when
+    the correlation is degenerate or only one lag is usable."""
+    try:
+        scores = sorted(r for r, _ in loop_scores(x, y, max_lag))
+    except DegenerateAnalysisError:
+        return np.inf
+    return scores[-1] - scores[-2] if len(scores) > 1 else np.inf
+
+
 class TestBatchedBestLag:
     @PROPERTY
     @given(lag_problems(INTS))
@@ -144,15 +166,37 @@ class TestBatchedBestLag:
         assert got.tolist() == [loop_lag_or_zero(x, row, max_lag) for row in rows]
 
     @PROPERTY
-    @given(lag_problems(FLOATS), st.floats(1e-3, 1e3))
+    @given(lag_problems(FLOATS), st.integers(-10, 10).map(lambda j: 2.0 ** j))
     def test_lags_invariant_to_scale(self, problem, k):
+        # a power of two scales exactly, so best_lag sees the same centred,
+        # unit-scaled waveforms and every lag, near-ties included, is kept
         x, rows, max_lag = problem
-        # k * a is a scaled copy of a only while no nonzero value is or
-        # becomes subnormal: 5e-324 * 0.5 is 0, a constant row
-        tiny = np.finfo(float).tiny
-        assume(all(np.all((a == 0) | ((np.abs(a) >= tiny) & (np.abs(k * a) >= tiny)))
-                   for a in (x, rows)))
+        assume_scaled_copies(k, x, rows)
         assert best_lag(k * x, k * rows, max_lag).tolist() == best_lag(x, rows, max_lag).tolist()
+
+    @PROPERTY
+    @given(lag_problems(FLOATS), st.floats(1e-3, 1e3))
+    def test_clear_lags_invariant_to_any_scale(self, problem, k):
+        # any other factor rounds the centred values, which moves a score by
+        # a few ulps: enough to flip a near-tie, but not a clear best lag
+        x, rows, max_lag = problem
+        assume_scaled_copies(k, x, rows)
+        got, want = best_lag(k * x, k * rows, max_lag), best_lag(x, rows, max_lag)
+        for row, a, b in zip(rows, got.tolist(), want.tolist()):
+            if runner_up_gap(x, row, max_lag) > 1e-12:
+                assert a == b
+
+    def test_near_tie_may_flip_with_scale(self):
+        # lags -1 and -4 score within the tie margin of each other: a scan
+        # keeps -1 unless -4 beats it by more than 1e-15, and scaling by 3
+        # rounds the centred values enough to change that
+        x = np.array([0.0, 1e-12, 475.0, 475.0, 0.0] + [475.0] * 7)
+        rows = np.array([[0.0, 1.0, 1.0]])
+        scores = {lag: r for r, lag in loop_scores(x, rows[0], 4)}
+        assert abs(scores[-4] - scores[-1]) < 2 * _TIE_MARGIN
+        assert best_lag(x, rows, 4).tolist() == [-4]
+        assert best_lag(3 * x, 3 * rows, 4).tolist() == [-1]
+        assert best_lag(4 * x, 4 * rows, 4).tolist() == [-4]
 
     def test_tiny_and_huge_amplitudes(self):
         # the squares of 1e-163 underflow to 0 and those of 2**600 overflow;

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from cardioseis import grouping, pipeline
-from cardioseis.config import PipelineConfig
 from cardioseis.respiration import integrate_flow, label_events
 from cardioseis.signal_core import lowpass, resample
-from cardioseis.synth import Coupling, SynthConfig, gen_recording
+from cardioseis.synth import Coupling
+
+from conftest import sweep_recording
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -25,16 +26,6 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def sweep_recording(seed, coupling):
-    """A recording and its config as the sweep-320 workload builds them."""
-    cfg = SynthConfig(seed=seed, coupling=coupling)
-    rec, truth = gen_recording(cfg)
-    config = PipelineConfig(acquisition_fs=cfg.fs, analysis_fs=cfg.fs,
-                            template_start_s=max(0.0, truth.beat_indices[0] / cfg.fs - 0.125),
-                            template_length_s=0.25)
-    return rec, config
 
 
 def test_every_patched_name_resolves():

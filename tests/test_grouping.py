@@ -13,7 +13,7 @@ from cardioseis.event_detection import cut_windows
 from cardioseis.grouping import (RD_TIE_TOLERANCE, align, compare_criteria,
                                  ensemble_average, evaluate_criterion,
                                  mean_dissimilarity, normalized_dissim,
-                                 relative_difference, Criterion, Winner)
+                                 relative_difference, screen_outliers, Criterion, Winner)
 from cardioseis.respiration import integrate_flow, label_events
 from cardioseis.signal_core import Channel
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
@@ -92,13 +92,6 @@ class TestAlignEvents:
         assert shifts(refs, aligned) == [0]
         assert np.array_equal(windows[0], window_at(ch, 340))
 
-    def test_constant_window_dropped(self):
-        ch = planted_channel([300, 700])
-        # the window around 500 lies between the two bursts: all zeros
-        assert np.ptp(window_at(ch, 500)) == 0
-        aligned, _ = align(np.array([340, 500, 740]), ch.samples, 80, 8)
-        assert len(aligned) == 2
-
     def test_empty_errors(self):
         with pytest.raises(DegenerateAnalysisError):
             align(np.array([], dtype=int), np.zeros(80), 80, 8)
@@ -109,6 +102,45 @@ class TestAlignEvents:
         assert windows.shape == (3, 80)
         for window, ref in zip(windows, (340, 500, 740)):
             assert np.array_equal(window, window_at(ch, ref))
+
+
+class TestScreenOutliers:
+    def test_constant_window_dropped(self):
+        ch = planted_channel([300, 700])
+        # the window around 500 lies between the two bursts: all zeros
+        assert np.ptp(window_at(ch, 500)) == 0
+        kept, dropped = screen_outliers(np.array([340, 500, 740]), ch.samples, 80)
+        assert (kept.tolist(), dropped) == ([340, 740], 1)
+
+    @pytest.mark.parametrize("refs", [[500], [340, 500], [500, 740]])
+    def test_constant_window_dropped_below_three_events(self, refs, caplog):
+        ch = planted_channel([300, 700])
+        with caplog.at_level(logging.WARNING, logger="cardioseis.grouping"):
+            kept, dropped = screen_outliers(np.array(refs), ch.samples, 80)
+        assert (kept.tolist(), dropped) == ([r for r in refs if r != 500], 1)
+        assert [r.getMessage() for r in caplog.records] == [
+            "screen: dropped 1 constant-window event(s)"]
+
+    def test_constant_window_warns_and_yields_stats(self, caplog):
+        x = np.zeros(1900)
+        for p, k in zip((300, 700, 1100, 1500), (1.0, 1.2, 0.8, 1.5)):
+            x[p:p + 80] += k * BURST
+        ch = Channel(x, 320.0)
+        # the window around 1300 lies between two bursts: all zeros
+        refs = np.array([340, 740, 1140, 1300, 1540])
+        with caplog.at_level(logging.WARNING, logger="cardioseis.grouping"):
+            kept, dropped = screen_outliers(refs, ch.samples, 80)
+        assert [r.getMessage() for r in caplog.records] == [
+            "screen: dropped 1 constant-window event(s)"]
+        assert (kept.tolist(), dropped) == ([340, 740, 1140, 1540], 1)
+        first_stats, second_stats = evaluate_criterion(
+            kept, np.array([True, True, False, False]), Criterion.FLOW_RATE, ch.samples, 80)
+        assert (first_stats.n, second_stats.n) == (2, 2)
+        assert first_stats.group_id == "Inspiration"
+
+    def test_no_events(self):
+        kept, dropped = screen_outliers(np.empty(0, dtype=int), np.zeros(200), 80)
+        assert (kept.tolist(), dropped) == ([], 0)
 
 
 class TestEnsembleAverage:
@@ -235,22 +267,6 @@ class TestCriteria:
         with pytest.raises(DegenerateAnalysisError, match="degenerate split.*FlowRate"):
             evaluate_criterion(np.array([340, 740]), np.array([True, True]),
                                Criterion.FLOW_RATE, ch.samples, 80)
-
-    def test_constant_window_warns_and_yields_stats(self, caplog):
-        x = np.zeros(1900)
-        for p, k in zip((300, 700, 1100, 1500), (1.0, 1.2, 0.8, 1.5)):
-            x[p:p + 80] += k * BURST
-        ch = Channel(x, 320.0)
-        # the window around 1300 lies between two bursts: all zeros
-        refs = np.array([340, 740, 1140, 1300, 1540])
-        first = np.array([True, True, False, False, False])
-        with caplog.at_level(logging.WARNING, logger="cardioseis.grouping"):
-            first_stats, second_stats = evaluate_criterion(refs, first, Criterion.FLOW_RATE,
-                                                           ch.samples, 80)
-        assert [r.getMessage() for r in caplog.records] == [
-            "group: dropped 1 constant-window event(s) before alignment"]
-        assert (first_stats.n, second_stats.n) == (2, 2)
-        assert first_stats.group_id == "Inspiration"
 
     def test_amplitude_invariance_of_stats(self):
         cmp, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=34, screen=False)

@@ -88,6 +88,7 @@ def fault(kind, row):
         "nan scg": (f"{t},nan,0,0", "non-finite scg sample at row {L}"),
         "inf flow": (f"{t},0,0,inf", "non-finite flow sample at row {L}"),
         "late time": (f"{(row + 0.5) / FS:.9g},0,0,0", "first offending row {L}"),
+        "nan time": ("nan,0,0,0", "first offending row {L}"),
     }[kind]
 
 
@@ -95,7 +96,8 @@ def fault(kind, row):
 # body line r + 2 and file line r + 4: 2 and 6 open a block, 5 closes one,
 # and 12 and 13 lie in the last block
 @pytest.mark.parametrize("row", [0, B - 2, 2 * B - 3, 2 * B - 2, 3 * B, 3 * B + 1])
-@pytest.mark.parametrize("kind", ["parse", "wide", "short", "nan scg", "inf flow", "late time"])
+@pytest.mark.parametrize("kind", ["parse", "wide", "short", "nan scg", "inf flow", "late time",
+                                  "nan time"])
 def test_fault_names_the_line_of_an_unsplit_parse(tmp_path, kind, row):
     n = 3 * B + 2
     body = ["", "# recorded at 320 Hz"] + data_rows(n)
@@ -109,6 +111,31 @@ def test_fault_names_the_line_of_an_unsplit_parse(tmp_path, kind, row):
     split, unsplit = error_with_blocks(path, B), error_with_blocks(path, UNSPLIT)
     assert split == unsplit
     assert split.endswith(tail.format(L=line)), split
+
+
+# (earlier, later) data rows, laid out as above: 1 closes the first block
+# and 2 opens the next; 2 and 5 open and close one block; 5 and 6 straddle
+# a block edge
+@pytest.mark.parametrize("rows", [(1, 2), (2, 5), (5, 6)])
+@pytest.mark.parametrize("later", ["parse", "wide", "short", "late time", "nan scg"])
+@pytest.mark.parametrize("earlier", ["nan scg", "inf flow", "late time", "nan time"])
+def test_the_earlier_of_two_faults_is_named(tmp_path, earlier, later, rows):
+    body = ["", "# recorded at 320 Hz"] + data_rows(3 * B + 2)
+    body[rows[0] + 2], tail = fault(earlier, rows[0])
+    body[rows[1] + 2] = fault(later, rows[1])[0]
+    path = write_csv(tmp_path / "bad.csv", body)
+    split, unsplit = error_with_blocks(path, B), error_with_blocks(path, UNSPLIT)
+    assert split == unsplit
+    assert split.endswith(tail.format(L=rows[0] + 4)), split
+
+
+@pytest.mark.parametrize("line, named", [("nan,nan,0,inf", "first offending row 3"),
+                                         ("{t},nan,0,inf", "non-finite scg sample at row 3")])
+def test_one_row_names_time_then_scg_then_flow(tmp_path, line, named):
+    body = data_rows(3)
+    body[1] = line.format(t=1 / FS)
+    path = write_csv(tmp_path / "bad.csv", body)
+    assert error_with_blocks(path, B).endswith(named)
 
 
 def test_blank_lines_only_is_no_data_without_a_warning(tmp_path):

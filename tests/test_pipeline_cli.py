@@ -129,14 +129,16 @@ class TestIngest:
 
     @pytest.mark.parametrize("ragged_line", [5, 11])
     def test_ragged_row_names_file_line(self, tmp_path, ragged_line):
-        # line 11 is the last row; loadtxt counts this error's rows from 1
+        # line 11 is the last row; loadtxt counts this error's rows from 1.
+        # The rows are at run's default acquisition_fs, so that no row
+        # before the ragged one is faulty
         p = tmp_path / "bad.csv"
         rows = ["time_s,scg_z,ecg,flow_lps"]
-        rows += [f"{i / 320.0:.9g},0,0,0" for i in range(10)]
+        rows += [f"{i / 10000.0:.9g},0,0,0" for i in range(10)]
         rows[ragged_line - 1] += ",0"
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError, match=f"changed from 4 to 5 at line {ragged_line}$"):
-            ingest_csv(p, 320.0)
+            ingest_csv(p, 10000.0)
         res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, res.output
         assert res.output.endswith(f"at line {ragged_line}\n")
@@ -235,8 +237,13 @@ template_start_s = 1.5
     def test_readme_documents_every_key(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
-        documented = {line.split("=", 1)[0].strip() for line in block.splitlines()}
-        assert documented == set(_KEYS)
+        documented = dict(line.split("#", 1)[0].split("=", 1) for line in block.splitlines())
+        documented = {key.strip(): value.strip() for key, value in documented.items()}
+        assert set(documented) == set(_KEYS)
+        # `input` is only an example path
+        for key, (name, parse) in _KEYS.items():
+            if key != "input":
+                assert parse(documented[key]) == getattr(PipelineConfig, name), key
 
     def test_conditioning_defaults(self):
         cfg = PipelineConfig()
@@ -530,6 +537,33 @@ class TestCli:
         runner = CliRunner()
         res = runner.invoke(main, ["report", "--check", str(tmp_path / "nope.json")])
         assert res.exit_code == 2
+
+    def test_report_check_undecodable_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"rows": "\xff"}')
+        res = CliRunner().invoke(main, ["report", "--check", str(bad)])
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+    # file lines: 1 is the header; 15,938 lies far past the first chunk
+    # that the text reader decodes
+    @pytest.mark.parametrize("line", [1, 2, 15938])
+    def test_run_undecodable_csv_exits_2(self, tmp_path, line):
+        rows = ["time_s,scg_z,ecg,flow_lps"] + [f"{i / 10000.0:.9g},0,0,0" for i in range(20000)]
+        lines = [row.encode() for row in rows]
+        lines[line - 1] = lines[line - 1][:2] + b"\xe9" + lines[line - 1][2:]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        res = CliRunner().invoke(main, ["run", "--input", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: [ingest] {path}: not UTF-8 text (invalid continuation byte)\n"
+
+    def test_run_undecodable_config_exits_2(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"analysis_fs = 320\n# caf\xe9\n")
+        res = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
 
 
 # Imports the package and the CLI, then runs `report --check`, a short
