@@ -100,21 +100,15 @@ def _synth_config(csv_path, cfg: SynthConfig, truth) -> str:
     """Config text pointing at the generated file, with a template span on
     the first generated beat so `cardioseis run` works out of the box."""
     length_s = DEFAULT_MORPH_LENGTH_S
-    first = truth.beat_indices[0]
-    start_s = max(0.0, first / cfg.fs - length_s / 2)
-    analysis_fs = min(cfg.fs, PipelineConfig.analysis_fs)
-    lines = [
+    start_s = max(0.0, truth.beat_indices[0] / cfg.fs - length_s / 2)
+    return "\n".join([
         f"input = {csv_path}",
         f"acquisition_fs = {_exact(cfg.fs)}",
-        f"analysis_fs = {_exact(analysis_fs)}",
+        f"analysis_fs = {_exact(min(cfg.fs, PipelineConfig.analysis_fs))}",
         f"template_start_s = {start_s:.6f}",
         f"template_length_s = {length_s:g}",
         "",
-    ]
-    if PipelineConfig.lowpass_cutoff_hz >= analysis_fs / 2:
-        # the default cutoff would sit at or above Nyquist: keep it below
-        lines.insert(3, f"lowpass_cutoff_hz = {_exact(0.4 * analysis_fs)}")
-    return "\n".join(lines)
+    ])
 
 
 def _exact(x: float) -> str:

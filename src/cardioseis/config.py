@@ -16,12 +16,14 @@ class PipelineConfig:
     inputs: tuple[str, ...] = ()
     acquisition_fs: float = 10000.0
     analysis_fs: float = 320.0
-    lowpass_cutoff_hz: float = 100.0
     template_start_s: float = 0.0
     template_length_s: float = 0.25
-    threshold_frac: float = 0.5
-    min_separation_s: float = 0.4
     out_dir: str = "out"
+
+    @property
+    def lowpass_cutoff_hz(self) -> float:
+        """100 Hz, or 0.4 x analysis_fs where that is lower (below Nyquist)."""
+        return min(100.0, 0.4 * self.analysis_fs)
 
     def __post_init__(self):
         for f in fields(self):
@@ -40,15 +42,11 @@ class PipelineConfig:
             raise InputError(f"template_length_s must span >= 8 samples at analysis_fs = "
                              f"{self.analysis_fs:g}, got {self.template_length_s} "
                              f"({n_template} samples)")
-        if not 0 < self.threshold_frac < 1:
-            raise InputError(f"threshold_frac must be in (0, 1), got {self.threshold_frac}")
         try:
             # designed here, before any input is read; the lowpass stage reuses it
-            _lowpass_taps(float(self.lowpass_cutoff_hz), float(self.analysis_fs))
+            _lowpass_taps(self.lowpass_cutoff_hz, float(self.analysis_fs))
         except InputError as exc:
-            raise InputError(f"lowpass_cutoff_hz = {self.lowpass_cutoff_hz:g}: {exc}") from None
-        if self.min_separation_s <= 0:
-            raise InputError(f"min_separation_s must be > 0, got {self.min_separation_s}")
+            raise InputError(f"analysis_fs = {self.analysis_fs:g}: {exc}") from None
 
 
 # `#` starts a comment at the start of a line or after whitespace, so values may contain it

@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DegenerateAnalysisError, InputError
 from .signal_core import Channel, hilbert_envelope
 
+THRESHOLD_FRAC = 0.5
+MIN_SEPARATION_S = 0.4
+
 
 @dataclass(frozen=True)
 class Template:
@@ -116,29 +119,26 @@ def _find_peaks(x, height: float, distance: int) -> np.ndarray:
     return peaks
 
 
-def detect_events(ch: Channel, tpl: Template, threshold_frac: float,
-                  min_separation_s: float) -> np.ndarray:
+def detect_events(ch: Channel, tpl: Template) -> np.ndarray:
     """Detect heartbeat events in a conditioned channel; returns their ref
     indices, in ascending order.
 
-    Peaks of the Hilbert envelope of the matched-filter output above
-    threshold_frac times the envelope's 95th percentile, separated by at
-    least min_separation_s, become events. Peaks too close to either end to
+    Peaks of the Hilbert envelope of the matched-filter output at or above
+    THRESHOLD_FRAC times the envelope's 95th percentile, separated by at
+    least MIN_SEPARATION_S, become events. Peaks too close to either end to
     fit a template-length window around their ref are dropped. The
     threshold is relative, so detection is invariant to amplitude scaling
     of the channel.
     """
-    if not (0 < threshold_frac < 1):
-        raise InputError(f"threshold_frac must be in (0,1), got {threshold_frac}")
     if tpl.fs != ch.fs:
         raise InputError("channel rate mismatch")
     w = build_matched_filter(tpl)
     y = matched_filter_output(ch.samples, w)
     env = hilbert_envelope(y)
-    thr = threshold_frac * float(np.percentile(env, 95))
+    thr = THRESHOLD_FRAC * float(np.percentile(env, 95))
     if thr <= 0:
         return np.empty(0, dtype=int)
-    distance = max(1, int(round(min_separation_s * ch.fs)))
+    distance = max(1, int(round(MIN_SEPARATION_S * ch.fs)))
     peaks = _find_peaks(env, thr, distance)
     refs = peaks - _peak_offset(tpl)
     first, last = ref_bounds(len(ch), tpl.length)

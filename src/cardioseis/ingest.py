@@ -101,14 +101,17 @@ def _fault(path, block, cols, row0: int, t0, dt: float) -> InputError | None:
     t, scg, flow = (block[:, cols[role]] for role in ("time", "scg", "flow"))
     if not row0:
         t0 = t[0]
-    on_grid = np.abs(t - (t0 + np.arange(row0, row0 + len(t)) * dt)) <= TIME_TOLERANCE_FRAC * dt
+    expected = t0 + np.arange(row0, row0 + len(t)) * dt
+    on_grid = np.abs(t - expected) <= TIME_TOLERANCE_FRAC * dt
     ok = on_grid & np.isfinite(scg) & np.isfinite(flow)
     if ok.all():
         return None
     row = int(np.argmin(ok))
     line = _file_line(path, row0 + row)
     if not on_grid[row]:
-        return InputError(f"{path}: non-uniform timestamps, first offending row {line}")
+        return InputError(f"{path}: non-uniform timestamps, first offending row {line}: "
+                          f"time {t[row]:.9g} s, expected {expected[row]:.9g} s at "
+                          f"acquisition_fs = {1 / dt:.9g}")
     role = "scg" if not np.isfinite(scg[row]) else "flow"
     return InputError(f"{path}: non-finite {role} sample at row {line}")
 

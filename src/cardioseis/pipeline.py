@@ -64,8 +64,7 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
     scg = _stage("lowpass", lowpass, scg, config.lowpass_cutoff_hz)
     tpl = _stage("template", template_from_channel, scg,
                  config.template_start_s, config.template_length_s)
-    refs = _stage("detect", detect_events, scg, tpl,
-                  config.threshold_frac, config.min_separation_s)
+    refs = _stage("detect", detect_events, scg, tpl)
     volume = _stage("respiration", integrate_flow, flow)
     refs, dropped = _stage("screen", screen_outliers, refs, scg.samples, tpl.length)
     if not len(refs):

@@ -145,8 +145,6 @@ def resample(ch: Channel, target_fs: float) -> Channel:
     """
     if target_fs <= 0:
         raise InputError("target_fs must be > 0")
-    if target_fs == ch.fs:
-        return ch.with_samples(ch.samples.copy())
     frac = Fraction(target_fs / ch.fs).limit_denominator(10000)
     up, down = frac.numerator, frac.denominator
     m = max(up, down)
@@ -168,7 +166,7 @@ def _resample_poly(x, h, up: int, down: int, n_out: int) -> np.ndarray:
     output, it makes one array the size of x: the (down, len(x)/down)
     by-column copy of x that those passes read.
     """
-    if up == down:
+    if up == down:  # as in scipy, the input unfiltered; resample's one identity path
         y = np.zeros(n_out)
         y[:min(n_out, len(x))] = x[:n_out]
         return y

@@ -15,8 +15,6 @@ DATA_DIR = Path(__file__).parent / "data"
 
 # the template length of run_synth_analysis, at the synth default rate
 TEMPLATE_LENGTH = len(default_morphologies(SynthConfig().fs)[0])
-# detect_events' threshold_frac and min_separation_s, as a run uses them by default
-DETECT_DEFAULTS = (PipelineConfig.threshold_frac, PipelineConfig.min_separation_s)
 
 
 def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True):
@@ -30,7 +28,7 @@ def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True):
     length = len(default_morphologies(cfg.fs)[0])
     first = truth.beat_indices[0]
     tpl = template_from_channel(scg, (first - length // 2) / cfg.fs, length / cfg.fs)
-    refs = detect_events(scg, tpl, *DETECT_DEFAULTS)
+    refs = detect_events(scg, tpl)
     kept = screen_outliers(refs, scg.samples, length)[0] if screen else refs
     flow = rec["flow"]
     comparison = compare_criteria(kept, *label_events(kept, flow.samples, integrate_flow(flow)),

@@ -12,7 +12,7 @@ from cardioseis.event_detection import (Template, build_matched_filter, cut_wind
 from cardioseis.signal_core import Channel, lowpass, rms
 from cardioseis.synth import Coupling, SynthConfig, default_morphologies, gen_recording
 
-from conftest import DETECT_DEFAULTS, detection_scores
+from conftest import detection_scores
 
 
 def brute_force_convolution(x, w):
@@ -103,7 +103,7 @@ class TestDetectEvents:
     def test_three_planted_events(self):
         offsets = [500, 1200, 2500]
         ch = self._planted_channel(offsets)
-        refs = detect_events(ch, make_template(BURST), *DETECT_DEFAULTS)
+        refs = detect_events(ch, make_template(BURST))
         assert len(refs) == 3
         expected = [p + len(BURST) // 2 for p in offsets]
         for ref, want in zip(refs, expected):
@@ -112,7 +112,7 @@ class TestDetectEvents:
 
     def test_all_zero_signal(self):
         ch = Channel(np.zeros(2000), 320.0)
-        assert detect_events(ch, make_template(BURST), *DETECT_DEFAULTS).tolist() == []
+        assert detect_events(ch, make_template(BURST)).tolist() == []
 
     def test_collision_keeps_larger_peak(self):
         n = 3000
@@ -120,31 +120,31 @@ class TestDetectEvents:
         x[1000:1000 + len(BURST)] += 1.0 * BURST
         x[1050:1050 + len(BURST)] += 0.6 * BURST  # closer than 0.4 s = 128 samples
         ch = Channel(x, 320.0)
-        refs = detect_events(ch, make_template(BURST), *DETECT_DEFAULTS)
+        refs = detect_events(ch, make_template(BURST))
         assert len(refs) == 1
         assert abs(refs[0] - (1000 + len(BURST) // 2)) <= 2
 
     def test_amplitude_scale_invariance(self):
         ch = self._planted_channel([400, 1300, 2200], seed=3)
         tpl = make_template(BURST)
-        refs = detect_events(ch, tpl, *DETECT_DEFAULTS).tolist()
+        refs = detect_events(ch, tpl).tolist()
         scaled = Channel(7.5 * ch.samples, 320.0)
-        assert detect_events(scaled, tpl, *DETECT_DEFAULTS).tolist() == refs
+        assert detect_events(scaled, tpl).tolist() == refs
 
     @settings(max_examples=60, deadline=None)
     @given(coupling=st.sampled_from(list(Coupling)), seed=st.integers(0, 7),
            k=st.sampled_from([1e-3, 1e4]) | st.floats(1e-3, 1e4))
     def test_amplitude_scale_invariance_property(self, coupling, seed, k):
         scg, tpl = synth_scg(coupling, seed)
-        refs = detect_events(scg, tpl, *DETECT_DEFAULTS).tolist()
+        refs = detect_events(scg, tpl).tolist()
         assert refs
         scaled = Channel(k * scg.samples, scg.fs)
-        assert detect_events(scaled, tpl, *DETECT_DEFAULTS).tolist() == refs
+        assert detect_events(scaled, tpl).tolist() == refs
 
     def test_pairwise_separation(self, rng):
         offsets = sorted(rng.choice(np.arange(200, 3600, 200), size=8, replace=False))
         ch = self._planted_channel(list(offsets), seed=5)
-        refs = detect_events(ch, make_template(BURST), *DETECT_DEFAULTS).tolist()
+        refs = detect_events(ch, make_template(BURST)).tolist()
         assert all(b - a >= 0.4 * 320 for a, b in zip(refs, refs[1:]))
 
     def test_degenerate_template(self):
@@ -155,7 +155,7 @@ class TestDetectEvents:
         x = np.zeros(300)
         x[0:len(BURST)] += BURST  # too close to the start for a centered window
         ch = Channel(x, 320.0)
-        refs = detect_events(ch, make_template(BURST), *DETECT_DEFAULTS)
+        refs = detect_events(ch, make_template(BURST))
         assert all(ref - len(BURST) // 2 >= 0 for ref in refs)
 
 

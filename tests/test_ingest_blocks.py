@@ -77,6 +77,13 @@ def test_columns_equal_whole_file_loadtxt(tmp_path, n, layout, final_newline, eo
         assert rec[name].samples.base is None  # no view that keeps a block alive
 
 
+def off_grid(t, expected):
+    """The end of the message for a row at time t that the grid puts at
+    `expected`, naming its file line L."""
+    return (f"first offending row {{L}}: time {t:.9g} s, expected {expected:.9g} s at "
+            f"acquisition_fs = {FS:g}")
+
+
 def fault(kind, row):
     """The line that replaces data row `row`, and the end of the message
     that names its file line L."""
@@ -87,8 +94,9 @@ def fault(kind, row):
         "short": (f"{t},0,0", "changed from 4 to 3 at line {L}"),
         "nan scg": (f"{t},nan,0,0", "non-finite scg sample at row {L}"),
         "inf flow": (f"{t},0,0,inf", "non-finite flow sample at row {L}"),
-        "late time": (f"{(row + 0.5) / FS:.9g},0,0,0", "first offending row {L}"),
-        "nan time": ("nan,0,0,0", "first offending row {L}"),
+        "late time": (f"{(row + 0.5) / FS:.9g},0,0,0", off_grid((row + 0.5) / FS, row / FS)),
+        # a NaN first time puts the whole grid at NaN
+        "nan time": ("nan,0,0,0", off_grid(np.nan, row / FS if row else np.nan)),
     }[kind]
 
 
@@ -106,6 +114,7 @@ def test_fault_names_the_line_of_an_unsplit_parse(tmp_path, kind, row):
     line = row + 4
     if kind == "late time" and row == 0:
         line += 1  # the first time sets the grid, so the next row is off it
+        tail = off_grid(1 / FS, 1.5 / FS)
     elif kind in ("wide", "short") and row == 0:
         tail = f"rows have {5 if kind == 'wide' else 3} fields, header has 4, at line {{L}}"
     split, unsplit = error_with_blocks(path, B), error_with_blocks(path, UNSPLIT)
@@ -129,7 +138,9 @@ def test_the_earlier_of_two_faults_is_named(tmp_path, earlier, later, rows):
     assert split.endswith(tail.format(L=rows[0] + 4)), split
 
 
-@pytest.mark.parametrize("line, named", [("nan,nan,0,inf", "first offending row 3"),
+@pytest.mark.parametrize("line, named", [pytest.param("nan,nan,0,inf",
+                                                      off_grid(np.nan, 1 / FS).format(L=3),
+                                                      id="nan,nan,0,inf-first offending row 3"),
                                          ("{t},nan,0,inf", "non-finite scg sample at row 3")])
 def test_one_row_names_time_then_scg_then_flow(tmp_path, line, named):
     body = data_rows(3)

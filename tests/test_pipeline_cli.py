@@ -36,6 +36,18 @@ def synth_csv(tmp_path, seed=1, coupling=Coupling.VOLUME, duration=60.0):
     return path, rec, truth, cfg
 
 
+def zero_flow_csv(tmp_path):
+    """A 60 s recording whose flow is all zeros, written to a CSV."""
+    cfg = SynthConfig(seed=2, duration_s=60.0)
+    rec, truth = gen_recording(cfg)
+    zeroed = Recording(channels={**rec.channels,
+                                 "flow": Channel(np.zeros(len(rec["flow"])), cfg.fs, "flow")},
+                       recording_id="zeroflow")
+    path = tmp_path / "zeroflow.csv"
+    write_recording_csv(zeroed, path)
+    return path, truth, cfg
+
+
 def pipeline_config(tmp_path, csv_path, truth, cfg, **overrides):
     length_s = 0.25
     start_s = truth.beat_indices[0] / cfg.fs - length_s / 2
@@ -76,8 +88,20 @@ class TestIngest:
         rows += [f"{i / 320.0:.9g},0,0,0" for i in range(10)]
         rows[5] = "0.2,0,0,0"  # row 5 is wildly off
         p.write_text("\n".join(rows) + "\n")
-        with pytest.raises(InputError, match="non-uniform timestamps.*row 6"):
+        with pytest.raises(InputError, match="non-uniform timestamps, first offending row 6: "
+                           "time 0.2 s, expected 0.0125 s at acquisition_fs = 320$"):
             ingest_csv(p, 320.0)
+
+    def test_rows_read_at_another_rate_name_the_expected_time(self, tmp_path):
+        # a 320 Hz recording read at run's default acquisition_fs
+        p = tmp_path / "rec.csv"
+        p.write_text("\n".join(["time_s,scg_z,ecg,flow_lps"] +
+                               [f"{i / 320.0:.9g},0,0,0" for i in range(10)]) + "\n")
+        res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.output == (f"error: [ingest] {p}: non-uniform timestamps, first offending "
+                              "row 3: time 0.003125 s, expected 0.0001 s at acquisition_fs = "
+                              "10000\n")
 
     def test_nan_sample(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -166,14 +190,13 @@ class TestConfigFile:
 # comment
 input = a.csv, b.csv
 analysis_fs = 320
-lowpass_cutoff_hz = 100
 template_start_s = 1.5
 """)
         cfg = load_config(p)
         assert cfg.inputs == ("a.csv", "b.csv")
         assert cfg.template_start_s == 1.5
         assert cfg.acquisition_fs == 10000.0  # untouched default
-        assert cfg.threshold_frac == 0.5
+        assert cfg.template_length_s == 0.25
 
     def test_hash_inside_value_kept(self, tmp_path):
         p = tmp_path / "pipeline.cfg"
@@ -186,22 +209,18 @@ template_start_s = 1.5
         p = tmp_path / "pipeline.cfg"
         p.write_text("  # indented comment\n"
                      "out_dir = o # comment\n"
-                     "min_separation_s = 0.3\t# tab before the comment\n"
-                     "threshold_frac = 0.25              # of the 95th percentile\n")
+                     "template_start_s = 0.3\t# tab before the comment\n"
+                     "template_length_s = 0.125              # of the first beat\n")
         cfg = load_config(p)
         assert cfg.out_dir == "o"
-        assert cfg.min_separation_s == 0.3
-        assert cfg.threshold_frac == 0.25
+        assert cfg.template_start_s == 0.3
+        assert cfg.template_length_s == 0.125
 
     @pytest.mark.parametrize("field,value", [
-        ("threshold_frac", 0.0), ("threshold_frac", 1.0), ("threshold_frac", 1.5),
-        ("lowpass_cutoff_hz", 0.0), ("lowpass_cutoff_hz", 160.0), ("lowpass_cutoff_hz", -5.0),
-        ("lowpass_cutoff_hz", 0.3),
-        ("min_separation_s", 0.0), ("min_separation_s", -0.4),
         ("acquisition_fs", float("nan")), ("acquisition_fs", 0.0), ("acquisition_fs", -320.0),
         ("analysis_fs", 0.0),
         ("template_start_s", float("nan")), ("template_start_s", -1.0),
-        ("template_length_s", float("nan")), ("min_separation_s", float("inf")),
+        ("template_length_s", float("nan")),
         ("template_length_s", 0.02), ("template_length_s", 0.0),
     ])
     def test_out_of_range_rejected(self, field, value):
@@ -209,9 +228,16 @@ template_start_s = 1.5
             PipelineConfig(**{field: value})
 
     def test_in_range_accepted(self):
-        cfg = PipelineConfig(threshold_frac=0.01, lowpass_cutoff_hz=159.5,
-                             min_separation_s=0.01)
-        assert cfg.min_separation_s == 0.01
+        # analysis at the acquisition rate, and a template of 8 samples from the start
+        cfg = PipelineConfig(acquisition_fs=320.0, analysis_fs=320.0, template_start_s=0.0,
+                             template_length_s=8 / 320)
+        assert cfg.template_length_s == 0.025
+
+    @pytest.mark.parametrize("analysis_fs,cutoff", [(150.0, 60.0), (230.0, 92.0),
+                                                    (250.0, 100.0), (320.0, 100.0)])
+    def test_lowpass_cutoff_rule(self, analysis_fs, cutoff):
+        # 100 Hz, or 0.4 x analysis_fs where that is lower
+        assert PipelineConfig(analysis_fs=analysis_fs).lowpass_cutoff_hz == cutoff
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -220,9 +246,10 @@ template_start_s = 1.5
             load_config(p)
 
     @pytest.mark.parametrize("key", ["channel.ecg", "channel.time", "channel.scg",
-                                     "channel.flow", "detrend", "max_shift", "outlier_screen"])
+                                     "channel.flow", "detrend", "max_shift", "outlier_screen",
+                                     "threshold_frac", "min_separation_s", "lowpass_cutoff_hz"])
     def test_channel_ecg_key_exits_2(self, tmp_path, monkeypatch, key):
-        # removed keys: the column names and these steps are fixed
+        # removed keys: the column names, these steps and their settings are fixed
         path, *_ = synth_csv(tmp_path, duration=5.0)
         p = tmp_path / "old.cfg"
         p.write_text(f"input = {path}\n{key} = 1\n")
@@ -250,6 +277,14 @@ template_start_s = 1.5
         assert cfg.acquisition_fs == 10000.0
         assert cfg.analysis_fs == 320.0
         assert cfg.lowpass_cutoff_hz == 100.0
+
+    def test_lowpass_design_error_names_analysis_fs(self, monkeypatch):
+        # a stub: at 200 kHz the real search fails only after 2,043 designs
+        def no_kernel(cutoff_hz, fs):
+            raise InputError(f"no kernel for {cutoff_hz:g} Hz at {fs:g} Hz")
+        monkeypatch.setattr("cardioseis.config._lowpass_taps", no_kernel)
+        with pytest.raises(InputError, match="^analysis_fs = 150: no kernel for 60 Hz at 150 Hz$"):
+            PipelineConfig(analysis_fs=150.0)
 
     def test_analysis_fs_above_acquisition(self):
         with pytest.raises(InputError):
@@ -279,13 +314,7 @@ class TestRunPipeline:
             ["Inspiration", "Expiration", "LLV", "HLV"]
 
     def test_zero_flow_degenerate_split(self, tmp_path):
-        cfg = SynthConfig(seed=2, duration_s=60.0)
-        rec, truth = gen_recording(cfg)
-        zeroed = Recording(channels={**rec.channels,
-                                     "flow": Channel(np.zeros(len(rec["flow"])), cfg.fs, "flow")},
-                           recording_id="zeroflow")
-        path = tmp_path / "zeroflow.csv"
-        write_recording_csv(zeroed, path)
+        path, truth, cfg = zero_flow_csv(tmp_path)
         config = pipeline_config(tmp_path, path, truth, cfg)
         from cardioseis.pipeline import StageError
         from cardioseis.errors import DegenerateAnalysisError
@@ -365,9 +394,9 @@ class TestCli:
         res = runner.invoke(main, ["synth", "--seed", "1", "--fs", "150",
                                    "--duration", "30", "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert load_config(out / "pipeline.cfg").lowpass_cutoff_hz < 75.0
+        assert load_config(out / "pipeline.cfg").lowpass_cutoff_hz == 60.0
         # rates that %g writes exactly keep their short form
-        assert ("acquisition_fs = 150\nanalysis_fs = 150\nlowpass_cutoff_hz = 60\n"
+        assert ("acquisition_fs = 150\nanalysis_fs = 150\ntemplate_start_s"
                 in (out / "pipeline.cfg").read_text())
         res = runner.invoke(main, ["run", "--config", str(out / "pipeline.cfg"),
                                    "--out", str(tmp_path / "analysis")])
@@ -391,7 +420,18 @@ class TestCli:
         res = runner.invoke(main, ["synth", "--fs", "250", "--duration", "5",
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert "lowpass_cutoff_hz" not in (out / "pipeline.cfg").read_text()
+        assert load_config(out / "pipeline.cfg").lowpass_cutoff_hz == 100.0
+
+    def test_synth_then_run_just_above_200_hz(self, tmp_path):
+        # a 100 Hz cutoff would leave no stop band below Nyquist
+        runner = CliRunner()
+        out = tmp_path / "synth"
+        res = runner.invoke(main, ["synth", "--fs", "200.2", "--duration", "30",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["run", "--config", str(out / "pipeline.cfg"),
+                                   "--out", str(tmp_path / "analysis")])
+        assert res.exit_code == 0, res.output
 
     def test_synth_too_short_exits_2(self, tmp_path):
         out = tmp_path / "synth"
@@ -418,14 +458,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("line,field", [
-        ("threshold_frac = 1.5", "threshold_frac"),
-        ("lowpass_cutoff_hz = 200", "lowpass_cutoff_hz"),
-        ("lowpass_cutoff_hz = 0.3", "lowpass_cutoff_hz"),
-        ("min_separation_s = 0", "min_separation_s"),
         ("acquisition_fs = nan", "acquisition_fs"),
         ("template_start_s = nan", "template_start_s"),
         ("template_length_s = nan", "template_length_s"),
-        ("min_separation_s = inf", "min_separation_s"),
         ("template_start_s = -1", "template_start_s"),
         ("template_length_s = 0.02", "template_length_s"),
     ])
@@ -441,6 +476,29 @@ class TestCli:
         assert res.exit_code == 2, res.output
         assert field in res.output
         assert ingested == []
+
+    def test_run_degenerate_analysis_exits_3(self, tmp_path):
+        path, truth, cfg = zero_flow_csv(tmp_path)
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"input = {path}\nacquisition_fs = {cfg.fs:g}\n"
+                            f"template_start_s = {truth.beat_indices[0] / cfg.fs - 0.125}\n")
+        res = CliRunner().invoke(main, ["run", "--config", str(cfg_file),
+                                        "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith("error: [group] ")
+
+    def test_run_internal_error_exits_4(self, tmp_path, monkeypatch):
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"input = {path}\nacquisition_fs = 320\n")
+
+        def broken(*args):
+            raise RuntimeError("broken stage")
+        monkeypatch.setattr("cardioseis.pipeline.resample", broken)
+        res = CliRunner().invoke(main, ["run", "--config", str(cfg_file),
+                                        "--out", str(tmp_path / "out")])
+        assert res.exit_code == 4, res.output
+        assert res.output == "error: broken stage\n"
 
     @pytest.mark.parametrize("under", ["", "sub"])
     def test_run_out_on_a_file_exits_2_before_ingest(self, tmp_path, monkeypatch, under):
@@ -543,7 +601,7 @@ class TestCli:
         bad.write_bytes(b'{"rows": "\xff"}')
         res = CliRunner().invoke(main, ["report", "--check", str(bad)])
         assert res.exit_code == 2, res.output
-        assert res.output == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+        assert res.output == f"error: {bad}:1: not UTF-8 text (invalid start byte)\n"
 
     # file lines: 1 is the header; 15,938 lies far past the first chunk
     # that the text reader decodes
@@ -556,14 +614,15 @@ class TestCli:
         path.write_bytes(b"\n".join(lines) + b"\n")
         res = CliRunner().invoke(main, ["run", "--input", str(path), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2, res.output
-        assert res.output == f"error: [ingest] {path}: not UTF-8 text (invalid continuation byte)\n"
+        assert res.output == (f"error: [ingest] {path}:{line}: not UTF-8 text "
+                              "(invalid continuation byte)\n")
 
     def test_run_undecodable_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"analysis_fs = 320\n# caf\xe9\n")
         res = CliRunner().invoke(main, ["run", "--config", str(path)])
         assert res.exit_code == 2, res.output
-        assert res.output == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
+        assert res.output == f"error: {path}:2: not UTF-8 text (invalid continuation byte)\n"
 
 
 # Imports the package and the CLI, then runs `report --check`, a short

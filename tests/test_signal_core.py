@@ -98,6 +98,13 @@ class TestResample:
         out = resample(ch, 320.0)
         assert np.allclose(out.samples, ch.samples, atol=1e-9)
 
+    def test_ratio_that_reduces_to_one(self):
+        # 320/320.01 reduces to 1/1: the first round(n * 320 / 320.01) samples, unfiltered
+        ch = Channel(np.sin(np.arange(100000)), 320.01)
+        out = resample(ch, 320.0)
+        assert out.fs == 320.0
+        assert out.samples.tobytes() == ch.samples[:99997].tobytes()
+
     def test_tone_10k_to_320(self):
         ch = Channel(tone(5, 10000, 10), 10000.0)
         out = resample(ch, 320.0)
