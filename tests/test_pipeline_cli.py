@@ -458,9 +458,15 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("line,field", [
+        # the first four and `min_separation_s = inf` set removed keys
+        ("threshold_frac = 1.5", "threshold_frac"),
+        ("lowpass_cutoff_hz = 200", "lowpass_cutoff_hz"),
+        ("lowpass_cutoff_hz = 0.3", "lowpass_cutoff_hz"),
+        ("min_separation_s = 0", "min_separation_s"),
         ("acquisition_fs = nan", "acquisition_fs"),
         ("template_start_s = nan", "template_start_s"),
         ("template_length_s = nan", "template_length_s"),
+        ("min_separation_s = inf", "min_separation_s"),
         ("template_start_s = -1", "template_start_s"),
         ("template_length_s = 0.02", "template_length_s"),
     ])
