@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
+import mmap
 import os
+import pickle
 import re
 import shutil
 import sys
 import tempfile
+import warnings
 from itertools import chain, islice
 from pathlib import Path
 
@@ -27,31 +31,39 @@ from .signal_core import Channel, Recording
 COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
 # lines parsed per block and rows formatted per write, which bounds the
-# memory of ingest and of the writer; the writer's slices, one per usable
-# core, start at multiples of it
+# memory of ingest and of the writer; both split their work into one part
+# per usable core, at most one per block (_parts)
 CSV_BLOCK_ROWS = 65536
 _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
+_STORED = dict(zip(COLUMNS, range(len(COLUMNS))))  # a worker's rows of time, SCG, flow
+_LINE_END = re.compile(rb"\r\n?|\n")  # as text mode with newline="" ends a line
 
 
 def ingest_csv(path, acquisition_fs: float) -> Recording:
     """Read a recording sampled at acquisition_fs, validating as we go.
 
-    The body is parsed CSV_BLOCK_ROWS file lines at a time, and each block
-    is checked before the next is read: every row has the header's field
-    count, timestamps are uniform to within a tenth of a sample period of
-    the first one, and no SCG or flow sample is NaN/Inf. The first faulty
-    row, whatever the block size, aborts the read with its file line. Only
-    contiguous copies of the SCG and flow columns outlive a block, so the
-    whole table never exists.
+    The header is the first line. The body is cut at line ends into one
+    byte range per part (_parts). This process parses the first range and a
+    forked worker each other one, CSV_BLOCK_ROWS file lines per np.loadtxt,
+    straight into anonymous shared mappings sized for the most rows their
+    bytes could hold; a worker sends back only its row count and loadtxt's
+    error, if any. Every row must have the header's field count, a
+    timestamp within a tenth of a sample period of the uniform grid from
+    the first one, and finite SCG and flow samples. This process checks its
+    own blocks as it parses them, then each worker's rows at their row in
+    the file, moving them after the rows before them. The first faulty row,
+    whatever the split, aborts the read with its file line. Only the SCG
+    and flow columns outlive a block, so the whole table never exists, and
+    no worker outlives the call.
     """
     path = Path(path)
-    with input_file(path, "input file"), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+    with input_file(path, "input file"), contextlib.ExitStack() as stack:
+        cuts = _cuts(path)
+        fh = stack.enter_context(_text(path, 0))
+        first = fh.readline()  # the header is the first line
+        if not first:
+            raise InputError(f"{path}: empty file")
+        header = [h.strip() for h in next(csv.reader([first]))]
         cols = {}
         for role, name in COLUMNS.items():
             if name not in header:
@@ -64,34 +76,186 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
         # shift the named ones
         ref_row = ",".join(["0"] * len(header)) + "\n"
         dt = 1.0 / acquisition_fs
-        kept = {"scg": [], "flow": []}
-        n, t0 = 0, None
-        for first in fh:
-            try:
-                block = np.loadtxt(chain((ref_row, first), islice(fh, CSV_BLOCK_ROWS - 1)),
-                                   delimiter=",", ndmin=2)[1:]
-            except ValueError as exc:
-                if isinstance(exc, UnicodeDecodeError):
-                    raise
-                raise _parse_error(path, str(exc), n,
-                                   lambda rows: _fault(path, rows, cols, n, t0, dt)) from None
-            if not len(block):  # blank and comment lines only
-                continue
-            fault = _fault(path, block, cols, n, t0, dt)
+
+        def shared(k, start, stop):
+            """k float64 rows in an anonymous mapping that forked workers write
+            into, each long enough for every data row in bytes [start, stop);
+            pages never written take no memory."""
+            # a data row takes a byte for each field and each comma or line end
+            n = (stop - start) // (2 * len(header)) + 1
+            return np.frombuffer(mmap.mmap(-1, 8 * k * n), dtype=float).reshape(k, n)
+
+        def start_worker(start, stop):
+            stored = shared(3, start, stop)
+            worker = _Worker(f"{path}: the worker parsing bytes {start} to {stop}", _parse_range,
+                             path, start, stop, ref_row, stored, list(cols.values()))
+            stack.callback(worker.stop)
+            return worker, stored
+
+        kept = shared(2, cuts[0], cuts[-1])  # the SCG and flow columns
+        workers = [start_worker(start, stop) for start, stop in zip(cuts[1:], cuts[2:])]
+        t0 = None
+
+        def check(block, where, row0):
+            nonlocal t0
+            fault = _fault(path, block, where, row0, t0, dt)
             if fault:
                 raise fault
-            if not n:
-                t0 = block[0, cols["time"]]
-            for role, parts in kept.items():
-                parts.append(block[:, cols[role]].copy())
-            n += len(block)
+            if not row0:
+                t0 = block[0, where["time"]]
+
+        n, exc = _parse(_lines(fh, cuts[0], cuts[1]), ref_row, kept, [cols["scg"], cols["flow"]],
+                        lambda block, row0: check(block, cols, row0))
+        while workers and not exc:
+            worker, stored = workers.pop(0)
+            rows, exc = worker.result()
+            stored = stored[:, :rows]
+            for s in range(0, rows, CSV_BLOCK_ROWS):
+                check(stored[:, s:s + CSV_BLOCK_ROWS].T, _STORED, n + s)
+            kept[:, n:n + rows] = stored[1:]
+            n += rows
+            del stored  # its mapping goes with it
+        if isinstance(exc, UnicodeDecodeError):
+            raise exc
+        if exc:
+            raise _parse_error(path, str(exc), n,
+                               lambda rows: _fault(path, rows, cols, n, t0, dt)) from None
     if not n:
         raise InputError(f"{path}: no data rows")
-    channels = {}
-    for role, parts in kept.items():  # one column at a time, freeing its parts
-        channels[role] = Channel(np.concatenate(parts), acquisition_fs, role)
-        parts.clear()
-    return Recording(channels=channels, recording_id=path.stem)
+    return Recording(channels={role: Channel(kept[k, :n], acquisition_fs, role)
+                               for k, role in enumerate(("scg", "flow"))},
+                     recording_id=path.stem)
+
+
+def _parse(lines, ref_row: str, out, keep, check=None):
+    """Parse the text lines, CSV_BLOCK_ROWS at a time and each block after
+    ref_row, into out: row i of out takes column keep[i].
+    check(block, row0) sees each block of data rows first. Returns the rows
+    stored and the ValueError, a decode error included, that stopped the
+    parse at the block after them, or None."""
+    n = 0
+    try:
+        for first in lines:
+            block = np.loadtxt(chain((ref_row, first), islice(lines, CSV_BLOCK_ROWS - 1)),
+                               delimiter=",", ndmin=2)[1:]
+            if not len(block):  # blank and comment lines only
+                continue
+            if check:
+                check(block, n)
+            out[:, n:n + len(block)] = block[:, keep].T
+            n += len(block)
+    except ValueError as exc:
+        return n, exc
+    return n, None
+
+
+def _parse_range(path, start: int, stop: int, ref_row: str, out, keep):
+    """A worker's _parse of bytes [start, stop) of the CSV at `path`."""
+    with _text(path, start) as fh:
+        return _parse(_lines(fh, start, stop), ref_row, out, keep)
+
+
+def _cuts(path) -> list[int]:
+    """The byte offsets that split the CSV at `path` into its ranges: where
+    the body starts, where each range after the first starts, and the end.
+    The header is the first line. Without os.fork there is one range."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        body = _line_start(fh, 1)
+        parts = 1
+        if hasattr(os, "fork"):
+            parts = _parts(_count_lines(fh, body, size, (_usable_cores() - 1) * CSV_BLOCK_ROWS + 1))
+        return ([body] + [_line_start(fh, body + j * (size - body) // parts) for j in range(1, parts)]
+                + [size])
+
+
+def _line_start(fh, pos: int) -> int:
+    """The first line start at or after byte `pos` > 0 of the binary file
+    fh, or where fh ends."""
+    fh.seek(pos - 1)
+    while chunk := fh.read(1 << 16):
+        found = _LINE_END.search(chunk + fh.peek(1)[:1])  # a "\r\n" across the edge is one end
+        if found:
+            return fh.tell() - len(chunk) + found.end()
+    return fh.tell()
+
+
+def _count_lines(fh, pos: int, stop: int, enough: int | None = None) -> int:
+    """The lines in bytes [pos, stop) of the binary file fh, counted 64 KiB
+    at a time until the count reaches `enough`, if given."""
+    n = 0
+    while pos < stop and (enough is None or n < enough):
+        end = _line_start(fh, min(pos + (1 << 16), stop))
+        fh.seek(pos)
+        chunk = np.frombuffer(fh.read(end - pos), np.uint8)
+        lf, cr = chunk == ord("\n"), chunk == ord("\r")
+        # a line ends at \n, \r\n or a lone \r, and the chunk at a line start:
+        # a last byte that is no \n ends a line or the file's unended line
+        n += np.count_nonzero(lf) + np.count_nonzero(cr[:-1] & ~lf[1:]) + (not lf[-1])
+        pos = end
+    return n
+
+
+def _text(path, start: int):
+    """The file at `path` from byte `start`, a line start, on, read as
+    open(path, newline="", encoding="utf-8") reads it."""
+    fh = open(path, "rb")
+    fh.seek(start)
+    return io.TextIOWrapper(fh, encoding="utf-8", newline="")
+
+
+def _lines(fh, start: int, stop: int):
+    """The lines of the text stream fh, which reads its file from byte
+    `start`, up to byte `stop`, a line start or the file's end. Counted in
+    bytes, a range that ends before the file does costs a pass over them;
+    a raw stream that stops at `stop` would cost each line more."""
+    if stop >= os.fstat(fh.fileno()).st_size:
+        return fh
+    with open(fh.buffer.name, "rb") as raw:
+        return islice(fh, _count_lines(raw, start, stop))
+
+
+class _Worker:
+    """fn(*args) in a forked copy of this process, which sends its result
+    back pickled through a pipe and leaves through os._exit on every path."""
+
+    def __init__(self, name: str, fn, *args):
+        self.name, self.status = name, None
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 on warns of a fork while threads run, as numpy's
+            # BLAS pool does; the worker only parses text and never uses them
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            self.pid = os.fork()
+        if not self.pid:
+            code = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as out:
+                    pickle.dump(fn(*args), out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def result(self):
+        """Wait for the worker; its result, or OSError if it has none."""
+        data = self.pipe.read()
+        self.status = os.waitpid(self.pid, 0)[1]
+        if not data:
+            raise OSError(f"{self.name} exited with status "
+                          f"{os.waitstatus_to_exitcode(self.status)}")
+        return pickle.loads(data)
+
+    def stop(self) -> None:
+        """Kill the worker unless it has been waited for, and wait for it."""
+        self.pipe.close()
+        if self.status is None:
+            import signal  # here, so that importing the CLI does not pay for it
+            os.kill(self.pid, signal.SIGKILL)
+            self.status = os.waitpid(self.pid, 0)[1]
 
 
 def _fault(path, block, cols, row0: int, t0, dt: float) -> InputError | None:
@@ -183,7 +347,7 @@ def write_recording_csv(rec: Recording, path):
             yield block
 
     n_blocks = -(-n // CSV_BLOCK_ROWS)
-    parts = max(1, min(_usable_cores(), n_blocks))
+    parts = _parts(n)
     edges = [min(n, j * n_blocks // parts * CSV_BLOCK_ROWS) for j in range(parts + 1)]
     path = Path(path)
     with contextlib.ExitStack() as stack, open(path, "wb") as fh:
@@ -212,6 +376,12 @@ def write_recording_csv(rec: Recording, path):
                               f"exited with status {proc.returncode}")
             out.seek(0)
             shutil.copyfileobj(out, fh)
+
+
+def _parts(lines: int) -> int:
+    """The parts to split `lines` lines or rows into: one per usable core,
+    at most one per CSV_BLOCK_ROWS, at least one."""
+    return max(1, min(_usable_cores(), -(-lines // CSV_BLOCK_ROWS)))
 
 
 def _usable_cores() -> int:

@@ -1,12 +1,21 @@
-"""Block-wise CSV ingest against a whole-file parse, and the memory it saves.
+"""Block-wise, multi-process CSV ingest against a whole-file parse, and the
+memory it saves.
 
-ingest_csv parses CSV_BLOCK_ROWS file lines at a time. With the block size
-patched small, its columns must equal a whole-file np.loadtxt bit for bit
-wherever the edges fall, and every fault must name the file line that an
-unsplit parse names. numpy reports its buffers to tracemalloc, so the
-memory bounds below are deterministic.
+ingest_csv cuts the body into byte ranges, one per usable core and at most
+one per CSV_BLOCK_ROWS lines, and parses each range CSV_BLOCK_ROWS file
+lines at a time, the first in this process and each other one in a forked
+worker. With the block size patched small and two usable cores, its
+columns must equal a whole-file np.loadtxt bit for bit wherever the block
+edges and the cut fall, every fault must name the file line that an
+unsplit parse names, and no worker may outlive the call. numpy reports its
+buffers to tracemalloc, so the memory bounds below are deterministic.
 """
 
+import contextlib
+import mmap
+import os
+import signal
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -38,15 +47,41 @@ def write_csv(path, body, final_newline=True, eol="\r\n"):
     return path
 
 
+@contextlib.contextmanager
+def split(block, cores=2):
+    """ingest_csv with `block` lines per block and `cores` usable cores; a
+    block of UNSPLIT lines makes one range."""
+    with mock.patch.object(ingest, "CSV_BLOCK_ROWS", block), \
+            mock.patch.object(ingest, "_usable_cores", lambda: cores):
+        yield
+
+
 def ingest_with_blocks(path, block):
-    with mock.patch.object(ingest, "CSV_BLOCK_ROWS", block):
+    with split(block):
         return ingest_csv(path, FS)
 
 
 def error_with_blocks(path, block):
-    with pytest.raises(InputError) as info, mock.patch.object(ingest, "CSV_BLOCK_ROWS", block):
+    with pytest.raises(InputError) as info, split(block):
         ingest_csv(path, FS)
     return str(info.value)
+
+
+def mapping_of(samples):
+    """What a column is a view of, through every array between."""
+    while isinstance(samples, np.ndarray) and samples.base is not None:
+        samples = samples.base
+    return samples.obj if isinstance(samples, memoryview) else samples
+
+
+def assert_equal_whole_file(rec, path):
+    whole = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert rec["scg"].samples.tobytes() == whole[:, 1].tobytes()
+    assert rec["flow"].samples.tobytes() == whole[:, 3].tobytes()
+    for name in ("scg", "flow"):
+        assert rec[name].samples.flags.c_contiguous
+        # a view of the shared mapping, never of a parsed block
+        assert isinstance(mapping_of(rec[name].samples), mmap.mmap)
 
 
 # body lines that are no data row, each at a body-line index; with B = 4,
@@ -68,13 +103,7 @@ def test_columns_equal_whole_file_loadtxt(tmp_path, n, layout, final_newline, eo
     for at, text in LAYOUTS[layout]:
         body.insert(min(at, len(body)), text)
     path = write_csv(tmp_path / "rec.csv", body, final_newline, eol)
-    whole = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    rec = ingest_with_blocks(path, B)
-    assert rec["scg"].samples.tobytes() == whole[:, 1].tobytes()
-    assert rec["flow"].samples.tobytes() == whole[:, 3].tobytes()
-    for name in ("scg", "flow"):
-        assert rec[name].samples.flags.c_contiguous
-        assert rec[name].samples.base is None  # no view that keeps a block alive
+    assert_equal_whole_file(ingest_with_blocks(path, B), path)
 
 
 def off_grid(t, expected):
@@ -147,6 +176,271 @@ def test_one_row_names_time_then_scg_then_flow(tmp_path, line, named):
     body[1] = line.format(t=1 / FS)
     path = write_csv(tmp_path / "bad.csv", body)
     assert error_with_blocks(path, B).endswith(named)
+
+
+# ---- the cut between the first range and a worker's
+
+W = 80  # characters in a padded line, its line end excluded
+
+
+def padded(line):
+    """`line` with a trailing comment that makes it W characters wide."""
+    return (line + "#").ljust(W, "-")
+
+
+def cut_at(path):
+    """The byte where the second range starts, with B-line blocks on two cores."""
+    with split(B):
+        return ingest._cuts(path)[1]
+
+
+def rows_before_cut(path):
+    """The data rows that the first range holds."""
+    lines = path.read_bytes()[:cut_at(path)].decode().splitlines()[1:]
+    return sum(1 for line in lines if line.split("#", 1)[0])
+
+
+def padded_body(n=3 * B + 2):
+    """A blank and a comment line, then n padded data rows: data row r is
+    on file line r + 4 and every data row has the same width, so a fault
+    that replaces one leaves the cut where it was."""
+    return ["", "# recorded at 320 Hz"] + [padded(row) for row in data_rows(n)]
+
+
+def with_fault(tmp_path, body, kind, row, name="bad.csv"):
+    """`body` with data row `row` replaced by a padded fault of `kind`,
+    written out; and the end of the message that names it."""
+    body = list(body)
+    line, tail = fault(kind, row)
+    body[row + 2] = padded(line)
+    return write_csv(tmp_path / name, body), tail.format(L=row + 4)
+
+
+KINDS = ["parse", "wide", "short", "nan scg", "inf flow", "late time", "nan time"]
+
+
+@pytest.mark.parametrize("side", [-2, -1, 0, 1])  # from the first row of the second range
+@pytest.mark.parametrize("kind", KINDS)
+def test_fault_on_either_side_of_the_cut_names_the_line_of_an_unsplit_parse(tmp_path, kind,
+                                                                             side):
+    first = rows_before_cut(write_csv(tmp_path / "clean.csv", padded_body()))
+    path, tail = with_fault(tmp_path, padded_body(), kind, first + side)
+    assert rows_before_cut(path) == first
+    split_, unsplit = error_with_blocks(path, B), error_with_blocks(path, UNSPLIT)
+    assert split_ == unsplit
+    assert split_.endswith(tail), split_
+
+
+@pytest.mark.parametrize("later", ["parse", "wide", "nan scg", "late time"])
+@pytest.mark.parametrize("earlier", ["parse", "short", "inf flow", "nan time"])
+@pytest.mark.parametrize("rows", [(1, 1), (-1, 0), (-1, 2)])  # earlier, later, as above
+def test_a_fault_in_the_first_range_wins(tmp_path, earlier, later, rows):
+    first = rows_before_cut(write_csv(tmp_path / "clean.csv", padded_body()))
+    earlier_row, later_row = rows[0] % first, first + rows[1]
+    body = padded_body()
+    body[later_row + 2] = padded(fault(later, later_row)[0])
+    path, tail = with_fault(tmp_path, body, earlier, earlier_row)
+    assert rows_before_cut(path) == first
+    split_, unsplit = error_with_blocks(path, B), error_with_blocks(path, UNSPLIT)
+    assert split_ == unsplit
+    assert split_.endswith(tail), split_
+
+
+# rows enough that a decode chunk of the text layer (8 KiB) holds a small
+# part of each range
+LONG = 600
+
+
+def undecodable(path, row):
+    """Make the padding of data row `row` end in a byte that is not UTF-8."""
+    text = padded(data_rows(LONG)[row]).encode()
+    path.write_bytes(path.read_bytes().replace(text, text[:-1] + b"\xff"))
+
+
+def one_range_error(path):
+    with pytest.raises(InputError) as info, split(B, cores=1):
+        ingest_csv(path, FS)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("earlier", ["parse", "short", "inf flow", "nan time"])
+def test_a_fault_in_the_first_range_wins_over_an_undecodable_line(tmp_path, earlier):
+    # one block of every line would decode the whole file before it checks a
+    # row, so the oracle is one range of B-line blocks
+    first = rows_before_cut(write_csv(tmp_path / "clean.csv", padded_body(LONG)))
+    path, tail = with_fault(tmp_path, padded_body(LONG), earlier, 1)
+    undecodable(path, first + 2)
+    assert rows_before_cut(path) == first
+    split_ = error_with_blocks(path, B)
+    assert split_ == one_range_error(path)
+    assert split_.endswith(tail), split_
+
+
+@pytest.mark.parametrize("side", [0, 1, 5])
+def test_undecodable_line_in_the_second_range_is_named_by_its_line(tmp_path, side):
+    path = write_csv(tmp_path / "bad.csv", padded_body(LONG))
+    first = rows_before_cut(path)
+    undecodable(path, first + side)
+    assert rows_before_cut(path) == first
+    named = f"{path}:{first + side + 4}: not UTF-8 text (invalid start byte)"
+    for block in (B, UNSPLIT):
+        assert error_with_blocks(path, block) == named
+    assert one_range_error(path) == named
+
+
+def write_cut_between(path, left, right, eol, final_newline):
+    """Write a CSV whose body is the (line, end) pairs of `left` and then of
+    `right`, with the comment of a line of the shorter side lengthened so
+    that the cut falls between them."""
+    left, right = list(left), list(right)
+    if not final_newline:
+        right[-1] = (right[-1][0], "")
+    weight = (sum(len(line + end) for line, end in left)
+              - sum(len(line + end) for line, end in right))
+    side = right if weight > 0 else left
+    at = next(i for i, (line, _) in enumerate(side) if "#" in line)
+    side[at] = (side[at][0] + "-" * abs(weight), side[at][1])
+    path.write_text(HEADER + eol + "".join(line + end for line, end in left + right), newline="")
+    assert cut_at(path) == len(HEADER + eol) + sum(len(line + end) for line, end in left)
+    return path
+
+
+# (lines before the cut, lines after it); "rows" stands for padded data rows
+CUT_LAYOUTS = {
+    "blank before": (["rows", ""], ["rows"]),
+    "comment before": (["rows", "# c"], ["rows"]),
+    "blank after": (["rows"], ["", "rows"]),
+    "comment after": (["rows"], ["# c", "rows"]),
+    "lone cr before": (["rows", "# c\r"], ["rows"]),
+    "no data before": (["# before the data", ""], ["rows", "rows"]),
+}
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"])
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("layout", CUT_LAYOUTS)
+def test_columns_at_the_cut_equal_whole_file_loadtxt(tmp_path, layout, final_newline, eol):
+    rows = iter(padded(row) for row in data_rows(4 * B))
+
+    def lines(spec):
+        out = []
+        for line in spec:
+            # a "\r" that ends a line is its line end
+            out += ([(next(rows), eol) for _ in range(2 * B)] if line == "rows" else
+                    [(line[:-1], "\r")] if line.endswith("\r") else [(line, eol)])
+        return out
+
+    path = write_cut_between(tmp_path / "rec.csv", *map(lines, CUT_LAYOUTS[layout]), eol,
+                             final_newline)
+    assert_equal_whole_file(ingest_with_blocks(path, B), path)
+
+
+def test_a_worker_row_sets_t0_when_the_first_range_holds_no_row(tmp_path):
+    before = [("# " + "-" * (6 * W), "\r\n")]
+    after = [(padded(row), "\r\n") for row in data_rows(2 * B)]
+    path = write_cut_between(tmp_path / "rec.csv", before, after, "\r\n", True)
+    assert rows_before_cut(path) == 0
+    assert_equal_whole_file(ingest_with_blocks(path, B), path)
+    path.write_bytes(path.read_bytes().replace(after[1][0].encode(),
+                                               padded(fault("late time", 1)[0]).encode()))
+    assert error_with_blocks(path, B) == error_with_blocks(path, UNSPLIT)
+    assert error_with_blocks(path, B).endswith(
+        off_grid(1.5 / FS, 1 / FS).format(L=4))
+
+
+# ---- the workers
+
+@contextlib.contextmanager
+def forks_seen(cores=2):
+    """The pids of the workers that ingest_csv forks, with B lines per block
+    and `cores` usable cores."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with split(B, cores), mock.patch.object(os, "fork", spy):
+        yield pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # reaped, not only exited
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"])
+@pytest.mark.parametrize("cores, rows, workers", [(4, B, 0), (1, 3 * B, 0), (4, B + 1, 1),
+                                                  (2, 3 * B, 1), (4, 3 * B, 2)])
+def test_one_worker_per_core_and_at_most_one_per_block(tmp_path, cores, rows, workers, eol):
+    path = write_csv(tmp_path / "rec.csv", data_rows(rows), eol=eol)
+    with forks_seen(cores) as pids:
+        rec = ingest_csv(path, FS)
+    assert len(pids) == workers
+    assert_reaped(pids)
+    assert_equal_whole_file(rec, path)
+
+
+def test_one_block_starts_no_worker_and_no_fork_none(tmp_path, monkeypatch):
+    path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
+    monkeypatch.delattr(os, "fork")
+    with split(B, cores=4):
+        assert_equal_whole_file(ingest_csv(path, FS), path)
+
+
+@pytest.mark.parametrize("raised", [KeyboardInterrupt, InputError])
+def test_fault_in_the_first_range_reaps_workers(tmp_path, raised):
+    path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
+    with forks_seen() as pids, mock.patch.object(ingest, "_fault", side_effect=raised("x")), \
+            pytest.raises(raised):
+        ingest_csv(path, FS)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_interrupt_while_waiting_kills_a_stuck_worker(tmp_path):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        with forks_seen() as pids, pytest.raises(KeyboardInterrupt), \
+                mock.patch.object(ingest, "_parse_range", lambda *args: time.sleep(60)):
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            ingest_csv(path, FS)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("fail, status", [(lambda *args: 1 / 0, 1),
+                                          (lambda *args: os.kill(os.getpid(), signal.SIGKILL),
+                                           -signal.SIGKILL)], ids=["raises", "killed"])
+def test_worker_without_a_result_raises_oserror(tmp_path, fail, status):
+    path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
+    with forks_seen() as pids, mock.patch.object(ingest, "_parse_range", fail), \
+            pytest.raises(OSError, match=rf"the worker parsing bytes \d+ to \d+ exited with "
+                                         rf"status {status}$"):
+        ingest_csv(path, FS)
+    assert_reaped(pids)
+
+
+def test_header_is_the_first_line(tmp_path):
+    # a quoted line end does not carry the header on: the cuts and every
+    # line number count the header as line 1
+    path = tmp_path / "rec.csv"
+    path.write_text('time_s,scg_z,"e\r\ncg",flow_lps\r\n' + "\r\n".join(data_rows(3)),
+                    newline="")
+    for block in (B, UNSPLIT):
+        assert error_with_blocks(path, block) == "missing channel: flow"
 
 
 def test_blank_lines_only_is_no_data_without_a_warning(tmp_path):
