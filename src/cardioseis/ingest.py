@@ -35,7 +35,7 @@ TIME_TOLERANCE_FRAC = 0.1  # of one sample period
 # per usable core, at most one per block (_parts)
 CSV_BLOCK_ROWS = 65536
 _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
-_STORED = dict(zip(COLUMNS, range(len(COLUMNS))))  # a worker's rows of time, SCG, flow
+_STORED = dict(zip(COLUMNS, range(len(COLUMNS))))  # a worker's stored row: time, SCG, flow
 _LINE_END = re.compile(rb"\r\n?|\n")  # as text mode with newline="" ends a line
 
 
@@ -50,11 +50,12 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
     error, if any. Every row must have the header's field count, a
     timestamp within a tenth of a sample period of the uniform grid from
     the first one, and finite SCG and flow samples. This process checks its
-    own blocks as it parses them, then each worker's rows at their row in
-    the file, moving them after the rows before them. The first faulty row,
-    whatever the split, aborts the read with its file line. Only the SCG
-    and flow columns outlive a block, so the whole table never exists, and
-    no worker outlives the call.
+    own blocks as it parses them, then each worker's rows, a block at a
+    time, at their row in the file, moving them after the rows before them
+    and freeing the worker's pages under each block once it is moved. The
+    first faulty row, whatever the split, aborts the read with its file
+    line. Only the SCG and flow columns outlive a block, so the whole table
+    never exists, and no worker outlives the call.
     """
     path = Path(path)
     with input_file(path, "input file"), contextlib.ExitStack() as stack:
@@ -78,21 +79,21 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
         dt = 1.0 / acquisition_fs
 
         def shared(k, start, stop):
-            """k float64 rows in an anonymous mapping that forked workers write
-            into, each long enough for every data row in bytes [start, stop);
+            """An anonymous mapping that forked workers write into, with room
+            for k float64 values for every data row in bytes [start, stop);
             pages never written take no memory."""
             # a data row takes a byte for each field and each comma or line end
-            n = (stop - start) // (2 * len(header)) + 1
-            return np.frombuffer(mmap.mmap(-1, 8 * k * n), dtype=float).reshape(k, n)
+            return mmap.mmap(-1, 8 * k * ((stop - start) // (2 * len(header)) + 1))
 
         def start_worker(start, stop):
-            stored = shared(3, start, stop)
+            buf = shared(len(_STORED), start, stop)
+            stored = np.frombuffer(buf, dtype=float).reshape(-1, len(_STORED))  # a row per data row
             worker = _Worker(f"{path}: the worker parsing bytes {start} to {stop}", _parse_range,
-                             path, start, stop, ref_row, stored, list(cols.values()))
+                             path, start, stop, ref_row, stored.T, list(cols.values()))
             stack.callback(worker.stop)
-            return worker, stored
+            return worker, buf, stored
 
-        kept = shared(2, cuts[0], cuts[-1])  # the SCG and flow columns
+        kept = np.frombuffer(shared(2, cuts[0], cuts[-1]), dtype=float).reshape(2, -1)  # SCG, flow
         workers = [start_worker(start, stop) for start, stop in zip(cuts[1:], cuts[2:])]
         t0 = None
 
@@ -107,14 +108,15 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
         n, exc = _parse(_lines(fh, cuts[0], cuts[1]), ref_row, kept, [cols["scg"], cols["flow"]],
                         lambda block, row0: check(block, cols, row0))
         while workers and not exc:
-            worker, stored = workers.pop(0)
+            worker, buf, stored = workers.pop(0)
             rows, exc = worker.result()
-            stored = stored[:, :rows]
             for s in range(0, rows, CSV_BLOCK_ROWS):
-                check(stored[:, s:s + CSV_BLOCK_ROWS].T, _STORED, n + s)
-            kept[:, n:n + rows] = stored[1:]
+                e = min(s + CSV_BLOCK_ROWS, rows)
+                check(stored[s:e], _STORED, n + s)
+                kept[:, n + s:n + e] = stored[s:e, 1:].T
+                _free(buf, s * stored.strides[0], e * stored.strides[0])
             n += rows
-            del stored  # its mapping goes with it
+            del stored, buf  # what is left of the mapping goes with them
         if isinstance(exc, UnicodeDecodeError):
             raise exc
         if exc:
@@ -125,6 +127,19 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
     return Recording(channels={role: Channel(kept[k, :n], acquisition_fs, role)
                                for k, role in enumerate(("scg", "flow"))},
                      recording_id=path.stem)
+
+
+def _free(buf, start: int, stop: int) -> None:
+    """Free the pages of the shared mapping buf from the one that holds byte
+    `start` to the last one that ends by byte `stop`, once every byte
+    before `stop` is done with. MADV_REMOVE frees a shared page, where
+    MADV_DONTNEED would only unmap it; where mmap has no MADV_REMOVE, the
+    pages go with the mapping."""
+    if hasattr(mmap, "MADV_REMOVE"):
+        start -= start % mmap.PAGESIZE
+        stop -= stop % mmap.PAGESIZE
+        if stop > start:
+            buf.madvise(mmap.MADV_REMOVE, start, stop - start)
 
 
 def _parse(lines, ref_row: str, out, keep, check=None):

@@ -153,6 +153,10 @@ def resample(ch: Channel, target_fs: float) -> Channel:
     return Channel(y, float(target_fs), ch.label)
 
 
+# inputs per span of _resample_poly's output blocks, which bounds its copy of x
+_RESAMPLE_SPAN = 1 << 19
+
+
 def _resample_poly(x, h, up: int, down: int, n_out: int) -> np.ndarray:
     """The first n_out samples of scipy.signal.resample_poly(x, up, down,
     window=h), bit for bit, for coprime up and down; past its
@@ -162,9 +166,10 @@ def _resample_poly(x, h, up: int, down: int, n_out: int) -> np.ndarray:
     against the inputs that end at x[q*down + (p*down)//up]. As in scipy's
     upfirdn, the products are added one at a time, oldest input first, so
     the loop runs over the taps of a phase and each pass adds one
-    (up, n_out/up) block of products. Besides arrays the size of the
-    output, it makes one array the size of x: the (down, len(x)/down)
-    by-column copy of x that those passes read.
+    (up, blocks) block of products. The output blocks are taken a span at a
+    time, of about _RESAMPLE_SPAN inputs each, so besides arrays the size
+    of the output it makes one array the size of a span: the by-column copy
+    of the inputs that the span's passes read.
     """
     if up == down:  # as in scipy, the input unfiltered; resample's one identity path
         y = np.zeros(n_out)
@@ -184,30 +189,40 @@ def _resample_poly(x, h, up: int, down: int, n_out: int) -> np.ndarray:
     first = p * down // up                         # newest input of output p, less q*down
     # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
     # which is padded[q*down + first_p + j], padded being x behind
-    # per_phase - 1 zeros and ahead of more
+    # per_phase - 1 zeros and ahead of more; tap j of output block q reads
+    # padded[(q + shift_j)*down + col_j]
+    shift, col = np.divmod(first + np.arange(per_phase)[:, None], down)  # (per_phase, up)
+    taps = list(zip(shift, col, coeffs.T[:, :, None]))
     n_blocks = -(-(n_pre_remove + n_out) // up)
-    rows = n_blocks + (first[-1] + per_phase) // down + 1
-    # by_col[c, r] = padded[r*down + c]; a row of by_col holds the inputs
-    # that one tap multiplies in successive output blocks. by_col.T is
-    # padded cut into rows of down, and x goes straight into it: the rest
-    # of the row where x starts, then whole rows, then what is left
-    by_col = np.zeros((down, rows))
-    padded = by_col.T
-    x = x[:rows * down - per_phase + 1]
-    r, c = divmod(per_phase - 1, down)
-    head = min(down - c, len(x))
-    padded[r, c:c + head] = x[:head]
-    whole = (len(x) - head) // down
-    padded[r + 1:r + 1 + whole] = x[head:head + whole * down].reshape(whole, down)
-    tail = x[head + whole * down:]
-    if len(tail):
-        padded[r + 1 + whole, :len(tail)] = tail
-    runs = np.lib.stride_tricks.sliding_window_view(by_col, n_blocks, axis=1)
-    acc = np.zeros((up, n_blocks))
-    for j in range(per_phase):
-        shift, col = np.divmod(first + j, down)
-        acc += runs[col, shift] * coeffs[:, j, None]
-    return acc.T.ravel()[n_pre_remove:n_pre_remove + n_out]
+    span = max(1, _RESAMPLE_SPAN // down)          # output blocks per span
+    reach = (first[-1] + per_phase - 1) // down    # rows of padded that a span reads past it
+    y = np.empty((n_blocks, up))
+    for q in range(0, n_blocks, span):
+        blocks = min(span, n_blocks - q)
+        # by_col[c, r] = padded[(q + r)*down + c]; a row of by_col holds the
+        # inputs that one tap multiplies in successive output blocks.
+        # by_col.T is padded cut into rows of down, and x goes straight
+        # into it: the rest of the row where x starts, then whole rows,
+        # then what is left
+        by_col = np.zeros((down, blocks + reach))
+        padded = by_col.T
+        lo = q * down - per_phase + 1                  # the index in x of by_col[0, 0]
+        part = x[max(lo, 0):lo + by_col.size]
+        r, c = divmod(max(-lo, 0), down)
+        head = min(down - c, len(part))
+        padded[r, c:c + head] = part[:head]
+        whole = (len(part) - head) // down
+        padded[r + 1:r + 1 + whole] = part[head:head + whole * down].reshape(whole, down)
+        tail = part[head + whole * down:]
+        if len(tail):
+            padded[r + 1 + whole, :len(tail)] = tail
+        runs = np.lib.stride_tricks.sliding_window_view(by_col, blocks, axis=1)
+        acc = np.zeros((up, blocks))
+        for shift_j, col_j, tap in taps:
+            acc += runs[col_j, shift_j] * tap
+        y[q:q + blocks] = acc.T
+        del by_col, padded, runs  # before the next span's copy
+    return y.ravel()[n_pre_remove:n_pre_remove + n_out]
 
 
 def _next_fast_len(n: int) -> int:

@@ -7,23 +7,29 @@ lines at a time, the first in this process and each other one in a forked
 worker. With the block size patched small and two usable cores, its
 columns must equal a whole-file np.loadtxt bit for bit wherever the block
 edges and the cut fall, every fault must name the file line that an
-unsplit parse names, and no worker may outlive the call. numpy reports its
-buffers to tracemalloc, so the memory bounds below are deterministic.
+unsplit parse names, and no worker may outlive the call. The columns live
+in shared mappings, which tracemalloc does not see, so the memory bounds of
+ingest and run_pipeline read the resident set of a fresh interpreter; numpy
+reports its buffers to tracemalloc, so the bound of _resample_poly is
+deterministic.
 """
 
 import contextlib
 import mmap
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cardioseis import ingest
+from cardioseis import ingest, signal_core
 from cardioseis.config import PipelineConfig
 from cardioseis.errors import InputError
 from cardioseis.ingest import ingest_csv, write_recording_csv
@@ -350,6 +356,20 @@ def test_a_worker_row_sets_t0_when_the_first_range_holds_no_row(tmp_path):
 
 # ---- the workers
 
+# a worker's row takes 24 bytes: 170 rows end 16 bytes before a 4096-byte
+# page does, 512 rows end with one, and 1000 rows in its middle
+@pytest.mark.parametrize("block", [170, 512, 1000])
+def test_a_worker_page_goes_once_the_rows_on_it_are_placed(tmp_path, block):
+    body = data_rows(20 * block)
+    path = write_csv(tmp_path / "rec.csv", body)
+    assert_equal_whole_file(ingest_with_blocks(path, block), path)
+    for kind in ("late time", "nan scg"):
+        bad, end = fault(kind, len(body) - 1)
+        path = write_csv(tmp_path / "bad.csv", body[:-1] + [bad])
+        assert error_with_blocks(path, block) == error_with_blocks(path, UNSPLIT)
+        assert error_with_blocks(path, block).endswith(end.format(L=len(body) + 1))
+
+
 @contextlib.contextmanager
 def forks_seen(cores=2):
     """The pids of the workers that ingest_csv forks, with B lines per block
@@ -467,39 +487,87 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+STATUS = Path("/proc/self/status")
+PEAK = """
+{setup}
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+before = status("VmRSS")
+{call}
+print(status("VmHWM") - before)
+"""
+
+
+def resident_peak(setup, call):
+    """The bytes that the source `call` adds to the resident set at its
+    peak: VmHWM after it less VmRSS before, in a fresh interpreter that has
+    run the source `setup` first."""
+    if not STATUS.exists():
+        pytest.skip("no /proc/self/status")
+    src = Path(ingest.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", PEAK.format(setup=setup, call=call)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 def test_ingest_peak_is_the_kept_columns_and_a_few_blocks(tmp_path):
-    block = 2048
-    n = 16 * block + 1
+    block = 4096
+    n = 300_000
     path = write_csv(tmp_path / "rec.csv", data_rows(n))
-    peak = traced_peak(ingest_with_blocks, path, block)
+    warm = write_csv(tmp_path / "warm.csv", data_rows(3 * block))
+    # two cores, and a first read that loads the code the measured one runs
+    setup = ("from unittest import mock\n"
+             "from cardioseis import ingest\n"
+             f"mock.patch.object(ingest, 'CSV_BLOCK_ROWS', {block}).start()\n"
+             "mock.patch.object(ingest, '_usable_cores', lambda: 2).start()\n"
+             f"ingest.ingest_csv({str(warm)!r}, {FS})")
+    peak = resident_peak(setup, f"rec = ingest.ingest_csv({str(path)!r}, {FS})")
     kept = 2 * n * 8  # the SCG and flow columns
-    table = block * 4 * 8  # one parsed block
-    # the whole table alone is twice the kept columns
-    assert peak < 1.5 * kept + 4 * table, (peak, kept)
+    worker = 3 * (n // 2) * 8  # the time, SCG and flow rows of the worker's half
+    # the whole table alone is twice the kept columns; the worker's rows,
+    # held until every one of them is placed, would add 3/4 of them
+    assert peak < kept + worker / 2, (peak, kept)
 
 
-def test_resample_poly_peak_is_one_input_and_the_output():
+def test_resample_poly_peak_is_one_span_and_the_output():
     x = np.random.default_rng(0).standard_normal(1_200_000)
     up, down, m = 4, 125, 125
     h = _firwin(20 * m + 1, 0.9 / m)
     n_out = len(x) * up // down
     peak = traced_peak(_resample_poly, x, h, up, down, n_out)
-    # the by-column copy of x, the accumulator, one product and the output
-    assert peak < x.nbytes + 4 * 8 * n_out + 2**16, (peak, x.nbytes)
+    # the by-column copy of a span and of the few rows of down inputs that
+    # its last taps read past it, the accumulator, one product and the
+    # output; a copy of the whole of x would break it
+    span = 8 * (signal_core._RESAMPLE_SPAN + 10 * down)
+    assert span < x.nbytes / 2
+    assert peak < span + 4 * 8 * n_out + 2**16, (peak, span)
 
 
 def test_run_pipeline_holds_one_recording_at_a_time(tmp_path):
-    cfg = SynthConfig(seed=2, fs=2000.0, duration_s=30.0)
-    rec, truth = gen_recording(cfg)
-    paths = [tmp_path / f"{stem}.csv" for stem in ("a", "b")]
-    write_recording_csv(rec, paths[0])
-    paths[1].write_bytes(paths[0].read_bytes())
+    paths = {}
+    for stem, duration in (("warm", 10.0), ("a", 30.0)):
+        cfg = SynthConfig(seed=2, fs=10_000.0, duration_s=duration)
+        rec, truth = gen_recording(cfg)
+        paths[stem] = tmp_path / f"{stem}.csv"
+        write_recording_csv(rec, paths[stem])
+    paths["b"] = tmp_path / "b.csv"
+    paths["b"].write_bytes(paths["a"].read_bytes())
     base = PipelineConfig(acquisition_fs=cfg.fs, analysis_fs=320.0,
                           template_start_s=truth.beat_indices[0] / cfg.fs - 0.125,
                           template_length_s=0.25)
-    one = traced_peak(run_pipeline, replace(base, inputs=(str(paths[0]),),
-                                            out_dir=str(tmp_path / "one")))
-    two = traced_peak(run_pipeline, replace(base, inputs=tuple(map(str, paths)),
-                                            out_dir=str(tmp_path / "two")))
+
+    def run(*stems):
+        config = replace(base, inputs=tuple(str(paths[s]) for s in stems),
+                         out_dir=str(tmp_path / "-".join(stems)))
+        return f"run_pipeline({config!r})"
+
+    # a first run on a shorter recording loads the code the measured one runs
+    setup = ("from cardioseis.config import PipelineConfig\n"
+             "from cardioseis.pipeline import run_pipeline\n" + run("warm"))
+    one, two = resident_peak(setup, run("a")), resident_peak(setup, run("a", "b"))
     kept = 2 * len(rec["scg"]) * 8  # one recording's SCG and flow
     assert two <= one + kept // 4, (one, two, kept)
