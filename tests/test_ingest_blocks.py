@@ -15,6 +15,7 @@ deterministic.
 """
 
 import contextlib
+import hashlib
 import mmap
 import os
 import signal
@@ -34,7 +35,7 @@ from cardioseis.config import PipelineConfig
 from cardioseis.errors import InputError
 from cardioseis.ingest import ingest_csv, write_recording_csv
 from cardioseis.pipeline import run_pipeline
-from cardioseis.signal_core import _firwin, _resample_poly
+from cardioseis.signal_core import _firwin, _resample_poly, resample
 from cardioseis.synth import SynthConfig, gen_recording
 
 B = 4  # the patched block size, in file lines
@@ -371,9 +372,9 @@ def test_a_worker_page_goes_once_the_rows_on_it_are_placed(tmp_path, block):
 
 
 @contextlib.contextmanager
-def forks_seen(cores=2):
-    """The pids of the workers that ingest_csv forks, with B lines per block
-    and `cores` usable cores."""
+def forks_seen(cores=2, block=B):
+    """The pids of the workers that ingest_csv forks, with `block` lines per
+    block and `cores` usable cores."""
     pids, fork = [], os.fork
 
     def spy():
@@ -382,7 +383,7 @@ def forks_seen(cores=2):
             pids.append(pid)
         return pid
 
-    with split(B, cores), mock.patch.object(os, "fork", spy):
+    with split(block, cores), mock.patch.object(os, "fork", spy):
         yield pids
 
 
@@ -571,3 +572,28 @@ def test_run_pipeline_holds_one_recording_at_a_time(tmp_path):
     one, two = resident_peak(setup, run("a")), resident_peak(setup, run("a", "b"))
     kept = 2 * len(rec["scg"]) * 8  # one recording's SCG and flow
     assert two <= one + kept // 4, (one, two, kept)
+
+
+# SHA-256 of the SCG and of the flow samples at 320 Hz, from a 20 s synth
+# CSV at each acquisition rate; 10000.37 Hz resamples by 215/6719
+RESAMPLED = {
+    10000.0: ("79df73d2ac6f51c1897f6b53d85e6b06b738755a760d0ce23ce3f703daea368c",
+              "0cff67cf2471150f9bf66166c10f2a3e64903e1e8463621d02e1133daa1eba9d"),
+    10000.37: ("4f125060063cf31bd41d822057fbf83b97259c983cef279c337d13e8ece96277",
+               "62826e2111f848e4bf6e380b0a8a355b06c222d3533bcfd0d4718cc564e42f43"),
+}
+
+
+@pytest.mark.parametrize("fs", RESAMPLED)
+def test_resampled_columns_pinned(tmp_path, fs):
+    rec, _ = gen_recording(SynthConfig(seed=19, fs=fs, duration_s=20.0))
+    path = tmp_path / "rec.csv"
+    write_recording_csv(rec, path)
+    # 4,096-line blocks on two cores put a cut and a worker in the file, and
+    # a span of 10,000 inputs puts block edges at many places in a span
+    with forks_seen(block=4096) as pids, \
+            mock.patch.object(signal_core, "_RESAMPLE_SPAN", 10_000):
+        read = ingest_csv(path, fs)
+        got = [resample(read[name], 320.0).samples for name in ("scg", "flow")]
+    assert len(pids) == 1
+    assert [hashlib.sha256(x.tobytes()).hexdigest() for x in got] == list(RESAMPLED[fs])
