@@ -26,7 +26,7 @@ import numpy as np
 
 from . import csvrows
 from .errors import InputError, input_file
-from .signal_core import Channel, Recording
+from .signal_core import Channel, Recording, Resampler
 
 COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
@@ -39,25 +39,31 @@ _STORED = dict(zip(COLUMNS, range(len(COLUMNS))))  # a worker's stored row: time
 _LINE_END = re.compile(rb"\r\n?|\n")  # as text mode with newline="" ends a line
 
 
-def ingest_csv(path, acquisition_fs: float) -> Recording:
-    """Read a recording sampled at acquisition_fs, validating as we go.
+def ingest_csv(path, acquisition_fs: float, analysis_fs: float | None = None) -> Recording:
+    """Read a recording sampled at acquisition_fs, validating as we go, and
+    resample its SCG and flow to analysis_fs (by default acquisition_fs) as
+    signal_core.resample would.
 
     The header is the first line. The body is cut at line ends into one
     byte range per part (_parts). This process parses the first range and a
-    forked worker each other one, CSV_BLOCK_ROWS file lines per np.loadtxt,
-    straight into anonymous shared mappings sized for the most rows their
-    bytes could hold; a worker sends back only its row count and loadtxt's
-    error, if any. Every row must have the header's field count, a
+    forked worker each other one, CSV_BLOCK_ROWS file lines per np.loadtxt;
+    a worker writes its rows into an anonymous shared mapping sized for the
+    most rows its bytes could hold, and sends back only its row count and
+    loadtxt's error, if any. Every row must have the header's field count, a
     timestamp within a tenth of a sample period of the uniform grid from
     the first one, and finite SCG and flow samples. This process checks its
     own blocks as it parses them, then each worker's rows, a block at a
-    time, at their row in the file, moving them after the rows before them
-    and freeing the worker's pages under each block once it is moved. The
-    first faulty row, whatever the split, aborts the read with its file
-    line. Only the SCG and flow columns outlive a block, so the whole table
-    never exists, and no worker outlives the call.
+    time, and feeds the SCG and flow of each checked block, in file order,
+    to one signal_core.Resampler, freeing the worker's pages under each
+    block once it is fed. So this process holds the SCG and flow at
+    analysis_fs, one span of the resampler's input and a block or two,
+    never a whole column at acquisition_fs; where the rates are equal, the
+    columns are written once into room for the most rows the body's bytes
+    could hold. The first faulty row, whatever the split, aborts the read
+    with its file line, and no worker outlives the call.
     """
     path = Path(path)
+    analysis_fs = acquisition_fs if analysis_fs is None else analysis_fs
     with input_file(path, "input file"), contextlib.ExitStack() as stack:
         cuts = _cuts(path)
         fh = stack.enter_context(_text(path, 0))
@@ -78,22 +84,21 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
         ref_row = ",".join(["0"] * len(header)) + "\n"
         dt = 1.0 / acquisition_fs
 
-        def shared(k, start, stop):
-            """An anonymous mapping that forked workers write into, with room
-            for k float64 values for every data row in bytes [start, stop);
-            pages never written take no memory."""
-            # a data row takes a byte for each field and each comma or line end
-            return mmap.mmap(-1, 8 * k * ((stop - start) // (2 * len(header)) + 1))
+        def most_rows(start, stop):
+            """The most data rows that bytes [start, stop) could hold: a
+            data row takes a byte for each field and each comma or line end."""
+            return (stop - start) // (2 * len(header)) + 1
 
         def start_worker(start, stop):
-            buf = shared(len(_STORED), start, stop)
+            # pages never written take no memory
+            buf = mmap.mmap(-1, 8 * len(_STORED) * most_rows(start, stop))
             stored = np.frombuffer(buf, dtype=float).reshape(-1, len(_STORED))  # a row per data row
             worker = _Worker(f"{path}: the worker parsing bytes {start} to {stop}", _parse_range,
-                             path, start, stop, ref_row, stored.T, list(cols.values()))
+                             path, start, stop, ref_row, stored, list(cols.values()))
             stack.callback(worker.stop)
             return worker, buf, stored
 
-        kept = np.frombuffer(shared(2, cuts[0], cuts[-1]), dtype=float).reshape(2, -1)  # SCG, flow
+        out = Resampler(acquisition_fs, analysis_fs, most_rows(cuts[0], cuts[-1]), 2)
         workers = [start_worker(start, stop) for start, stop in zip(cuts[1:], cuts[2:])]
         t0 = None
 
@@ -105,15 +110,18 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
             if not row0:
                 t0 = block[0, where["time"]]
 
-        n, exc = _parse(_lines(fh, cuts[0], cuts[1]), ref_row, kept, [cols["scg"], cols["flow"]],
-                        lambda block, row0: check(block, cols, row0))
+        def take(block, row0):
+            check(block, cols, row0)
+            out.feed(block[:, [cols["scg"], cols["flow"]]])
+
+        n, exc = _parse(_lines(fh, cuts[0], cuts[1]), ref_row, take)
         while workers and not exc:
             worker, buf, stored = workers.pop(0)
             rows, exc = worker.result()
             for s in range(0, rows, CSV_BLOCK_ROWS):
                 e = min(s + CSV_BLOCK_ROWS, rows)
                 check(stored[s:e], _STORED, n + s)
-                kept[:, n + s:n + e] = stored[s:e, 1:].T
+                out.feed(stored[s:e, 1:])
                 _free(buf, s * stored.strides[0], e * stored.strides[0])
             n += rows
             del stored, buf  # what is left of the mapping goes with them
@@ -124,7 +132,8 @@ def ingest_csv(path, acquisition_fs: float) -> Recording:
                                lambda rows: _fault(path, rows, cols, n, t0, dt)) from None
     if not n:
         raise InputError(f"{path}: no data rows")
-    return Recording(channels={role: Channel(kept[k, :n], acquisition_fs, role)
+    resampled = out.result()
+    return Recording(channels={role: Channel(resampled[k], float(analysis_fs), role)
                                for k, role in enumerate(("scg", "flow"))},
                      recording_id=path.stem)
 
@@ -142,12 +151,12 @@ def _free(buf, start: int, stop: int) -> None:
             buf.madvise(mmap.MADV_REMOVE, start, stop - start)
 
 
-def _parse(lines, ref_row: str, out, keep, check=None):
+def _parse(lines, ref_row: str, take):
     """Parse the text lines, CSV_BLOCK_ROWS at a time and each block after
-    ref_row, into out: row i of out takes column keep[i].
-    check(block, row0) sees each block of data rows first. Returns the rows
-    stored and the ValueError, a decode error included, that stopped the
-    parse at the block after them, or None."""
+    ref_row; take(block, row0) gets each block of data rows, row0 being the
+    data row it starts at. Returns the rows taken and the ValueError, a
+    decode error included, that stopped the parse at the block after them,
+    or None."""
     n = 0
     try:
         for first in lines:
@@ -155,9 +164,7 @@ def _parse(lines, ref_row: str, out, keep, check=None):
                                delimiter=",", ndmin=2)[1:]
             if not len(block):  # blank and comment lines only
                 continue
-            if check:
-                check(block, n)
-            out[:, n:n + len(block)] = block[:, keep].T
+            take(block, n)
             n += len(block)
     except ValueError as exc:
         return n, exc
@@ -165,9 +172,13 @@ def _parse(lines, ref_row: str, out, keep, check=None):
 
 
 def _parse_range(path, start: int, stop: int, ref_row: str, out, keep):
-    """A worker's _parse of bytes [start, stop) of the CSV at `path`."""
+    """A worker's _parse of bytes [start, stop) of the CSV at `path`: row i
+    of out takes the columns `keep` of data row i."""
+    def take(block, row0):
+        out[row0:row0 + len(block)] = block[:, keep]
+
     with _text(path, start) as fh:
-        return _parse(_lines(fh, start, stop), ref_row, out, keep)
+        return _parse(_lines(fh, start, stop), ref_row, take)
 
 
 def _cuts(path) -> list[int]:

@@ -128,7 +128,7 @@ def run_pipeline(config: PipelineConfig):
     make_out_dir(out_dir, "out_dir")
     rows, artifacts = [], []
     for path in paths:
-        rec = _stage("ingest", ingest_csv, path, config.acquisition_fs)
+        rec = _stage("ingest", ingest_csv, path, config.acquisition_fs, config.analysis_fs)
         cmp, context = analyze_recording(rec, config)
         rows.append(comparison_to_row(rec.recording_id, cmp, len(context["events"]),
                                       context["outliers_dropped"]))

@@ -9,6 +9,7 @@ results without loading scipy.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,92 +138,164 @@ def lowpass(ch: Channel, cutoff_hz: float) -> Channel:
 
 
 def resample(ch: Channel, target_fs: float) -> Channel:
-    """Rational polyphase resampling with anti-aliasing.
-
-    The anti-alias cutoff sits at 0.9x the limiting Nyquist (10% guard band),
-    so tones below 0.4x the target Nyquist pass essentially untouched.
-    Output length is round(n * target_fs / fs).
-    """
-    if target_fs <= 0:
-        raise InputError("target_fs must be > 0")
-    frac = Fraction(target_fs / ch.fs).limit_denominator(10000)
-    up, down = frac.numerator, frac.denominator
-    m = max(up, down)
-    n_out = int(round(len(ch.samples) * target_fs / ch.fs))
-    y = _resample_poly(ch.samples, _firwin(20 * m + 1, 0.9 / m), up, down, n_out)
-    return Channel(y, float(target_fs), ch.label)
+    """Rational polyphase resampling with anti-aliasing: the channel fed to
+    a Resampler as one block. Output length is round(n * target_fs / fs),
+    and where target_fs is fs the output is a copy of the input."""
+    out = Resampler(ch.fs, target_fs, len(ch.samples))
+    out.feed(ch.samples[:, None])
+    return Channel(out.result()[0], float(target_fs), ch.label)
 
 
-# inputs per span of _resample_poly's output blocks, which bounds its copy of x
+# inputs per span of a Resampler's output blocks, which bounds its
+# by-column buffer
 _RESAMPLE_SPAN = 1 << 19
 
 
-def _resample_poly(x, h, up: int, down: int, n_out: int) -> np.ndarray:
-    """The first n_out samples of scipy.signal.resample_poly(x, up, down,
-    window=h), bit for bit, for coprime up and down; past its
-    ceil(n * up / down) samples the input continues as zeros.
+class Resampler:
+    """Rational polyphase resampling with anti-aliasing of `channels`
+    signals sampled at fs and fed in order, as (k, channels) blocks of rows
+    that hold at most max_len rows in all.
 
-    Output sample i = q*up + p is the sum over a phase of taps h[t_p + k*up]
-    against the inputs that end at x[q*down + (p*down)//up]. As in scipy's
-    upfirdn, the products are added one at a time, oldest input first, so
-    the loop runs over the taps of a phase and each pass adds one
-    (up, blocks) block of products. The output blocks are taken a span at a
-    time, of about _RESAMPLE_SPAN inputs each, so besides arrays the size
-    of the output it makes one array the size of a span: the by-column copy
-    of the inputs that the span's passes read.
+    The ratio up/down is target_fs / fs within a denominator of 10000. The
+    kernel h is a 20 * max(up, down) + 1 tap low-pass whose cutoff sits at
+    0.9x the limiting Nyquist (10% guard band), so tones below 0.4x the
+    target Nyquist pass essentially untouched. Each channel comes out as
+    scipy.signal.resample_poly(x, up, down, window=h), bit for bit, however
+    x is split into blocks; past its ceil(n * up / down) samples the input
+    continues as zeros. With up == down, as in scipy, the output is the
+    input, unfiltered, written once into room for max_len rows.
+
+    Output sample i = q*up + p is the sum over a phase of taps
+    h[t_p + k*up] against the inputs that end at x[q*down + (p*down)//up].
+    As in scipy's upfirdn, the products are added one tap at a time, oldest
+    input first, so the loop runs over the taps of a phase and each pass
+    adds one (channels, up, blocks) block of products. The output blocks
+    are taken a span of about _RESAMPLE_SPAN inputs at a time, as soon as a
+    span's inputs are in: a by-column buffer holds them and the `reach`
+    rows of down inputs past them that the span's last taps read, which
+    then move to its front. Besides the output, that buffer is all it
+    holds, however long the input.
     """
-    if up == down:  # as in scipy, the input unfiltered; resample's one identity path
-        y = np.zeros(n_out)
-        y[:min(n_out, len(x))] = x[:n_out]
-        return y
-    h = np.asarray(h, dtype=float) * up
-    half_len = (len(h) - 1) // 2
-    n_pre_pad = down - half_len % down
-    n_pre_remove = (half_len + n_pre_pad) // down
-    # zero-pad the taps to a whole number of phases
-    per_phase = -(-(n_pre_pad + len(h)) // up)
-    h = np.concatenate((np.zeros(n_pre_pad), h, np.zeros(per_phase * up - n_pre_pad - len(h))))
-    # one row per phase, the tap for its oldest input first
-    phase_taps = h.reshape(per_phase, up).T[:, ::-1]
-    p = np.arange(up)
-    coeffs = phase_taps[p * down % up]             # (up, per_phase)
-    first = p * down // up                         # newest input of output p, less q*down
-    # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
-    # which is padded[q*down + first_p + j], padded being x behind
-    # per_phase - 1 zeros and ahead of more; tap j of output block q reads
-    # padded[(q + shift_j)*down + col_j]
-    shift, col = np.divmod(first + np.arange(per_phase)[:, None], down)  # (per_phase, up)
-    taps = list(zip(shift, col, coeffs.T[:, :, None]))
-    n_blocks = -(-(n_pre_remove + n_out) // up)
-    span = max(1, _RESAMPLE_SPAN // down)          # output blocks per span
-    reach = (first[-1] + per_phase - 1) // down    # rows of padded that a span reads past it
-    y = np.empty((n_blocks, up))
-    for q in range(0, n_blocks, span):
-        blocks = min(span, n_blocks - q)
-        # by_col[c, r] = padded[(q + r)*down + c]; a row of by_col holds the
-        # inputs that one tap multiplies in successive output blocks.
-        # by_col.T is padded cut into rows of down, and x goes straight
-        # into it: the rest of the row where x starts, then whole rows,
-        # then what is left
-        by_col = np.zeros((down, blocks + reach))
-        padded = by_col.T
-        lo = q * down - per_phase + 1                  # the index in x of by_col[0, 0]
-        part = x[max(lo, 0):lo + by_col.size]
-        r, c = divmod(max(-lo, 0), down)
-        head = min(down - c, len(part))
-        padded[r, c:c + head] = part[:head]
-        whole = (len(part) - head) // down
-        padded[r + 1:r + 1 + whole] = part[head:head + whole * down].reshape(whole, down)
-        tail = part[head + whole * down:]
+
+    def __init__(self, fs: float, target_fs: float, max_len: int, channels: int = 1):
+        if target_fs <= 0:
+            raise InputError("target_fs must be > 0")
+        self._fs, self._target_fs = fs, target_fs
+        self._n = 0  # rows fed
+        frac = Fraction(target_fs / fs).limit_denominator(10000)
+        up, down = self._up, self._down = frac.numerator, frac.denominator
+        if up == down:
+            # pages of the room never written should take no memory, but
+            # numpy asks the kernel for 2 MiB pages for an array of 4 MiB or
+            # more; an anonymous mapping takes memory a page at a time
+            size = 8 * channels * max_len
+            room = mmap.mmap(-1, size) if size >= 1 << 22 else bytearray(size)
+            self._y = np.frombuffer(room, dtype=float).reshape(channels, max_len)
+            return
+        m = max(up, down)
+        h = _firwin(20 * m + 1, 0.9 / m) * up
+        half_len = (len(h) - 1) // 2
+        n_pre_pad = down - half_len % down
+        self._pre = (half_len + n_pre_pad) // down  # outputs that scipy drops at the start
+        # zero-pad the taps to a whole number of phases
+        per_phase = -(-(n_pre_pad + len(h)) // up)
+        h = np.concatenate((np.zeros(n_pre_pad), h, np.zeros(per_phase * up - n_pre_pad - len(h))))
+        # one row per phase, the tap for its oldest input first
+        phase_taps = h.reshape(per_phase, up).T[:, ::-1]
+        p = np.arange(up)
+        coeffs = phase_taps[p * down % up]             # (up, per_phase)
+        first = p * down // up                         # newest input of output p, less q*down
+        # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
+        # which is padded[q*down + first_p + j], padded being x behind
+        # per_phase - 1 zeros and ahead of more; tap j of output block q reads
+        # padded[(q + shift_j)*down + col_j]
+        shift, col = np.divmod(first + np.arange(per_phase)[:, None], down)  # (per_phase, up)
+        self._taps = list(zip(shift, col, coeffs.T[:, :, None]))
+        # output blocks per span; an input shorter than a span gets one
+        # as long as itself
+        self._span = max(1, min(_RESAMPLE_SPAN, max_len) // down)
+        reach = (first[-1] + per_phase - 1) // down    # rows of padded that a span reads past it
+        # buf[c, col, r] = padded[(q + r)*down + col] of channel c, q being
+        # the first output block not yet added up; a row of buf[c] holds the
+        # inputs that one tap multiplies in successive output blocks
+        self._buf = np.zeros((channels, down, self._span + reach))
+        self._filled = per_phase - 1                   # samples of padded in buf, from its start
+        self._out = []                                 # (channels, blocks, up) per pass
+
+    def feed(self, rows) -> None:
+        """Take the next len(rows) samples of each channel, a column of rows each."""
+        k = len(rows)
+        if self._up == self._down:
+            self._y[:, self._n:self._n + k] = rows.T
+        else:
+            size = self._buf[0].size
+            at = 0
+            while at < k:
+                take = min(size - self._filled, k - at)
+                self._put(rows[at:at + take])
+                at += take
+                if self._filled == size:
+                    self._pass(self._span)
+                    self._drop(self._span)
+        self._n += k
+
+    def _put(self, rows) -> None:
+        """Write rows into buf, from its first free sample of padded on:
+        the rest of that row of down, then whole rows, then what is left."""
+        padded = self._buf.transpose(0, 2, 1)          # (channels, rows, down)
+        down, k = self._down, len(rows)
+        r, c = divmod(self._filled, down)
+        head = min(down - c, k)
+        padded[:, r, c:c + head] = rows[:head].T
+        whole = (k - head) // down
+        padded[:, r + 1:r + 1 + whole] = \
+            rows[head:head + whole * down].reshape(whole, down, len(padded)).transpose(2, 0, 1)
+        tail = rows[head + whole * down:]
         if len(tail):
-            padded[r + 1 + whole, :len(tail)] = tail
-        runs = np.lib.stride_tricks.sliding_window_view(by_col, blocks, axis=1)
-        acc = np.zeros((up, blocks))
-        for shift_j, col_j, tap in taps:
-            acc += runs[col_j, shift_j] * tap
-        y[q:q + blocks] = acc.T
-        del by_col, padded, runs  # before the next span's copy
-    return y.ravel()[n_pre_remove:n_pre_remove + n_out]
+            padded[:, r + 1 + whole, :len(tail)] = tail.T
+        self._filled += k
+
+    def _pass(self, blocks: int) -> None:
+        """Add up the next `blocks` output blocks from the front of buf."""
+        runs = np.lib.stride_tricks.sliding_window_view(self._buf, blocks, axis=2)
+        acc = np.zeros((len(self._buf), self._up, blocks))
+        for shift_j, col_j, tap in self._taps:
+            acc += runs[:, col_j, shift_j] * tap
+        self._out.append(acc.transpose(0, 2, 1))
+
+    def _drop(self, blocks: int) -> None:
+        """Move the rows of buf that the blocks after the next `blocks` read
+        to its front."""
+        self._buf[:, :, :-blocks] = self._buf[:, :, blocks:]
+        self._filled -= blocks * self._down
+
+    def result(self, n_out: int | None = None) -> np.ndarray:
+        """The first n_out output samples of each channel, a row each, once
+        every block is fed; n_out defaults to round(n * target_fs / fs)."""
+        if n_out is None:
+            n_out = int(round(self._n * self._target_fs / self._fs))
+        if self._up == self._down:
+            y = self._y[:, :n_out]
+            y[:, self._n:] = 0
+            if y.shape[1] < n_out:  # past the room
+                y = np.concatenate((y, np.zeros((len(y), n_out - y.shape[1]))), axis=1)
+            return y
+        n_blocks = -(-(self._pre + n_out) // self._up)
+        done = sum(out.shape[1] for out in self._out)
+        if done < n_blocks:  # the input continues as zeros
+            padded = self._buf.transpose(0, 2, 1)
+            r, c = divmod(self._filled, self._down)
+            padded[:, r, c:] = 0
+            padded[:, r + 1:] = 0
+        while done < n_blocks:
+            blocks = min(self._span, n_blocks - done)
+            self._pass(blocks)
+            done += blocks
+            if done < n_blocks:
+                self._drop(blocks)
+                self._buf[:, :, -blocks:] = 0
+        y = np.concatenate(self._out, axis=1).reshape(len(self._buf), -1)
+        return y[:, self._pre:self._pre + n_out]
 
 
 def _next_fast_len(n: int) -> int:

@@ -35,7 +35,7 @@ from cardioseis.config import PipelineConfig
 from cardioseis.errors import InputError
 from cardioseis.ingest import ingest_csv, write_recording_csv
 from cardioseis.pipeline import run_pipeline
-from cardioseis.signal_core import _firwin, _resample_poly, resample
+from cardioseis.signal_core import Channel, resample
 from cardioseis.synth import SynthConfig, gen_recording
 
 B = 4  # the patched block size, in file lines
@@ -87,8 +87,10 @@ def assert_equal_whole_file(rec, path):
     assert rec["flow"].samples.tobytes() == whole[:, 3].tobytes()
     for name in ("scg", "flow"):
         assert rec[name].samples.flags.c_contiguous
-        # a view of the shared mapping, never of a parsed block
-        assert isinstance(mapping_of(rec[name].samples), mmap.mmap)
+        # a view of the room that both columns are written into once, never
+        # of a parsed block
+        assert mapping_of(rec[name].samples) is mapping_of(rec["scg"].samples)
+        assert isinstance(mapping_of(rec[name].samples), (mmap.mmap, bytearray))
 
 
 # body lines that are no data row, each at a body-line index; with B = 4,
@@ -534,21 +536,24 @@ def test_ingest_peak_is_the_kept_columns_and_a_few_blocks(tmp_path):
     assert peak < kept + worker / 2, (peak, kept)
 
 
-def test_resample_poly_peak_is_one_span_and_the_output():
-    x = np.random.default_rng(0).standard_normal(1_200_000)
-    up, down, m = 4, 125, 125
-    h = _firwin(20 * m + 1, 0.9 / m)
-    n_out = len(x) * up // down
-    peak = traced_peak(_resample_poly, x, h, up, down, n_out)
-    # the by-column copy of a span and of the few rows of down inputs that
-    # its last taps read past it, the accumulator, one product and the
+def test_resample_peak_is_one_span_and_the_output():
+    x = Channel(np.random.default_rng(0).standard_normal(1_200_000), 10_000.0)
+    down = 125  # 10 kHz to 320 Hz is 4/125
+    n_out = 38_400
+    peak = traced_peak(resample, x, 320.0)
+    # the by-column buffer of a span and of the few rows of down inputs
+    # that its last taps read past it, the accumulator, one product and the
     # output; a copy of the whole of x would break it
     span = 8 * (signal_core._RESAMPLE_SPAN + 10 * down)
-    assert span < x.nbytes / 2
+    assert span < x.samples.nbytes / 2
     assert peak < span + 4 * 8 * n_out + 2**16, (peak, span)
 
 
-def test_run_pipeline_holds_one_recording_at_a_time(tmp_path):
+def ten_khz_runs(tmp_path):
+    """Write 10 kHz synth CSVs: "warm", 10 s, and "a" and "b", the same
+    30 s. Returns the rows of "a", and a function that gives the source of
+    a run_pipeline call on the CSVs it names, preceded by a run on "warm",
+    which loads the code that the later run needs."""
     paths = {}
     for stem, duration in (("warm", 10.0), ("a", 30.0)):
         cfg = SynthConfig(seed=2, fs=10_000.0, duration_s=duration)
@@ -566,12 +571,30 @@ def test_run_pipeline_holds_one_recording_at_a_time(tmp_path):
                          out_dir=str(tmp_path / "-".join(stems)))
         return f"run_pipeline({config!r})"
 
-    # a first run on a shorter recording loads the code the measured one runs
     setup = ("from cardioseis.config import PipelineConfig\n"
              "from cardioseis.pipeline import run_pipeline\n" + run("warm"))
+    return len(rec["scg"]), setup, run
+
+
+def test_run_pipeline_holds_one_recording_at_a_time(tmp_path):
+    rows, setup, run = ten_khz_runs(tmp_path)
     one, two = resident_peak(setup, run("a")), resident_peak(setup, run("a", "b"))
-    kept = 2 * len(rec["scg"]) * 8  # one recording's SCG and flow
+    kept = 2 * rows * 8  # one recording's SCG and flow at 10 kHz
     assert two <= one + kept // 4, (one, two, kept)
+
+
+def test_run_pipeline_holds_no_10_khz_column(tmp_path):
+    rows, setup, run = ten_khz_runs(tmp_path)
+    # two cores, blocks of 4,096 lines and spans of 2^15 inputs, so that a
+    # block and the resampler's buffer are small beside the columns
+    setup = ("from unittest import mock\n"
+             "from cardioseis import ingest, signal_core\n"
+             "mock.patch.object(ingest, 'CSV_BLOCK_ROWS', 4096).start()\n"
+             "mock.patch.object(ingest, '_usable_cores', lambda: 2).start()\n"
+             "mock.patch.object(signal_core, '_RESAMPLE_SPAN', 1 << 15).start()\n" + setup)
+    peak = resident_peak(setup, run("a"))
+    columns = 2 * rows * 8  # the SCG and flow at 10 kHz
+    assert peak < columns, (peak, columns)
 
 
 # SHA-256 of the SCG and of the flow samples at 320 Hz, from a 20 s synth
@@ -590,10 +613,16 @@ def test_resampled_columns_pinned(tmp_path, fs):
     path = tmp_path / "rec.csv"
     write_recording_csv(rec, path)
     # 4,096-line blocks on two cores put a cut and a worker in the file, and
-    # a span of 10,000 inputs puts block edges at many places in a span
+    # a span of 10,000 inputs puts block edges at many places in a span;
+    # ingest resamples the blocks as it reads them, or resample the whole
+    # columns after it
     with forks_seen(block=4096) as pids, \
             mock.patch.object(signal_core, "_RESAMPLE_SPAN", 10_000):
+        streamed = ingest_csv(path, fs, 320.0)
         read = ingest_csv(path, fs)
-        got = [resample(read[name], 320.0).samples for name in ("scg", "flow")]
-    assert len(pids) == 1
-    assert [hashlib.sha256(x.tobytes()).hexdigest() for x in got] == list(RESAMPLED[fs])
+        whole = {name: resample(read[name], 320.0) for name in ("scg", "flow")}
+    assert len(pids) == 2
+    for got in (streamed, whole):
+        assert [hashlib.sha256(got[name].samples.tobytes()).hexdigest()
+                for name in ("scg", "flow")] == list(RESAMPLED[fs])
+        assert {got[name].fs for name in ("scg", "flow")} == {320.0}

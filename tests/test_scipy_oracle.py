@@ -5,6 +5,7 @@ for bit. scipy is needed only by these tests.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 from scipy.fft import next_fast_len
 
+from cardioseis import signal_core
 from cardioseis.event_detection import _find_peaks
-from cardioseis.signal_core import (Channel, _firwin, _freqz, _lowpass_taps, _next_fast_len,
-                                    _resample_poly, hilbert_envelope, lowpass)
+from cardioseis.signal_core import (Channel, Resampler, _firwin, _freqz, _lowpass_taps,
+                                    _next_fast_len, hilbert_envelope, lowpass)
 
 # up/down ratios: 10 kHz to 320 Hz, rates beyond 6 significant digits,
 # and upsampling
@@ -91,28 +93,55 @@ def test_lowpass_short_and_long_channels(cutoff_hz):
         assert np.max(np.abs(got - want)) < 1e-13, n
 
 
+def resampled(x, up, down, edges, n_out=None):
+    """x resampled by up/down, fed to one Resampler in the blocks that the
+    sorted `edges` cut it into."""
+    out = Resampler(float(down), float(up), len(x))
+    for start, stop in zip([0, *edges], [*edges, len(x)]):
+        out.feed(x[start:stop, None])
+    return out.result(n_out)[0]
+
+
 @ORACLE
 @given(ratio=st.sampled_from(RATIOS), n=st.integers(1, 5000), pad=st.integers(0, 300),
-       extra=st.integers(-5, 5), seed=st.integers(0, 2**32 - 1))
-def test_resample_poly(ratio, n, pad, extra, seed):
-    # past ceil(n * up / down) samples the input continues as zeros
+       extra=st.integers(-5, 5), seed=st.integers(0, 2**32 - 1),
+       cuts=st.lists(st.integers(0, 5000), max_size=40),
+       span=st.sampled_from([1, 500, signal_core._RESAMPLE_SPAN]))
+def test_resample_poly(ratio, n, pad, extra, seed, cuts, span):
+    # past ceil(n * up / down) samples the input continues as zeros; the
+    # bits do not depend on the blocks that x is fed in, nor on the span
     up, down = ratio
     m = max(up, down)
     taps = sps.firwin(20 * m + 1, 0.9 / m, window="hamming")
     x = signal(seed, n)
     want = sps.resample_poly(np.concatenate([x, np.zeros(pad)]), up, down, window=taps)
     n_out = max(0, min(len(want), math.ceil(n * up / down) + extra))
-    assert same_bits(_resample_poly(x, taps, up, down, n_out), want[:n_out])
+    edges = sorted(min(cut, n) for cut in cuts)
+    with mock.patch.object(signal_core, "_RESAMPLE_SPAN", span):
+        assert same_bits(resampled(x, up, down, edges, n_out), want[:n_out])
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_resample_poly_one_sample_blocks(ratio):
+    # spans of one output block, so most blocks land in a span's reach
+    up, down = ratio
+    m = max(up, down)
+    taps = sps.firwin(20 * m + 1, 0.9 / m, window="hamming")
+    x = signal(1, 3 * down + 7)
+    want = sps.resample_poly(x, up, down, window=taps)
+    with mock.patch.object(signal_core, "_RESAMPLE_SPAN", 1):
+        assert same_bits(resampled(x, up, down, range(1, len(x)), len(want)), want)
 
 
 @pytest.mark.parametrize("ratio", [(4, 125), (215, 6719)])
 def test_resample_poly_long_channel(ratio):
-    # a 120 s channel at 10 kHz, to 320 Hz
+    # a 120 s channel at 10 kHz, to 320 Hz, fed in blocks of 65,536 samples
     up, down = ratio
     taps = sps.firwin(20 * down + 1, 0.9 / down, window="hamming")
     x = signal(0, 1_200_000)
     want = sps.resample_poly(x, up, down, window=taps)
-    assert same_bits(_resample_poly(x, taps, up, down, len(want)), want)
+    edges = range(65_536, len(x), 65_536)
+    assert same_bits(resampled(x, up, down, edges, len(want)), want)
 
 
 def test_next_fast_len():
