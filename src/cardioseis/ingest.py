@@ -39,10 +39,9 @@ _STORED = dict(zip(COLUMNS, range(len(COLUMNS))))  # a worker's stored row: time
 _LINE_END = re.compile(rb"\r\n?|\n")  # as text mode with newline="" ends a line
 
 
-def ingest_csv(path, acquisition_fs: float, analysis_fs: float | None = None) -> Recording:
+def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
     """Read a recording sampled at acquisition_fs, validating as we go, and
-    resample its SCG and flow to analysis_fs (by default acquisition_fs) as
-    signal_core.resample would.
+    resample its SCG and flow to analysis_fs as signal_core.resample would.
 
     The header is the first line. The body is cut at line ends into one
     byte range per part (_parts). This process parses the first range and a
@@ -63,7 +62,6 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float | None = None) ->
     with its file line, and no worker outlives the call.
     """
     path = Path(path)
-    analysis_fs = acquisition_fs if analysis_fs is None else analysis_fs
     with input_file(path, "input file"), contextlib.ExitStack() as stack:
         cuts = _cuts(path)
         fh = stack.enter_context(_text(path, 0))

@@ -56,6 +56,10 @@ def _stage(name, fn, *args, **kwargs):
 def analyze_recording(rec: Recording, config: PipelineConfig):
     """Run the analysis chain on an in-memory recording.
 
+    The SCG and flow are first resampled to config.analysis_fs. A
+    recording that ingest_csv read for run_pipeline is already at that
+    rate, so there this step is a copy.
+
     Returns (CriterionComparison, context dict with the kept events as
     ScgEvents and the number of outliers dropped).
     """

@@ -1,7 +1,8 @@
 """Sampled-signal container and the DSP primitives the pipeline is built on.
 
-Everything here is a pure function of its inputs. Channels are treated as
-immutable once built; operations return new arrays/channels. The filter
+Everything here but a Resampler, which is fed its input in blocks, is a
+pure function of its inputs. Channels are treated as immutable once built;
+operations return new arrays/channels. The filter
 design, polyphase resampling and analytic signal are written in numpy and
 follow scipy.signal's order of operations, so they give bit-identical
 results without loading scipy.

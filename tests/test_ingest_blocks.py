@@ -7,11 +7,12 @@ lines at a time, the first in this process and each other one in a forked
 worker. With the block size patched small and two usable cores, its
 columns must equal a whole-file np.loadtxt bit for bit wherever the block
 edges and the cut fall, every fault must name the file line that an
-unsplit parse names, and no worker may outlive the call. The columns live
-in shared mappings, which tracemalloc does not see, so the memory bounds of
-ingest and run_pipeline read the resident set of a fresh interpreter; numpy
-reports its buffers to tracemalloc, so the bound of _resample_poly is
-deterministic.
+unsplit parse names, and no worker may outlive the call. Resampled as they
+are read, the columns must equal, bit for bit, the whole columns resampled
+after the read. A worker's rows live in a shared mapping, which
+tracemalloc does not see, so the memory bounds of ingest and run_pipeline
+read the resident set of a fresh interpreter; numpy reports its buffers to
+tracemalloc, so the bound of resample is deterministic.
 """
 
 import contextlib
@@ -65,12 +66,12 @@ def split(block, cores=2):
 
 def ingest_with_blocks(path, block):
     with split(block):
-        return ingest_csv(path, FS)
+        return ingest_csv(path, FS, FS)
 
 
 def error_with_blocks(path, block):
     with pytest.raises(InputError) as info, split(block):
-        ingest_csv(path, FS)
+        ingest_csv(path, FS, FS)
     return str(info.value)
 
 
@@ -268,7 +269,7 @@ def undecodable(path, row):
 
 def one_range_error(path):
     with pytest.raises(InputError) as info, split(B, cores=1):
-        ingest_csv(path, FS)
+        ingest_csv(path, FS, FS)
     return str(info.value)
 
 
@@ -401,7 +402,7 @@ def assert_reaped(pids):
 def test_one_worker_per_core_and_at_most_one_per_block(tmp_path, cores, rows, workers, eol):
     path = write_csv(tmp_path / "rec.csv", data_rows(rows), eol=eol)
     with forks_seen(cores) as pids:
-        rec = ingest_csv(path, FS)
+        rec = ingest_csv(path, FS, FS)
     assert len(pids) == workers
     assert_reaped(pids)
     assert_equal_whole_file(rec, path)
@@ -411,7 +412,7 @@ def test_one_block_starts_no_worker_and_no_fork_none(tmp_path, monkeypatch):
     path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
     monkeypatch.delattr(os, "fork")
     with split(B, cores=4):
-        assert_equal_whole_file(ingest_csv(path, FS), path)
+        assert_equal_whole_file(ingest_csv(path, FS, FS), path)
 
 
 @pytest.mark.parametrize("raised", [KeyboardInterrupt, InputError])
@@ -419,7 +420,7 @@ def test_fault_in_the_first_range_reaps_workers(tmp_path, raised):
     path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
     with forks_seen() as pids, mock.patch.object(ingest, "_fault", side_effect=raised("x")), \
             pytest.raises(raised):
-        ingest_csv(path, FS)
+        ingest_csv(path, FS, FS)
     assert len(pids) == 1
     assert_reaped(pids)
 
@@ -435,7 +436,7 @@ def test_interrupt_while_waiting_kills_a_stuck_worker(tmp_path):
         with forks_seen() as pids, pytest.raises(KeyboardInterrupt), \
                 mock.patch.object(ingest, "_parse_range", lambda *args: time.sleep(60)):
             signal.setitimer(signal.ITIMER_REAL, 0.5)
-            ingest_csv(path, FS)
+            ingest_csv(path, FS, FS)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -452,7 +453,7 @@ def test_worker_without_a_result_raises_oserror(tmp_path, fail, status):
     with forks_seen() as pids, mock.patch.object(ingest, "_parse_range", fail), \
             pytest.raises(OSError, match=rf"the worker parsing bytes \d+ to \d+ exited with "
                                          rf"status {status}$"):
-        ingest_csv(path, FS)
+        ingest_csv(path, FS, FS)
     assert_reaped(pids)
 
 
@@ -527,8 +528,8 @@ def test_ingest_peak_is_the_kept_columns_and_a_few_blocks(tmp_path):
              "from cardioseis import ingest\n"
              f"mock.patch.object(ingest, 'CSV_BLOCK_ROWS', {block}).start()\n"
              "mock.patch.object(ingest, '_usable_cores', lambda: 2).start()\n"
-             f"ingest.ingest_csv({str(warm)!r}, {FS})")
-    peak = resident_peak(setup, f"rec = ingest.ingest_csv({str(path)!r}, {FS})")
+             f"ingest.ingest_csv({str(warm)!r}, {FS}, {FS})")
+    peak = resident_peak(setup, f"rec = ingest.ingest_csv({str(path)!r}, {FS}, {FS})")
     kept = 2 * n * 8  # the SCG and flow columns
     worker = 3 * (n // 2) * 8  # the time, SCG and flow rows of the worker's half
     # the whole table alone is twice the kept columns; the worker's rows,
@@ -619,7 +620,7 @@ def test_resampled_columns_pinned(tmp_path, fs):
     with forks_seen(block=4096) as pids, \
             mock.patch.object(signal_core, "_RESAMPLE_SPAN", 10_000):
         streamed = ingest_csv(path, fs, 320.0)
-        read = ingest_csv(path, fs)
+        read = ingest_csv(path, fs, fs)
         whole = {name: resample(read[name], 320.0) for name in ("scg", "flow")}
     assert len(pids) == 2
     for got in (streamed, whole):

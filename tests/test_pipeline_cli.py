@@ -61,7 +61,7 @@ def pipeline_config(tmp_path, csv_path, truth, cfg, **overrides):
 class TestIngest:
     def test_round_trip(self, tmp_path):
         path, rec, _, cfg = synth_csv(tmp_path, duration=5.0)
-        loaded = ingest_csv(path, cfg.fs)
+        loaded = ingest_csv(path, cfg.fs, cfg.fs)
         for name in ("scg", "flow"):
             assert len(loaded[name]) == len(rec[name])
             assert np.allclose(loaded[name].samples, rec[name].samples, atol=1e-9)
@@ -70,14 +70,14 @@ class TestIngest:
         p = tmp_path / "bad.csv"
         p.write_text("time_s,scg_z,ecg\n0,0,0\n")
         with pytest.raises(InputError, match="missing channel: flow"):
-            ingest_csv(p, PipelineConfig.acquisition_fs)
+            ingest_csv(p, PipelineConfig.acquisition_fs, PipelineConfig.analysis_fs)
 
     def test_repeated_column_rejected_before_parse(self, tmp_path):
         p = tmp_path / "bad.csv"
         # the data row would not parse: only the header can be the reason
         p.write_text("time_s,scg_z,scg_z,flow_lps\n0,abc,0,0\n")
         with pytest.raises(InputError, match="header names scg_z 2 times"):
-            ingest_csv(p, PipelineConfig.acquisition_fs)
+            ingest_csv(p, PipelineConfig.acquisition_fs, PipelineConfig.analysis_fs)
         res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "header names scg_z 2 times" in res.output
@@ -90,7 +90,7 @@ class TestIngest:
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError, match="non-uniform timestamps, first offending row 6: "
                            "time 0.2 s, expected 0.0125 s at acquisition_fs = 320$"):
-            ingest_csv(p, 320.0)
+            ingest_csv(p, 320.0, 320.0)
 
     def test_rows_read_at_another_rate_name_the_expected_time(self, tmp_path):
         # a 320 Hz recording read at run's default acquisition_fs
@@ -109,7 +109,7 @@ class TestIngest:
         rows += [f"{i / 320.0:.9g},{'nan' if i == 3 else '0'},0,0" for i in range(8)]
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError, match="non-finite scg sample at row 5"):
-            ingest_csv(p, 320.0)
+            ingest_csv(p, 320.0, 320.0)
 
     def test_parse_error_names_file_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -117,7 +117,7 @@ class TestIngest:
         rows += [f"{i / 320.0:.9g},{'abc' if i == 4 else '0'},0,0" for i in range(8)]
         p.write_text("\n".join(rows) + "\n")  # 'abc' sits on line 6
         with pytest.raises(InputError, match="'abc'.* at line 6, column 2"):
-            ingest_csv(p, 320.0)
+            ingest_csv(p, 320.0, 320.0)
 
     def test_errors_count_blank_lines(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -126,10 +126,10 @@ class TestIngest:
         rows.insert(2, "")  # the nan moves to line 6
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError, match="non-finite scg sample at row 6"):
-            ingest_csv(p, 320.0)
+            ingest_csv(p, 320.0, 320.0)
         p.write_text("\n".join(rows).replace("nan", "x") + "\n")
         with pytest.raises(InputError, match="at line 6,"):
-            ingest_csv(p, 320.0)
+            ingest_csv(p, 320.0, 320.0)
 
     def test_ecg_column_optional(self, tmp_path):
         path, *_ = synth_csv(tmp_path, duration=5.0)
@@ -137,7 +137,7 @@ class TestIngest:
         cut = tmp_path / "no_ecg.csv"
         cut.write_text("\n".join(",".join(f for k, f in enumerate(line.split(",")) if k != 2)
                                  for line in lines) + "\n")
-        with_ecg, without = ingest_csv(path, 320.0), ingest_csv(cut, 320.0)
+        with_ecg, without = ingest_csv(path, 320.0, 320.0), ingest_csv(cut, 320.0, 320.0)
         assert set(with_ecg.channels) == set(without.channels) == {"scg", "flow"}
         for name in ("scg", "flow"):
             assert np.array_equal(with_ecg[name].samples, without[name].samples)
@@ -149,7 +149,7 @@ class TestIngest:
         p = tmp_path / "wide.csv"
         p.write_text("\n".join(["time_s,scg_z,flow_lps"] + lines[1:]) + "\n")
         with pytest.raises(InputError, match="rows have 4 fields, header has 3"):
-            ingest_csv(p, 320.0)
+            ingest_csv(p, 320.0, 320.0)
 
     @pytest.mark.parametrize("ragged_line", [5, 11])
     def test_ragged_row_names_file_line(self, tmp_path, ragged_line):
@@ -162,7 +162,7 @@ class TestIngest:
         rows[ragged_line - 1] += ",0"
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError, match=f"changed from 4 to 5 at line {ragged_line}$"):
-            ingest_csv(p, 10000.0)
+            ingest_csv(p, 10000.0, 10000.0)
         res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, res.output
         assert res.output.endswith(f"at line {ragged_line}\n")
@@ -177,7 +177,7 @@ class TestIngest:
                  for i in range(10)]
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError, match="rows have 5 fields, header has 4, at line 2$"):
-            ingest_csv(p, 320.0)
+            ingest_csv(p, 320.0, 320.0)
         res = CliRunner().invoke(main, ["run", "--input", str(p), "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, res.output
         assert res.output.endswith("at line 2\n")
