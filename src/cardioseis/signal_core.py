@@ -186,9 +186,9 @@ class Resampler:
         frac = Fraction(target_fs / fs).limit_denominator(10000)
         up, down = self._up, self._down = frac.numerator, frac.denominator
         if up == down:
-            # pages of the room never written should take no memory, but
-            # numpy asks the kernel for 2 MiB pages for an array of 4 MiB or
-            # more; an anonymous mapping takes memory a page at a time
+            # a room of zeros whose unwritten pages take no memory: numpy
+            # asks the kernel for 2 MiB pages for an array of 4 MiB or more,
+            # while an anonymous mapping takes memory a page at a time
             size = 8 * channels * max_len
             room = mmap.mmap(-1, size) if size >= 1 << 22 else bytearray(size)
             self._y = np.frombuffer(room, dtype=float).reshape(channels, max_len)
@@ -276,8 +276,7 @@ class Resampler:
         if n_out is None:
             n_out = int(round(self._n * self._target_fs / self._fs))
         if self._up == self._down:
-            y = self._y[:, :n_out]
-            y[:, self._n:] = 0
+            y = self._y[:, :n_out]  # zeros past the input, as the room starts
             if y.shape[1] < n_out:  # past the room
                 y = np.concatenate((y, np.zeros((len(y), n_out - y.shape[1]))), axis=1)
             return y
