@@ -186,12 +186,10 @@ class Resampler:
         frac = Fraction(target_fs / fs).limit_denominator(10000)
         up, down = self._up, self._down = frac.numerator, frac.denominator
         if up == down:
-            # a room of zeros whose unwritten pages take no memory: numpy
-            # asks the kernel for 2 MiB pages for an array of 4 MiB or more,
-            # while an anonymous mapping takes memory a page at a time
-            size = 8 * channels * max_len
-            room = mmap.mmap(-1, size) if size >= 1 << 22 else bytearray(size)
-            self._y = np.frombuffer(room, dtype=float).reshape(channels, max_len)
+            # a room of zeros in an anonymous mapping, which takes memory
+            # only for the pages written; an empty room still maps a byte
+            room = mmap.mmap(-1, max(8 * channels * max_len, 1))
+            self._y = np.ndarray((channels, max_len), dtype=float, buffer=room)
             return
         m = max(up, down)
         h = _firwin(20 * m + 1, 0.9 / m) * up
