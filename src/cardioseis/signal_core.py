@@ -164,7 +164,8 @@ class Resampler:
     scipy.signal.resample_poly(x, up, down, window=h), bit for bit, however
     x is split into blocks; past its ceil(n * up / down) samples the input
     continues as zeros. With up == down, as in scipy, the output is the
-    input, unfiltered, written once into room for max_len rows.
+    input, unfiltered, written once: a copy of a first block that holds
+    all max_len rows, else into room for max_len rows.
 
     Output sample i = q*up + p is the sum over a phase of taps
     h[t_p + k*up] against the inputs that end at x[q*down + (p*down)//up].
@@ -186,10 +187,8 @@ class Resampler:
         frac = Fraction(target_fs / fs).limit_denominator(10000)
         up, down = self._up, self._down = frac.numerator, frac.denominator
         if up == down:
-            # a room of zeros in an anonymous mapping, which takes memory
-            # only for the pages written; an empty room still maps a byte
-            room = mmap.mmap(-1, max(8 * channels * max_len, 1))
-            self._y = np.ndarray((channels, max_len), dtype=float, buffer=room)
+            self._max_len, self._channels = max_len, channels
+            self._y = None  # the output, made at the first block
             return
         m = max(up, down)
         h = _firwin(20 * m + 1, 0.9 / m) * up
@@ -225,7 +224,10 @@ class Resampler:
         """Take the next len(rows) samples of each channel, a column of rows each."""
         k = len(rows)
         if self._up == self._down:
-            self._y[:, self._n:self._n + k] = rows.T
+            if self._y is None:
+                self._y = self._room(rows)
+            else:
+                self._y[:, self._n:self._n + k] = rows.T
         else:
             size = self._buf[0].size
             at = 0
@@ -237,6 +239,19 @@ class Resampler:
                     self._pass(self._span)
                     self._drop(self._span)
         self._n += k
+
+    def _room(self, rows) -> np.ndarray:
+        """The output where up == down, made from the first block: a copy of
+        it where it holds all max_len rows, as from resample; else room for
+        max_len rows in an anonymous mapping, which takes memory only for
+        the pages written, as max_len is then a bound (ingest_csv's, from
+        the bytes, is about 5x the rows of a 320 Hz CSV)."""
+        if len(rows) == self._max_len:
+            return rows.T.copy()
+        room = mmap.mmap(-1, max(8 * self._channels * self._max_len, 1))
+        y = np.ndarray((self._channels, self._max_len), dtype=float, buffer=room)
+        y[:, :len(rows)] = rows.T
+        return y
 
     def _put(self, rows) -> None:
         """Write rows into buf, from its first free sample of padded on:
@@ -274,6 +289,8 @@ class Resampler:
         if n_out is None:
             n_out = int(round(self._n * self._target_fs / self._fs))
         if self._up == self._down:
+            if self._y is None:  # no block was fed
+                self.feed(np.zeros((0, self._channels)))
             y = self._y[:, :n_out]  # zeros past the input, as the room starts
             if y.shape[1] < n_out:  # past the room
                 y = np.concatenate((y, np.zeros((len(y), n_out - y.shape[1]))), axis=1)

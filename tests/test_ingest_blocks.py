@@ -537,6 +537,23 @@ def test_ingest_peak_is_the_kept_columns_and_a_few_blocks(tmp_path):
     assert peak < kept + worker / 2, (peak, kept)
 
 
+def test_ingest_room_takes_memory_as_written(tmp_path):
+    block = 4096
+    n = 20_000
+    path = write_csv(tmp_path / "rec.csv", data_rows(n))
+    warm = write_csv(tmp_path / "warm.csv", data_rows(3 * block))
+    setup = ("from unittest import mock\n"
+             "from cardioseis import ingest\n"
+             f"mock.patch.object(ingest, 'CSV_BLOCK_ROWS', {block}).start()\n"
+             "mock.patch.object(ingest, '_usable_cores', lambda: 2).start()\n"
+             f"ingest.ingest_csv({str(warm)!r}, {FS}, {FS})")
+    peak = resident_peak(setup, f"rec = ingest.ingest_csv({str(path)!r}, {FS}, {FS})")
+    kept = 2 * n * 8  # the SCG and flow columns
+    # the room has space for the most rows the bytes could hold, about 8.6
+    # times these; if it took memory whole, it alone would break the bound
+    assert peak < 3 * kept, (peak, kept)
+
+
 def test_resample_peak_is_one_span_and_the_output():
     x = Channel(np.random.default_rng(0).standard_normal(1_200_000), 10_000.0)
     down = 125  # 10 kHz to 320 Hz is 4/125
