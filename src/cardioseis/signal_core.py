@@ -289,8 +289,6 @@ class Resampler:
         if n_out is None:
             n_out = int(round(self._n * self._target_fs / self._fs))
         if self._up == self._down:
-            if self._y is None:  # no block was fed
-                self.feed(np.zeros((0, self._channels)))
             y = self._y[:, :n_out]  # zeros past the input, as the room starts
             if y.shape[1] < n_out:  # past the room
                 y = np.concatenate((y, np.zeros((len(y), n_out - y.shape[1]))), axis=1)
