@@ -16,7 +16,6 @@ import os
 import pickle
 import re
 import shutil
-import sys
 import tempfile
 import warnings
 from itertools import chain, islice
@@ -24,17 +23,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvrows
 from .errors import InputError, input_file
 from .signal_core import Channel, Recording, Resampler
 
 COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
 # lines parsed per block and rows formatted per write, which bounds the
-# memory of ingest and of the writer; both split their work into one part
-# per usable core, at most one per block (_parts)
+# memory of ingest and of the writer; both split their work into parts
+# (_parts) and fork a _Worker for each part after the first
 CSV_BLOCK_ROWS = 65536
 _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
+_ROW = b"%.9g,%.9g,%.9g,%.9g\r\n"
 _STORED = dict(zip(COLUMNS, range(len(COLUMNS))))  # a worker's stored row: time, SCG, flow
 _LINE_END = re.compile(rb"\r\n?|\n")  # as text mode with newline="" ends a line
 
@@ -182,13 +181,11 @@ def _parse_range(path, start: int, stop: int, ref_row: str, out, keep):
 def _cuts(path) -> list[int]:
     """The byte offsets that split the CSV at `path` into its ranges: where
     the body starts, where each range after the first starts, and the end.
-    The header is the first line. Without os.fork there is one range."""
+    The header is the first line."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         body = _line_start(fh, 1)
-        parts = 1
-        if hasattr(os, "fork"):
-            parts = _parts(_count_lines(fh, body, size, (_usable_cores() - 1) * CSV_BLOCK_ROWS + 1))
+        parts = _parts(_count_lines(fh, body, size, (_usable_cores() - 1) * CSV_BLOCK_ROWS + 1))
         return ([body] + [_line_start(fh, body + j * (size - body) // parts) for j in range(1, parts)]
                 + [size])
 
@@ -248,7 +245,7 @@ class _Worker:
         read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 on warns of a fork while threads run, as numpy's
-            # BLAS pool does; the worker only parses text and never uses them
+            # BLAS pool does; a worker only parses or formats text, without them
             warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                     DeprecationWarning)
             self.pid = os.fork()
@@ -343,24 +340,27 @@ def _file_line(path, row: int) -> int:
     return next((n for n, _ in islice(_data_lines(path), row, None)), row + 2)
 
 
+def _format_rows(values) -> bytes:
+    """CSV rows of four fields each, from a flat sequence of floats."""
+    return (_ROW * (len(values) // 4)) % tuple(values)
+
+
 def write_recording_csv(rec: Recording, path):
     """Write a recording in the ingestible CSV format (%.9g precision),
     with the COLUMNS names and an ecg column after scg_z.
 
     The body is cut at CSV_BLOCK_ROWS edges into one contiguous slice per
-    usable core, at most one per block. This process formats the first
-    slice into the file, CSV_BLOCK_ROWS rows per %-format, while each other
-    slice goes as raw float64 rows to a csvrows worker interpreter, which
-    formats it the same way into an anonymous file in the CSV's directory;
-    those files are then appended in order. The bytes do not depend on the
-    split. A worker that fails raises OSError, and no worker outlives the
-    call.
+    part (_parts). A forked worker formats each slice after the first into
+    an anonymous file in the CSV's directory while this process formats the
+    first into the CSV, CSV_BLOCK_ROWS rows per %-format; the workers' files
+    are then appended in order. The bytes do not depend on the split. A
+    worker that fails raises OSError, and no worker outlives the call.
     """
     scg, ecg, flow = rec["scg"], rec["ecg"], rec["flow"]
     n = len(scg)
     fs = scg.fs
 
-    def blocks(start, stop):
+    def write_rows(out, start, stop):
         for s in range(start, stop, CSV_BLOCK_ROWS):
             e = min(s + CSV_BLOCK_ROWS, stop)
             block = np.empty((e - s, 4))
@@ -368,7 +368,8 @@ def write_recording_csv(rec: Recording, path):
             block[:, 1] = scg.samples[s:e]
             block[:, 2] = ecg.samples[s:e]
             block[:, 3] = flow.samples[s:e]
-            yield block
+            out.write(_format_rows(block.ravel().tolist()))
+        out.flush()  # a worker leaves through os._exit, which flushes nothing
 
     n_blocks = -(-n // CSV_BLOCK_ROWS)
     parts = _parts(n)
@@ -377,34 +378,25 @@ def write_recording_csv(rec: Recording, path):
     with contextlib.ExitStack() as stack, open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
         workers = []
-        if parts > 1:
-            import subprocess  # here, so that importing the CLI does not pay for it
-            # every worker starts before any is fed, so their start-ups overlap
-            for start, stop in zip(edges[1:], edges[2:]):
-                out = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                proc = subprocess.Popen(
-                    [sys.executable, "-I", "-S", csvrows.__file__,
-                     str(4 * (stop - start)), str(CSV_BLOCK_ROWS)],
-                    stdin=subprocess.PIPE, stdout=out)
-                stack.callback(_reap, proc)
-                workers.append((proc, out, start, stop))
-        for proc, _, start, stop in workers:
-            for block in blocks(start, stop):
-                proc.stdin.write(block)
-            proc.stdin.close()
-        for block in blocks(0, edges[1]):
-            fh.write(csvrows.format_rows(block.ravel().tolist()))
-        for proc, out, _, _ in workers:
-            if proc.wait() != 0:
-                raise OSError(f"{path}: the worker formatting a slice of the rows "
-                              f"exited with status {proc.returncode}")
+        for start, stop in zip(edges[1:], edges[2:]):
+            out = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+            worker = _Worker(f"{path}: the worker formatting rows {start} to {stop}",
+                             write_rows, out, start, stop)
+            stack.callback(worker.stop)
+            workers.append((worker, out))
+        write_rows(fh, 0, edges[1])
+        for worker, out in workers:
+            worker.result()
             out.seek(0)
             shutil.copyfileobj(out, fh)
 
 
 def _parts(lines: int) -> int:
-    """The parts to split `lines` lines or rows into: one per usable core,
-    at most one per CSV_BLOCK_ROWS, at least one."""
+    """The parts to split `lines` lines or rows into, each after the first
+    for a forked _Worker: one per usable core, at most one per
+    CSV_BLOCK_ROWS, at least one, and one where there is no os.fork."""
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(_usable_cores(), -(-lines // CSV_BLOCK_ROWS)))
 
 
@@ -415,10 +407,3 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
-
-def _reap(proc) -> None:
-    """Stop a worker that still runs and wait for it."""
-    proc.kill()  # does nothing once the worker has been waited for
-    proc.wait()
-    with contextlib.suppress(BrokenPipeError):  # rows left in the pipe's buffer
-        proc.stdin.close()

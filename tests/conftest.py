@@ -1,4 +1,7 @@
+import contextlib
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +59,27 @@ def detection_scores(refs, truth, tol=2):
     precision = np.mean([np.abs(beats - r).min() <= tol for r in refs])
     matched = [h for h in hits if h <= tol]
     return float(recall), float(precision), (max(matched) if matched else np.inf)
+
+
+@contextlib.contextmanager
+def forks_seen():
+    """The pids of the workers that os.fork starts while the context is open."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", spy):
+        yield pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # reaped, not only exited
 
 
 @pytest.fixture

@@ -31,6 +31,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import assert_reaped, forks_seen
+
 from cardioseis import ingest, signal_core
 from cardioseis.config import PipelineConfig
 from cardioseis.errors import InputError
@@ -374,34 +376,12 @@ def test_a_worker_page_goes_once_the_rows_on_it_are_placed(tmp_path, block):
         assert error_with_blocks(path, block).endswith(end.format(L=len(body) + 1))
 
 
-@contextlib.contextmanager
-def forks_seen(cores=2, block=B):
-    """The pids of the workers that ingest_csv forks, with `block` lines per
-    block and `cores` usable cores."""
-    pids, fork = [], os.fork
-
-    def spy():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    with split(block, cores), mock.patch.object(os, "fork", spy):
-        yield pids
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)  # reaped, not only exited
-
-
 @pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"])
 @pytest.mark.parametrize("cores, rows, workers", [(4, B, 0), (1, 3 * B, 0), (4, B + 1, 1),
                                                   (2, 3 * B, 1), (4, 3 * B, 2)])
 def test_one_worker_per_core_and_at_most_one_per_block(tmp_path, cores, rows, workers, eol):
     path = write_csv(tmp_path / "rec.csv", data_rows(rows), eol=eol)
-    with forks_seen(cores) as pids:
+    with split(B, cores), forks_seen() as pids:
         rec = ingest_csv(path, FS, FS)
     assert len(pids) == workers
     assert_reaped(pids)
@@ -418,8 +398,8 @@ def test_one_block_starts_no_worker_and_no_fork_none(tmp_path, monkeypatch):
 @pytest.mark.parametrize("raised", [KeyboardInterrupt, InputError])
 def test_fault_in_the_first_range_reaps_workers(tmp_path, raised):
     path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
-    with forks_seen() as pids, mock.patch.object(ingest, "_fault", side_effect=raised("x")), \
-            pytest.raises(raised):
+    with split(B), forks_seen() as pids, \
+            mock.patch.object(ingest, "_fault", side_effect=raised("x")), pytest.raises(raised):
         ingest_csv(path, FS, FS)
     assert len(pids) == 1
     assert_reaped(pids)
@@ -433,7 +413,7 @@ def test_interrupt_while_waiting_kills_a_stuck_worker(tmp_path):
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
     try:
-        with forks_seen() as pids, pytest.raises(KeyboardInterrupt), \
+        with split(B), forks_seen() as pids, pytest.raises(KeyboardInterrupt), \
                 mock.patch.object(ingest, "_parse_range", lambda *args: time.sleep(60)):
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             ingest_csv(path, FS, FS)
@@ -450,7 +430,7 @@ def test_interrupt_while_waiting_kills_a_stuck_worker(tmp_path):
                                            -signal.SIGKILL)], ids=["raises", "killed"])
 def test_worker_without_a_result_raises_oserror(tmp_path, fail, status):
     path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
-    with forks_seen() as pids, mock.patch.object(ingest, "_parse_range", fail), \
+    with split(B), forks_seen() as pids, mock.patch.object(ingest, "_parse_range", fail), \
             pytest.raises(OSError, match=rf"the worker parsing bytes \d+ to \d+ exited with "
                                          rf"status {status}$"):
         ingest_csv(path, FS, FS)
@@ -634,7 +614,7 @@ def test_resampled_columns_pinned(tmp_path, fs):
     # a span of 10,000 inputs puts block edges at many places in a span;
     # ingest resamples the blocks as it reads them, or resample the whole
     # columns after it
-    with forks_seen(block=4096) as pids, \
+    with split(4096), forks_seen() as pids, \
             mock.patch.object(signal_core, "_RESAMPLE_SPAN", 10_000):
         streamed = ingest_csv(path, fs, 320.0)
         read = ingest_csv(path, fs, fs)

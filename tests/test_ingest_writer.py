@@ -4,20 +4,20 @@ it replaced.
 `loop_write_recording_csv` is that loop, kept here as the oracle: the new
 writer must produce the same bytes for every input, including values the
 pipeline itself never writes (nan, inf, subnormals, -0.0), however many
-worker processes format the rows.
+parts the rows are cut into. Each part after the first is formatted by a
+worker that the writer forks, as ingest_csv forks its readers: the tests
+count the forks, fail a worker and interrupt the writer, and no worker may
+outlive the call or leave a file behind.
 """
 
-import ast
 import contextlib
 import csv
 import math
 import os
 import signal
-import subprocess
-import sys
 import time
+import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,8 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cardioseis import csvrows, ingest
-from cardioseis.ingest import CSV_BLOCK_ROWS, write_recording_csv
+from conftest import assert_reaped, forks_seen
+
+from cardioseis import ingest
+from cardioseis.ingest import CSV_BLOCK_ROWS, ingest_csv, write_recording_csv
 from cardioseis.signal_core import Recording
 
 
@@ -115,18 +117,11 @@ def test_bytes_equal_loop_at_block_edges(tmp_path, n):
 
 @contextlib.contextmanager
 def workers_seen(cores):
-    """Record every worker process the writer starts, while the writer sees
-    `cores` usable cores."""
-    started = []
-    popen = subprocess.Popen
-
-    def spy(*args, **kwargs):
-        started.append(popen(*args, **kwargs))
-        return started[-1]
-
-    with mock.patch.object(subprocess, "Popen", spy), \
+    """Record every worker the writer forks, while the writer sees `cores`
+    usable cores."""
+    with forks_seen() as pids, \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))):
-        yield started
+        yield pids
 
 
 @pytest.mark.parametrize("parts", [2, 3])
@@ -136,63 +131,90 @@ def test_bytes_equal_loop_in_parts(tmp_path, parts):
     cols = rng.normal(0.0, 1.0, (3, n)) * 10.0 ** rng.integers(-12, 12, (3, n))
     cols[:, :len(SPECIAL)] = SPECIAL  # in the first slice
     cols[:, -len(SPECIAL):] = SPECIAL  # in the last, which a worker formats
-    with workers_seen(cores=parts) as started:
+    with workers_seen(cores=parts) as pids:
         new, old = both_outputs(tmp_path, recording(cols, 10000.37))
-    assert len(started) == parts - 1
+    assert len(pids) == parts - 1
+    assert_reaped(pids)
     assert new == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.csv"]
 
 
 def test_one_block_starts_no_worker(tmp_path):
     cols = np.ones((3, CSV_BLOCK_ROWS))
-    with workers_seen(cores=4) as started:
+    with workers_seen(cores=4) as pids:
         new, old = both_outputs(tmp_path, recording(cols, 320.0))
-    assert started == []
+    assert pids == []
     assert new == old
 
 
-def _stand_in_interpreter(tmp_path, script):
-    """A shell script in place of the worker interpreter."""
-    path = tmp_path / "python"
-    path.write_text(f"#!/bin/sh\n{script}\n")
-    path.chmod(0o755)
-    return str(path)
+def test_no_fork_writes_in_one_part(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    rng = np.random.default_rng(3)
+    with mock.patch.object(ingest, "CSV_BLOCK_ROWS", 4), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}):
+        new, old = both_outputs(tmp_path, recording(rng.normal(size=(3, 12)), 320.0))
+    assert new == old
 
 
-def _write_failing(tmp_path, expected, stand_in=None):
-    """Write 5 blocks in 3 parts; the write must raise `expected`, reap
-    both workers and leave nothing in the directory but the CSV."""
+def test_forks_pass_under_the_python_3_12_fork_warning(tmp_path):
+    """Python 3.12 on warns, after os.fork in a process that runs threads,
+    as numpy's BLAS pool does; pytest.ini makes the warning an error. Here
+    os.fork warns so on every Python, before it forks, so that a fork
+    without the workers' filter fails without leaving a child."""
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    rec = recording(np.random.default_rng(5).normal(size=(3, 12)), 320.0)
+    with mock.patch.object(ingest, "CSV_BLOCK_ROWS", 4), \
+            mock.patch.object(ingest, "_usable_cores", lambda: 2), \
+            mock.patch.object(os, "fork", warning_fork), forks_seen() as pids:
+        new, old = both_outputs(tmp_path, rec)
+        read = ingest_csv(tmp_path / "new.csv", 320.0, 320.0)
+    assert len(pids) == 2  # one worker writes, one reads
+    assert_reaped(pids)
+    assert new == old
+    whole = np.loadtxt(tmp_path / "new.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(read["scg"].samples, whole[:, 1])
+
+
+def _write_failing(tmp_path, format_rows, expected, match=None):
+    """Write 5 blocks in 3 parts with `format_rows` in place of the
+    writer's; the write must raise `expected`, with a message that `match`
+    finds if given, reap both workers and leave nothing in the directory
+    but the CSV."""
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     rec = recording(np.zeros((3, 5 * CSV_BLOCK_ROWS)), 10000.0)
-    with workers_seen(cores=3) as started, contextlib.ExitStack() as stack:
-        if stand_in:
-            stack.enter_context(mock.patch.object(
-                sys, "executable", _stand_in_interpreter(tmp_path, stand_in)))
-        with pytest.raises(expected):
-            write_recording_csv(rec, out_dir / "rec.csv")
-    assert len(started) == 2
-    for proc in started:
-        assert proc.returncode is not None
-        with pytest.raises(ProcessLookupError):
-            os.kill(proc.pid, 0)  # reaped, not only exited
+    with workers_seen(cores=3) as pids, mock.patch.object(ingest, "_format_rows", format_rows), \
+            pytest.raises(expected, match=match):
+        write_recording_csv(rec, out_dir / "rec.csv")
+    assert len(pids) == 2
+    assert_reaped(pids)
     assert [p.name for p in out_dir.iterdir()] == ["rec.csv"]
 
 
-@pytest.mark.parametrize("script", ["cat > /dev/null; exit 3", "exit 3"],
-                         ids=["after reading", "without reading"])
-def test_worker_exit_status_raises(tmp_path, script):
-    _write_failing(tmp_path, OSError, script)
+def in_workers(fn):
+    """_format_rows in this process, and fn in place of it in a worker."""
+    parent, format_rows = os.getpid(), ingest._format_rows
+    return lambda values: format_rows(values) if os.getpid() == parent else fn()
+
+
+def test_worker_exit_status_raises(tmp_path):
+    _write_failing(tmp_path, in_workers(lambda: os._exit(3)), OSError,
+                   r"rec\.csv: the worker formatting rows \d+ to \d+ exited with status 3$")
 
 
 def test_interrupt_while_formatting_reaps_workers(tmp_path):
-    with mock.patch.object(csvrows, "format_rows", side_effect=KeyboardInterrupt):
-        _write_failing(tmp_path, KeyboardInterrupt)
+    _write_failing(tmp_path, mock.Mock(side_effect=KeyboardInterrupt), KeyboardInterrupt)
 
 
-def test_interrupt_while_feeding_kills_a_stuck_worker(tmp_path):
-    """A worker that never reads blocks the writer on the full pipe; an
-    interrupt then must kill it, not wait for it."""
+def test_interrupt_while_waiting_kills_a_stuck_worker(tmp_path):
+    """A worker that never finishes blocks the writer in worker.result();
+    an interrupt then must kill it, not wait for it."""
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
@@ -200,20 +222,8 @@ def test_interrupt_while_feeding_kills_a_stuck_worker(tmp_path):
     start = time.monotonic()
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.5)
-        _write_failing(tmp_path, KeyboardInterrupt, "exec sleep 60")
+        _write_failing(tmp_path, in_workers(lambda: time.sleep(60)), KeyboardInterrupt)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
-
-
-def test_worker_module_imports_only_the_standard_library():
-    tree = ast.parse(Path(csvrows.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "a relative import would load the package"
-            imported.add(node.module.split(".")[0])
-    assert imported and imported <= sys.stdlib_module_names
