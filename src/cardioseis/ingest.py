@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import mmap
 import os
 import pickle
 import re
@@ -28,13 +27,13 @@ from .signal_core import Channel, Recording, Resampler
 
 COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
-# lines parsed per block and rows formatted per write, which bounds the
-# memory of ingest and of the writer; both split their work into parts
-# (_parts) and fork a _Worker for each part after the first
+# bytes parsed per chunk and rows formatted per write, which bound the memory
+# of each ingest process and of the writer; both split their work into
+# parts (_parts) and fork a _Worker for each part after the first
+CSV_BLOCK_BYTES = 1 << 19
 CSV_BLOCK_ROWS = 65536
 _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
 _ROW = b"%.9g,%.9g,%.9g,%.9g\r\n"
-_STORED = dict(zip(COLUMNS, range(len(COLUMNS))))  # a worker's stored row: time, SCG, flow
 _LINE_END = re.compile(rb"\r\n?|\n")  # as text mode with newline="" ends a line
 
 
@@ -42,29 +41,24 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
     """Read a recording sampled at acquisition_fs, validating as we go, and
     resample its SCG and flow to analysis_fs as signal_core.resample would.
 
-    The header is the first line. The body is cut at line ends into one
-    byte range per part (_parts). This process parses the first range and a
-    forked worker each other one, CSV_BLOCK_ROWS file lines per np.loadtxt;
-    a worker writes its rows into an anonymous shared mapping sized for the
-    most rows its bytes could hold, and sends back only its row count and
-    loadtxt's error, if any. Every row must have the header's field count, a
-    timestamp within a tenth of a sample period of the uniform grid from
-    the first one, and finite SCG and flow samples. This process checks its
-    own blocks as it parses them, then each worker's rows, a block at a
-    time, and feeds the SCG and flow of each checked block, in file order,
-    to one signal_core.Resampler, freeing the worker's pages under each
-    block once it is fed. So this process holds the SCG and flow at
-    analysis_fs, one span of the resampler's input and a block or two,
-    never a whole column at acquisition_fs; where the rates are equal, the
-    columns are written once into room for the most rows the body's bytes
-    could hold. The first faulty row, whatever the split, aborts the read
-    with its file line, and no worker outlives the call.
+    The header is the first line. Every row must have the header's field
+    count, a timestamp within a tenth of a sample period of the uniform grid
+    from the first one, t0, and finite SCG and flow samples. The body is cut
+    at line ends into one byte range per part (_parts): this process reads
+    the first and a forked worker each other one (_read_range), into the
+    shared output of one signal_core.Resampler, so no row at acquisition_fs
+    leaves the process that parsed it. At its peak each process holds a
+    chunk and its rows, its resampler's span and the output it has written.
+    A range places its first row on the grid by its time; this process
+    confirms that place against the rows of the ranges before, or names
+    that row as off the grid. The first faulty row, whatever the split,
+    aborts the read with its file line, and no worker outlives the call.
     """
     path = Path(path)
     with input_file(path, "input file"), contextlib.ExitStack() as stack:
         cuts = _cuts(path)
-        fh = stack.enter_context(_text(path, 0))
-        first = fh.readline()  # the header is the first line
+        with open(path, "rb") as fh:
+            first = fh.read(cuts[0]).decode("utf-8")  # the header is the first line
         if not first:
             raise InputError(f"{path}: empty file")
         header = [h.strip() for h in next(csv.reader([first]))]
@@ -75,107 +69,132 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
             if header.count(name) > 1:
                 raise InputError(f"{path}: the header names {name} {header.count(name)} times")
             cols[role] = header.index(name)
-        # parsed ahead of every block, so that loadtxt holds each row to the
+        # parsed ahead of every chunk, so that loadtxt holds each row to the
         # header's field count; a column the header does not name would
         # shift the named ones
-        ref_row = ",".join(["0"] * len(header)) + "\n"
+        ref_row = (",".join(["0"] * len(header)) + "\n").encode()
         dt = 1.0 / acquisition_fs
+        t0 = _first_time(path, ref_row, cols["time"])
+        # the most data rows that the body could hold: a data row takes at
+        # least a byte for each field and each comma or line end, as ref_row
+        most = (cuts[-1] - cuts[0]) // len(ref_row) + 1
+        out = Resampler(acquisition_fs, analysis_fs, most, 2, shared=True)
 
-        def most_rows(start, stop):
-            """The most data rows that bytes [start, stop) could hold: a
-            data row takes a byte for each field and each comma or line end."""
-            return (stop - start) // (2 * len(header)) + 1
+        def read(start, stop):
+            return _read_range(path, start, stop, ref_row, cols, t0, dt, out,
+                               most - (cuts[-1] - start) // len(ref_row) - 1)
 
-        def start_worker(start, stop):
-            # pages never written take no memory
-            buf = mmap.mmap(-1, 8 * len(_STORED) * most_rows(start, stop))
-            stored = np.frombuffer(buf, dtype=float).reshape(-1, len(_STORED))  # a row per data row
-            worker = _Worker(f"{path}: the worker parsing bytes {start} to {stop}", _parse_range,
-                             path, start, stop, ref_row, stored, list(cols.values()))
+        workers = []
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            worker = _Worker(f"{path}: the worker parsing bytes {start} to {stop}", read, start, stop)
             stack.callback(worker.stop)
-            return worker, buf, stored
-
-        out = Resampler(acquisition_fs, analysis_fs, most_rows(cuts[0], cuts[-1]), 2)
-        workers = [start_worker(start, stop) for start, stop in zip(cuts[1:], cuts[2:])]
-        t0 = None
-
-        def check(block, where, row0):
-            nonlocal t0
-            fault = _fault(path, block, where, row0, t0, dt)
-            if fault:
+            workers.append(worker)
+        n = 0
+        for row0, first_row, rows, fault in chain([read(cuts[0], cuts[1])],
+                                                  (worker.result() for worker in workers)):
+            if first_row is not None and row0 != n:  # so its first row is off the grid at row n
+                raise _fault(path, first_row, cols, n, t0, dt)
+            if isinstance(fault, (InputError, UnicodeDecodeError)):
                 raise fault
-            if not row0:
-                t0 = block[0, where["time"]]
-
-        def take(block, row0):
-            check(block, cols, row0)
-            out.feed(block[:, [cols["scg"], cols["flow"]]])
-
-        n, exc = _parse(_lines(fh, cuts[0], cuts[1]), ref_row, take)
-        while workers and not exc:
-            worker, buf, stored = workers.pop(0)
-            rows, exc = worker.result()
-            for s in range(0, rows, CSV_BLOCK_ROWS):
-                e = min(s + CSV_BLOCK_ROWS, rows)
-                check(stored[s:e], _STORED, n + s)
-                out.feed(stored[s:e, 1:])
-                _free(buf, s * stored.strides[0], e * stored.strides[0])
+            if fault:
+                row = n + rows
+                raise _parse_error(path, str(fault), row,
+                                   lambda block: _fault(path, block, cols, row, t0, dt)) from None
             n += rows
-            del stored, buf  # what is left of the mapping goes with them
-        if isinstance(exc, UnicodeDecodeError):
-            raise exc
-        if exc:
-            raise _parse_error(path, str(exc), n,
-                               lambda rows: _fault(path, rows, cols, n, t0, dt)) from None
     if not n:
         raise InputError(f"{path}: no data rows")
-    resampled = out.result()
+    resampled = out.result(int(round(n * analysis_fs / acquisition_fs)))
     return Recording(channels={role: Channel(resampled[k], float(analysis_fs), role)
                                for k, role in enumerate(("scg", "flow"))},
                      recording_id=path.stem)
 
 
-def _free(buf, start: int, stop: int) -> None:
-    """Free the pages of the shared mapping buf from the one that holds byte
-    `start` to the last one that ends by byte `stop`, once every byte
-    before `stop` is done with. MADV_REMOVE frees a shared page, where
-    MADV_DONTNEED would only unmap it; where mmap has no MADV_REMOVE, the
-    pages go with the mapping."""
-    if hasattr(mmap, "MADV_REMOVE"):
-        start -= start % mmap.PAGESIZE
-        stop -= stop % mmap.PAGESIZE
-        if stop > start:
-            buf.madvise(mmap.MADV_REMOVE, start, stop - start)
-
-
-def _parse(lines, ref_row: str, take):
-    """Parse the text lines, CSV_BLOCK_ROWS at a time and each block after
-    ref_row; take(block, row0) gets each block of data rows, row0 being the
-    data row it starts at. Returns the rows taken and the ValueError, a
-    decode error included, that stopped the parse at the block after them,
-    or None."""
-    n = 0
-    try:
-        for first in lines:
-            block = np.loadtxt(chain((ref_row, first), islice(lines, CSV_BLOCK_ROWS - 1)),
-                               delimiter=",", ndmin=2)[1:]
+def _read_range(path, start: int, stop: int, ref_row: bytes, cols, t0: float, dt: float,
+                out: Resampler, most: int):
+    """Parse, check and resample the data rows in bytes [start, stop), line
+    starts, of the CSV at `path`, a chunk at a time. The first row is
+    global row round((t - t0) / dt), t being its time, if that lies in
+    [0, most], where the rows from `start` on fit in out; its rows go to
+    out.at(that row), and the rows past `stop` that their last outputs
+    read are parsed and fed too, unchecked, as the ranges that hold them
+    check them. Returns that global row (-1 if none), the first row, the
+    rows checked and the first fault: an InputError, or loadtxt's error on
+    the chunk from the row after them."""
+    keep = [cols["scg"], cols["flow"]]
+    row0, first, n = -1, None, 0
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for chunk in _chunks(fh, stop):
+            try:
+                block = _parse_chunk(chunk, ref_row)
+            except ValueError as exc:  # a decode error too
+                return row0, first, n, exc
             if not len(block):  # blank and comment lines only
                 continue
-            take(block, n)
+            if first is None:
+                first, at = block[:1].copy(), (block[0, cols["time"]] - t0) / dt
+                if not 0 <= at <= most:  # NaN included
+                    return row0, first, n, None
+                row0 = round(at)
+                out = out.at(row0)
+            fault = _fault(path, block, cols, row0 + n, t0, dt)
+            if fault:
+                return row0, first, n, fault
+            out.feed(block[:, keep])
             n += len(block)
-    except ValueError as exc:
-        return n, exc
-    return n, None
+        if first is not None:
+            for chunk in _chunks(fh, os.fstat(fh.fileno()).st_size):
+                if not (want := out.wants(row0 + n)):
+                    break
+                try:
+                    block = _parse_chunk(chunk, ref_row)
+                except ValueError:  # the range that holds the row names it
+                    break
+                out.feed(block[:want, keep])
+            out.finish(row0 + n)
+    return row0, first, n, None
 
 
-def _parse_range(path, start: int, stop: int, ref_row: str, out, keep):
-    """A worker's _parse of bytes [start, stop) of the CSV at `path`: row i
-    of out takes the columns `keep` of data row i."""
-    def take(block, row0):
-        out[row0:row0 + len(block)] = block[:, keep]
+def _chunks(fh, stop: int):
+    """The bytes of the binary file fh from its position, a line start, to
+    byte `stop`, a line start or its end, as chunks of about
+    CSV_BLOCK_BYTES that each end at a line end."""
+    while (pos := fh.tell()) < stop and (data := fh.read(min(CSV_BLOCK_BYTES, stop - pos))):
+        # a "\r\n" cut in two adds a blank line, which is no row
+        end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1 if pos + len(data) < stop else len(data)
+        if not end:  # a line longer than a chunk: all of it
+            end = min(_line_start(fh, pos + len(data)), stop) - pos
+            fh.seek(pos)
+            data = fh.read(end)
+        fh.seek(pos + end)
+        yield data[:end]
 
-    with _text(path, start) as fh:
-        return _parse(_lines(fh, start, stop), ref_row, take)
+
+def _parse_chunk(chunk: bytes, ref_row: bytes) -> np.ndarray:
+    """The data rows of a chunk of CSV lines, parsed by np.loadtxt after
+    ref_row; its ValueError, a decode error included, on a fault. A line
+    ends at "\n", "\r\n" or a lone "\r"; a binary stream, which makes no
+    list of the lines, ends them at "\n" alone, and loadtxt rejects a lone
+    "\r" left in one unless a comment hides it."""
+    def load(lines):
+        return np.loadtxt(chain([ref_row], lines), delimiter=",", ndmin=2, encoding="utf-8")[1:]
+
+    if b"#" not in chunk:
+        try:
+            return load(io.BytesIO(chunk))
+        except ValueError:
+            if chunk.count(b"\r") == chunk.count(b"\r\n"):
+                raise
+    return load(chunk.splitlines())
+
+
+def _first_time(path, ref_row: bytes, time: int) -> float:
+    """The time of data row 0; NaN if its line cannot be parsed, which the
+    first range then names, or there is no row."""
+    for _, line in islice(_data_lines(path), 1):
+        with contextlib.suppress(ValueError):
+            return _parse_chunk(line.encode(), ref_row)[0, time]
+    return np.nan
 
 
 def _cuts(path) -> list[int]:
@@ -185,7 +204,7 @@ def _cuts(path) -> list[int]:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         body = _line_start(fh, 1)
-        parts = _parts(_count_lines(fh, body, size, (_usable_cores() - 1) * CSV_BLOCK_ROWS + 1))
+        parts = _parts(size - body, CSV_BLOCK_BYTES)
         return ([body] + [_line_start(fh, body + j * (size - body) // parts) for j in range(1, parts)]
                 + [size])
 
@@ -201,41 +220,6 @@ def _line_start(fh, pos: int) -> int:
     return fh.tell()
 
 
-def _count_lines(fh, pos: int, stop: int, enough: int | None = None) -> int:
-    """The lines in bytes [pos, stop) of the binary file fh, counted 64 KiB
-    at a time until the count reaches `enough`, if given."""
-    n = 0
-    while pos < stop and (enough is None or n < enough):
-        end = _line_start(fh, min(pos + (1 << 16), stop))
-        fh.seek(pos)
-        chunk = np.frombuffer(fh.read(end - pos), np.uint8)
-        lf, cr = chunk == ord("\n"), chunk == ord("\r")
-        # a line ends at \n, \r\n or a lone \r, and the chunk at a line start:
-        # a last byte that is no \n ends a line or the file's unended line
-        n += np.count_nonzero(lf) + np.count_nonzero(cr[:-1] & ~lf[1:]) + (not lf[-1])
-        pos = end
-    return n
-
-
-def _text(path, start: int):
-    """The file at `path` from byte `start`, a line start, on, read as
-    open(path, newline="", encoding="utf-8") reads it."""
-    fh = open(path, "rb")
-    fh.seek(start)
-    return io.TextIOWrapper(fh, encoding="utf-8", newline="")
-
-
-def _lines(fh, start: int, stop: int):
-    """The lines of the text stream fh, which reads its file from byte
-    `start`, up to byte `stop`, a line start or the file's end. Counted in
-    bytes, a range that ends before the file does costs a pass over them;
-    a raw stream that stops at `stop` would cost each line more."""
-    if stop >= os.fstat(fh.fileno()).st_size:
-        return fh
-    with open(fh.buffer.name, "rb") as raw:
-        return islice(fh, _count_lines(raw, start, stop))
-
-
 class _Worker:
     """fn(*args) in a forked copy of this process, which sends its result
     back pickled through a pipe and leaves through os._exit on every path."""
@@ -245,7 +229,9 @@ class _Worker:
         read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 on warns of a fork while threads run, as numpy's
-            # BLAS pool does; a worker only parses or formats text, without them
+            # BLAS pool does; a worker parses, checks and resamples CSV text
+            # or formats it, with numpy's loadtxt and element-wise
+            # arithmetic, and calls nothing that uses BLAS (no @ or dot)
             warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                     DeprecationWarning)
             self.pid = os.fork()
@@ -281,11 +267,10 @@ class _Worker:
 
 def _fault(path, block, cols, row0: int, t0, dt: float) -> InputError | None:
     """The InputError for the first faulty row of a parsed block from data
-    row `row0` on, or None; a block at row 0 sets t0. A NaN time is off the
-    grid. At one row a bad time comes first, then a bad SCG sample."""
+    row `row0` on, or None. A NaN time is off the grid, as is every time
+    where t0, the time of row 0, is NaN. At one row a bad time comes first,
+    then a bad SCG sample."""
     t, scg, flow = (block[:, cols[role]] for role in ("time", "scg", "flow"))
-    if not row0:
-        t0 = t[0]
     expected = t0 + np.arange(row0, row0 + len(t)) * dt
     on_grid = np.abs(t - expected) <= TIME_TOLERANCE_FRAC * dt
     ok = on_grid & np.isfinite(scg) & np.isfinite(flow)
@@ -327,8 +312,10 @@ def _parse_error(path, msg: str, row0: int, check) -> InputError:
 
 def _data_lines(path):
     """(file line, text) of each line after the CSV's header that loadtxt
-    counts as a row: all but those of only a line end or a comment."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    counts as a row: all but those of only a line end or a comment. A byte
+    that is not UTF-8 reads as U+FFFD, which no number holds; the chunks
+    name such bytes."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         next(fh, None)
         yield from ((n, line) for n, line in enumerate(fh, start=2)
                     if line.split("#", 1)[0].rstrip("\r\n"))
@@ -372,7 +359,7 @@ def write_recording_csv(rec: Recording, path):
         out.flush()  # a worker leaves through os._exit, which flushes nothing
 
     n_blocks = -(-n // CSV_BLOCK_ROWS)
-    parts = _parts(n)
+    parts = _parts(n, CSV_BLOCK_ROWS)
     edges = [min(n, j * n_blocks // parts * CSV_BLOCK_ROWS) for j in range(parts + 1)]
     path = Path(path)
     with contextlib.ExitStack() as stack, open(path, "wb") as fh:
@@ -391,13 +378,13 @@ def write_recording_csv(rec: Recording, path):
             shutil.copyfileobj(out, fh)
 
 
-def _parts(lines: int) -> int:
-    """The parts to split `lines` lines or rows into, each after the first
-    for a forked _Worker: one per usable core, at most one per
-    CSV_BLOCK_ROWS, at least one, and one where there is no os.fork."""
+def _parts(size: int, block: int) -> int:
+    """The parts to split `size` bytes or rows into, each after the first
+    for a forked _Worker: one per usable core, at most one per `block`, at
+    least one, and one where there is no os.fork."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(_usable_cores(), -(-lines // CSV_BLOCK_ROWS)))
+    return max(1, min(_usable_cores(), -(-size // block)))
 
 
 def _usable_cores() -> int:

@@ -10,6 +10,7 @@ results without loading scipy.
 
 from __future__ import annotations
 
+import copy
 import mmap
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,54 +172,84 @@ class Resampler:
     h[t_p + k*up] against the inputs that end at x[q*down + (p*down)//up].
     As in scipy's upfirdn, the products are added one tap at a time, oldest
     input first, so the loop runs over the taps of a phase and each pass
-    adds one (channels, up, blocks) block of products. The output blocks
-    are taken a span of about _RESAMPLE_SPAN inputs at a time, as soon as a
-    span's inputs are in: a by-column buffer holds them and the `reach`
-    rows of down inputs past them that the span's last taps read, which
-    then move to its front. Besides the output, that buffer is all it
-    holds, however long the input.
+    adds one (channels, up, blocks) block of products into the output. The
+    output blocks are taken a span of about _RESAMPLE_SPAN inputs at a
+    time, as soon as a span's inputs are in: a by-column buffer holds them
+    and the `reach` rows of down inputs past them that the span's last taps
+    read, which then move to its front. Besides the output, that buffer is
+    all it holds, however long the input.
+
+    With shared=True the output is room for max_len rows in an anonymous
+    shared mapping, made at once, which takes memory only for the pages
+    written; the resamplers that at() makes from it, in this process or in
+    forked ones, each add up the output blocks of their own rows into it.
     """
 
-    def __init__(self, fs: float, target_fs: float, max_len: int, channels: int = 1):
+    def __init__(self, fs: float, target_fs: float, max_len: int, channels: int = 1,
+                 shared: bool = False):
         if target_fs <= 0:
             raise InputError("target_fs must be > 0")
         self._fs, self._target_fs = fs, target_fs
-        self._n = 0  # rows fed
+        self._max_len, self._channels = max_len, channels
         frac = Fraction(target_fs / fs).limit_denominator(10000)
         up, down = self._up, self._down = frac.numerator, frac.denominator
-        if up == down:
-            self._max_len, self._channels = max_len, channels
-            self._y = None  # the output, made at the first block
-            return
-        m = max(up, down)
-        h = _firwin(20 * m + 1, 0.9 / m) * up
-        half_len = (len(h) - 1) // 2
-        n_pre_pad = down - half_len % down
-        self._pre = (half_len + n_pre_pad) // down  # outputs that scipy drops at the start
-        # zero-pad the taps to a whole number of phases
-        per_phase = -(-(n_pre_pad + len(h)) // up)
-        h = np.concatenate((np.zeros(n_pre_pad), h, np.zeros(per_phase * up - n_pre_pad - len(h))))
-        # one row per phase, the tap for its oldest input first
-        phase_taps = h.reshape(per_phase, up).T[:, ::-1]
-        p = np.arange(up)
-        coeffs = phase_taps[p * down % up]             # (up, per_phase)
-        first = p * down // up                         # newest input of output p, less q*down
-        # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
-        # which is padded[q*down + first_p + j], padded being x behind
-        # per_phase - 1 zeros and ahead of more; tap j of output block q reads
-        # padded[(q + shift_j)*down + col_j]
-        shift, col = np.divmod(first + np.arange(per_phase)[:, None], down)  # (per_phase, up)
-        self._taps = list(zip(shift, col, coeffs.T[:, :, None]))
-        # output blocks per span; an input shorter than a span gets one
-        # as long as itself
-        self._span = max(1, min(_RESAMPLE_SPAN, max_len) // down)
-        reach = (first[-1] + per_phase - 1) // down    # rows of padded that a span reads past it
-        # buf[c, col, r] = padded[(q + r)*down + col] of channel c, q being
-        # the first output block not yet added up; a row of buf[c] holds the
-        # inputs that one tap multiplies in successive output blocks
-        self._buf = np.zeros((channels, down, self._span + reach))
-        self._filled = per_phase - 1                   # samples of padded in buf, from its start
-        self._out = []                                 # (channels, blocks, up) per pass
+        self._pre, self._per_phase, self._last = 0, 1, 0  # where up == down
+        if up != down:
+            m = max(up, down)
+            h = _firwin(20 * m + 1, 0.9 / m) * up
+            half_len = (len(h) - 1) // 2
+            n_pre_pad = down - half_len % down
+            self._pre = (half_len + n_pre_pad) // down  # outputs that scipy drops at the start
+            # zero-pad the taps to a whole number of phases
+            per_phase = self._per_phase = -(-(n_pre_pad + len(h)) // up)
+            h = np.concatenate((np.zeros(n_pre_pad), h,
+                                np.zeros(per_phase * up - n_pre_pad - len(h))))
+            # one row per phase, the tap for its oldest input first
+            phase_taps = h.reshape(per_phase, up).T[:, ::-1]
+            p = np.arange(up)
+            coeffs = phase_taps[p * down % up]             # (up, per_phase)
+            first = p * down // up                         # newest input of output p, less q*down
+            self._last = int(first[-1])
+            # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
+            # which is padded[q*down + first_p + j], padded being x behind
+            # per_phase - 1 zeros and ahead of more; tap j of output block q reads
+            # padded[(q + shift_j)*down + col_j]
+            shift, col = np.divmod(first + np.arange(per_phase)[:, None], down)  # (per_phase, up)
+            self._taps = list(zip(shift, col, coeffs.T[:, :, None]))
+            # output blocks per span; an input shorter than a span gets one
+            # as long as itself
+            self._span = max(1, min(_RESAMPLE_SPAN, max_len) // down)
+            # rows of padded that a span reads past it
+            self._reach = (first[-1] + per_phase - 1) // down
+        size = self._block(max_len) * up
+        if shared:
+            room = mmap.mmap(-1, max(8 * channels * size, 1))
+            self._y = np.ndarray((channels, size), dtype=float, buffer=room)
+            self._n = self._q = 0  # fed only through at()
+        else:
+            self._y = np.zeros((channels, size)) if up != down else None  # made at the first block
+            self._start(0)
+
+    def _block(self, row: int) -> int:
+        """The first output block whose oldest input is row `row` or later; 0 for row 0."""
+        return -(-(row + self._per_phase - 1) // self._down) if row else 0
+
+    def _start(self, row0: int) -> None:
+        self._n, self._q = row0, self._block(row0)  # the input row fed and output block added next
+        # samples of padded in buf, from its start; below 0, the rows before
+        # the first one that block q reads, which are not kept
+        self._filled = row0 + self._per_phase - 1 - self._q * self._down
+        if self._up != self._down:
+            # buf[c, col, r] = padded[(q + r)*down + col] of channel c; a row of
+            # buf[c] holds the inputs that one tap multiplies in successive blocks
+            self._buf = np.zeros((self._channels, self._down, self._span + self._reach))
+
+    def at(self, row0: int) -> "Resampler":
+        """A resampler into this one's output, fed from input row `row0` on, that adds
+        up the output blocks whose oldest input is that row or later."""
+        part = copy.copy(self)
+        part._start(row0)
+        return part
 
     def feed(self, rows) -> None:
         """Take the next len(rows) samples of each channel, a column of rows each."""
@@ -229,10 +260,12 @@ class Resampler:
             else:
                 self._y[:, self._n:self._n + k] = rows.T
         else:
+            skip = min(k, max(0, -self._filled))
+            rows, self._filled = rows[skip:], self._filled + skip
             size = self._buf[0].size
             at = 0
-            while at < k:
-                take = min(size - self._filled, k - at)
+            while at < len(rows):
+                take = min(size - self._filled, len(rows) - at)
                 self._put(rows[at:at + take])
                 at += take
                 if self._filled == size:
@@ -240,16 +273,17 @@ class Resampler:
                     self._drop(self._span)
         self._n += k
 
+    def wants(self, stop: int) -> int:
+        """The rows still to feed before finish(stop) reads no zeros in their place."""
+        return max(0, (self._block(stop) - 1) * self._down + self._last + 1 - self._n)
+
     def _room(self, rows) -> np.ndarray:
-        """The output where up == down, made from the first block: a copy of
-        it where it holds all max_len rows, as from resample; else room for
-        max_len rows in an anonymous mapping, which takes memory only for
-        the pages written, as max_len is then a bound (ingest_csv's, from
-        the bytes, is about 5x the rows of a 320 Hz CSV)."""
+        """The output where up == down and it is not shared, made from the
+        first block: a copy of it where it holds all max_len rows, as from
+        resample; else zeros for max_len rows."""
         if len(rows) == self._max_len:
             return rows.T.copy()
-        room = mmap.mmap(-1, max(8 * self._channels * self._max_len, 1))
-        y = np.ndarray((self._channels, self._max_len), dtype=float, buffer=room)
+        y = np.zeros((self._channels, self._max_len))
         y[:, :len(rows)] = rows.T
         return y
 
@@ -275,7 +309,9 @@ class Resampler:
         acc = np.zeros((len(self._buf), self._up, blocks))
         for shift_j, col_j, tap in self._taps:
             acc += runs[:, col_j, shift_j] * tap
-        self._out.append(acc.transpose(0, 2, 1))
+        q, up = self._q, self._up
+        self._y[:, q * up:(q + blocks) * up] = acc.transpose(0, 2, 1).reshape(len(acc), -1)
+        self._q += blocks
 
     def _drop(self, blocks: int) -> None:
         """Move the rows of buf that the blocks after the next `blocks` read
@@ -283,32 +319,34 @@ class Resampler:
         self._buf[:, :, :-blocks] = self._buf[:, :, blocks:]
         self._filled -= blocks * self._down
 
+    def finish(self, stop: int) -> None:
+        """Add up the output blocks up to the first whose oldest input is
+        input row `stop` or later, the input continuing as zeros past the
+        rows fed."""
+        end = self._block(stop)
+        if self._up == self._down or self._q >= end:
+            return
+        padded = self._buf.transpose(0, 2, 1)
+        r, c = divmod(self._filled, self._down)
+        padded[:, r, c:] = 0
+        padded[:, r + 1:] = 0
+        while self._q < end:
+            blocks = min(self._span, end - self._q)
+            self._pass(blocks)
+            if self._q < end:
+                self._drop(blocks)
+                self._buf[:, :, -blocks:] = 0
+
     def result(self, n_out: int | None = None) -> np.ndarray:
         """The first n_out output samples of each channel, a row each, once
         every block is fed; n_out defaults to round(n * target_fs / fs)."""
         if n_out is None:
             n_out = int(round(self._n * self._target_fs / self._fs))
-        if self._up == self._down:
-            y = self._y[:, :n_out]  # zeros past the input, as the room starts
-            if y.shape[1] < n_out:  # past the room
-                y = np.concatenate((y, np.zeros((len(y), n_out - y.shape[1]))), axis=1)
-            return y
-        n_blocks = -(-(self._pre + n_out) // self._up)
-        done = sum(out.shape[1] for out in self._out)
-        if done < n_blocks:  # the input continues as zeros
-            padded = self._buf.transpose(0, 2, 1)
-            r, c = divmod(self._filled, self._down)
-            padded[:, r, c:] = 0
-            padded[:, r + 1:] = 0
-        while done < n_blocks:
-            blocks = min(self._span, n_blocks - done)
-            self._pass(blocks)
-            done += blocks
-            if done < n_blocks:
-                self._drop(blocks)
-                self._buf[:, :, -blocks:] = 0
-        y = np.concatenate(self._out, axis=1).reshape(len(self._buf), -1)
-        return y[:, self._pre:self._pre + n_out]
+        self.finish(self._n)
+        y = self._y[:, self._pre:self._pre + n_out]  # zeros past the input, as the room starts
+        if y.shape[1] < n_out:  # past the room
+            y = np.concatenate((y, np.zeros((len(y), n_out - y.shape[1]))), axis=1)
+        return y
 
 
 def _next_fast_len(n: int) -> int:

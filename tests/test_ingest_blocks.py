@@ -2,21 +2,23 @@
 memory it saves.
 
 ingest_csv cuts the body into byte ranges, one per usable core and at most
-one per CSV_BLOCK_ROWS lines, and parses each range CSV_BLOCK_ROWS file
-lines at a time, the first in this process and each other one in a forked
-worker. With the block size patched small and two usable cores, its
-columns must equal a whole-file np.loadtxt bit for bit wherever the block
-edges and the cut fall, every fault must name the file line that an
-unsplit parse names, and no worker may outlive the call. Resampled as they
-are read, the columns must equal, bit for bit, the whole columns resampled
-after the read. A worker's rows live in a shared mapping, which
-tracemalloc does not see, so the memory bounds of ingest and run_pipeline
-read the resident set of a fresh interpreter; numpy reports its buffers to
-tracemalloc, so the bound of resample is deterministic.
+one per CSV_BLOCK_BYTES bytes, and each process parses, checks and
+resamples its range in chunks of about CSV_BLOCK_BYTES bytes, the first
+range in this process and each other one in a forked worker. With the
+block size patched small and two usable cores, its columns must equal a
+whole-file np.loadtxt bit for bit wherever the block edges and the cut
+fall, every fault must name the file line that an unsplit parse names,
+and no worker may outlive the call. Resampled as they are read, the
+columns must equal, bit for bit, the whole columns resampled after the
+read. The output lives in a shared mapping, which tracemalloc does not
+see, so the memory bounds of ingest, of its workers and of run_pipeline
+read the resident set of a fresh interpreter; numpy reports its buffers
+to tracemalloc, so the bound of resample is deterministic.
 """
 
 import contextlib
 import hashlib
+import tempfile
 import mmap
 import os
 import signal
@@ -30,6 +32,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_reaped, forks_seen
 
@@ -41,7 +45,8 @@ from cardioseis.pipeline import run_pipeline
 from cardioseis.signal_core import Channel, resample
 from cardioseis.synth import SynthConfig, gen_recording
 
-B = 4  # the patched block size, in file lines
+ROW = 66  # bytes in a data row of data_rows, about
+B = 4 * ROW  # the patched block size in bytes, about four data rows
 FS = 320.0
 HEADER = "time_s,scg_z,ecg,flow_lps"
 UNSPLIT = 10**9
@@ -59,9 +64,9 @@ def write_csv(path, body, final_newline=True, eol="\r\n"):
 
 @contextlib.contextmanager
 def split(block, cores=2):
-    """ingest_csv with `block` lines per block and `cores` usable cores; a
-    block of UNSPLIT lines makes one range."""
-    with mock.patch.object(ingest, "CSV_BLOCK_ROWS", block), \
+    """ingest_csv with blocks of `block` bytes and `cores` usable cores; a
+    block of UNSPLIT bytes makes one range of one chunk."""
+    with mock.patch.object(ingest, "CSV_BLOCK_BYTES", block), \
             mock.patch.object(ingest, "_usable_cores", lambda: cores):
         yield
 
@@ -96,8 +101,9 @@ def assert_equal_whole_file(rec, path):
         assert isinstance(mapping_of(rec[name].samples), mmap.mmap)
 
 
-# body lines that are no data row, each at a body-line index; with B = 4,
-# indices 3, 4, 7 and 8 sit at block edges, and 4-7 fill a whole block
+# body lines that are no data row, each at a body-line index; with blocks
+# of about four rows, indices 3, 4, 7 and 8 sit near block edges, and 4-7
+# fill about a whole block
 LAYOUTS = {
     "plain": [],
     "at edges": [(3, ""), (4, "# note"), (7, "#"), (8, "")],
@@ -109,7 +115,7 @@ LAYOUTS = {
 @pytest.mark.parametrize("eol", ["\r\n", "\n"])
 @pytest.mark.parametrize("final_newline", [True, False])
 @pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B - 1, 3 * B, 3 * B + 1])
+@pytest.mark.parametrize("n", [3, 4, 5, 11, 12, 13])
 def test_columns_equal_whole_file_loadtxt(tmp_path, n, layout, final_newline, eol):
     body = data_rows(n, seed=n)
     for at, text in LAYOUTS[layout]:
@@ -142,13 +148,13 @@ def fault(kind, row):
 
 
 # the body opens with a blank and a comment line, so data row r sits on
-# body line r + 2 and file line r + 4: 2 and 6 open a block, 5 closes one,
-# and 12 and 13 lie in the last block
-@pytest.mark.parametrize("row", [0, B - 2, 2 * B - 3, 2 * B - 2, 3 * B, 3 * B + 1])
+# body line r + 2 and file line r + 4; with blocks of about four rows, 2
+# and 6 open a block, 5 closes one, and 12 and 13 lie in the last block
+@pytest.mark.parametrize("row", [0, 2, 5, 6, 12, 13])
 @pytest.mark.parametrize("kind", ["parse", "wide", "short", "nan scg", "inf flow", "late time",
                                   "nan time"])
 def test_fault_names_the_line_of_an_unsplit_parse(tmp_path, kind, row):
-    n = 3 * B + 2
+    n = 14
     body = ["", "# recorded at 320 Hz"] + data_rows(n)
     body[row + 2], tail = fault(kind, row)
     path = write_csv(tmp_path / "bad.csv", body)
@@ -170,7 +176,7 @@ def test_fault_names_the_line_of_an_unsplit_parse(tmp_path, kind, row):
 @pytest.mark.parametrize("later", ["parse", "wide", "short", "late time", "nan scg"])
 @pytest.mark.parametrize("earlier", ["nan scg", "inf flow", "late time", "nan time"])
 def test_the_earlier_of_two_faults_is_named(tmp_path, earlier, later, rows):
-    body = ["", "# recorded at 320 Hz"] + data_rows(3 * B + 2)
+    body = ["", "# recorded at 320 Hz"] + data_rows(14)
     body[rows[0] + 2], tail = fault(earlier, rows[0])
     body[rows[1] + 2] = fault(later, rows[1])[0]
     path = write_csv(tmp_path / "bad.csv", body)
@@ -201,7 +207,7 @@ def padded(line):
 
 
 def cut_at(path):
-    """The byte where the second range starts, with B-line blocks on two cores."""
+    """The byte where the second range starts, with B-byte blocks on two cores."""
     with split(B):
         return ingest._cuts(path)[1]
 
@@ -212,7 +218,7 @@ def rows_before_cut(path):
     return sum(1 for line in lines if line.split("#", 1)[0])
 
 
-def padded_body(n=3 * B + 2):
+def padded_body(n=14):
     """A blank and a comment line, then n padded data rows: data row r is
     on file line r + 4 and every data row has the same width, so a fault
     that replaces one leaves the cut where it was."""
@@ -278,7 +284,7 @@ def one_range_error(path):
 @pytest.mark.parametrize("earlier", ["parse", "short", "inf flow", "nan time"])
 def test_a_fault_in_the_first_range_wins_over_an_undecodable_line(tmp_path, earlier):
     # one block of every line would decode the whole file before it checks a
-    # row, so the oracle is one range of B-line blocks
+    # row, so the oracle is one range of B-byte blocks
     first = rows_before_cut(write_csv(tmp_path / "clean.csv", padded_body(LONG)))
     path, tail = with_fault(tmp_path, padded_body(LONG), earlier, 1)
     undecodable(path, first + 2)
@@ -332,13 +338,13 @@ CUT_LAYOUTS = {
 @pytest.mark.parametrize("final_newline", [True, False])
 @pytest.mark.parametrize("layout", CUT_LAYOUTS)
 def test_columns_at_the_cut_equal_whole_file_loadtxt(tmp_path, layout, final_newline, eol):
-    rows = iter(padded(row) for row in data_rows(4 * B))
+    rows = iter(padded(row) for row in data_rows(16))
 
     def lines(spec):
         out = []
         for line in spec:
             # a "\r" that ends a line is its line end
-            out += ([(next(rows), eol) for _ in range(2 * B)] if line == "rows" else
+            out += ([(next(rows), eol) for _ in range(8)] if line == "rows" else
                     [(line[:-1], "\r")] if line.endswith("\r") else [(line, eol)])
         return out
 
@@ -349,7 +355,7 @@ def test_columns_at_the_cut_equal_whole_file_loadtxt(tmp_path, layout, final_new
 
 def test_a_worker_row_sets_t0_when_the_first_range_holds_no_row(tmp_path):
     before = [("# " + "-" * (6 * W), "\r\n")]
-    after = [(padded(row), "\r\n") for row in data_rows(2 * B)]
+    after = [(padded(row), "\r\n") for row in data_rows(8)]
     path = write_cut_between(tmp_path / "rec.csv", before, after, "\r\n", True)
     assert rows_before_cut(path) == 0
     assert_equal_whole_file(ingest_with_blocks(path, B), path)
@@ -360,28 +366,79 @@ def test_a_worker_row_sets_t0_when_the_first_range_holds_no_row(tmp_path):
         off_grid(1.5 / FS, 1 / FS).format(L=4))
 
 
+# ---- split invariance, as a property
+
+# (acquisition_fs, analysis_fs): 10 kHz to 320 Hz is 4/125, 10000.37 Hz to
+# 320 Hz is 215/6719, and at equal rates the rows are the output
+RATES = [(10_000.0, 320.0), (10_000.37, 320.0), (FS, FS)]
+
+
+def faulty(kind, row, fs):
+    """The line that replaces data row `row` of a body at `fs`."""
+    t = f"{row / fs:.9g}"
+    return {"parse": f"{t},abc,0,0", "wide": f"{t},0,0,0,0", "short": f"{t},0,0",
+            "nan scg": f"{t},nan,0,0", "inf flow": f"{t},0,0,inf",
+            "late time": f"{(row + 0.5) / fs:.9g},0,0,0", "nan time": "nan,0,0,0"}[kind]
+
+
+def outcome(path, rates, block, cores):
+    """The SCG and flow bytes that ingest_csv reads, or its error message."""
+    try:
+        with split(block, cores):
+            rec = ingest_csv(path, *rates)
+    except InputError as exc:
+        return str(exc)
+    return [rec[name].samples.tobytes() for name in ("scg", "flow")]
+
+
+# up to 600 rows on up to four cores put every cut within the filter's
+# reach of the next cut and of the file's ends at both ratios (at least
+# 657 rows), and blocks from 20 bytes hold from one line to some 60
+@settings(max_examples=30, deadline=None)
+@given(rates=st.sampled_from(RATES), n=st.integers(1, 600), seed=st.integers(0, 2**16),
+       others=st.lists(st.tuples(st.integers(0, 600), st.sampled_from(["", "# note", "#"])),
+                       max_size=8),
+       eol=st.sampled_from(["\r\n", "\n", "\r"]), final_newline=st.booleans(),
+       cores=st.integers(1, 4), block=st.integers(20, 4000),
+       bad=st.none() | st.tuples(st.integers(0, 599), st.sampled_from(KINDS)))
+def test_a_split_read_equals_an_unsplit_one(rates, n, seed, others, eol, final_newline, cores,
+                                           block, bad):
+    fs = rates[0]
+    vals = np.random.default_rng(seed).standard_normal((n, 3)).tolist()
+    body = [f"{i / fs:.9g},{a!r},{e!r},{f!r}" for i, (a, e, f) in enumerate(vals)]
+    if bad:
+        body[bad[0] % n] = faulty(bad[1], bad[0] % n, fs)
+    for at, text in others:
+        body.insert(min(at, len(body)), text)
+    with tempfile.TemporaryDirectory() as tmp, forks_seen() as pids:
+        path = write_csv(Path(tmp) / "rec.csv", body, final_newline, eol)
+        assert outcome(path, rates, block, cores) == outcome(path, rates, UNSPLIT, 1)
+    assert_reaped(pids)
+
+
 # ---- the workers
 
-# a worker's row takes 24 bytes: 170 rows end 16 bytes before a 4096-byte
-# page does, 512 rows end with one, and 1000 rows in its middle
+# blocks of 170, 512 and 1000 rows put the edge between the two ranges'
+# outputs at as many places in a page of the shared room
 @pytest.mark.parametrize("block", [170, 512, 1000])
-def test_a_worker_page_goes_once_the_rows_on_it_are_placed(tmp_path, block):
+def test_ranges_meet_in_the_shared_room(tmp_path, block):
     body = data_rows(20 * block)
     path = write_csv(tmp_path / "rec.csv", body)
-    assert_equal_whole_file(ingest_with_blocks(path, block), path)
+    assert_equal_whole_file(ingest_with_blocks(path, block * ROW), path)
     for kind in ("late time", "nan scg"):
         bad, end = fault(kind, len(body) - 1)
         path = write_csv(tmp_path / "bad.csv", body[:-1] + [bad])
-        assert error_with_blocks(path, block) == error_with_blocks(path, UNSPLIT)
-        assert error_with_blocks(path, block).endswith(end.format(L=len(body) + 1))
+        assert error_with_blocks(path, block * ROW) == error_with_blocks(path, UNSPLIT)
+        assert error_with_blocks(path, block * ROW).endswith(end.format(L=len(body) + 1))
 
 
 @pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"])
-@pytest.mark.parametrize("cores, rows, workers", [(4, B, 0), (1, 3 * B, 0), (4, B + 1, 1),
-                                                  (2, 3 * B, 1), (4, 3 * B, 2)])
-def test_one_worker_per_core_and_at_most_one_per_block(tmp_path, cores, rows, workers, eol):
-    path = write_csv(tmp_path / "rec.csv", data_rows(rows), eol=eol)
-    with split(B, cores), forks_seen() as pids:
+@pytest.mark.parametrize("cores, blocks, workers", [(4, 1, 0), (1, 3, 0), (4, 1.1, 1),
+                                                    (2, 3, 1), (4, 3, 2)])
+def test_one_worker_per_core_and_at_most_one_per_block(tmp_path, cores, blocks, workers, eol):
+    path = write_csv(tmp_path / "rec.csv", data_rows(12), eol=eol)
+    body = path.stat().st_size - len(HEADER + eol)
+    with split(int(-(-body // blocks)), cores), forks_seen() as pids:
         rec = ingest_csv(path, FS, FS)
     assert len(pids) == workers
     assert_reaped(pids)
@@ -389,7 +446,7 @@ def test_one_worker_per_core_and_at_most_one_per_block(tmp_path, cores, rows, wo
 
 
 def test_one_block_starts_no_worker_and_no_fork_none(tmp_path, monkeypatch):
-    path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
+    path = write_csv(tmp_path / "rec.csv", data_rows(12))
     monkeypatch.delattr(os, "fork")
     with split(B, cores=4):
         assert_equal_whole_file(ingest_csv(path, FS, FS), path)
@@ -397,7 +454,7 @@ def test_one_block_starts_no_worker_and_no_fork_none(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("raised", [KeyboardInterrupt, InputError])
 def test_fault_in_the_first_range_reaps_workers(tmp_path, raised):
-    path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
+    path = write_csv(tmp_path / "rec.csv", data_rows(12))
     with split(B), forks_seen() as pids, \
             mock.patch.object(ingest, "_fault", side_effect=raised("x")), pytest.raises(raised):
         ingest_csv(path, FS, FS)
@@ -405,16 +462,22 @@ def test_fault_in_the_first_range_reaps_workers(tmp_path, raised):
     assert_reaped(pids)
 
 
+def in_workers(fn):
+    """_read_range in this process, and fn in place of it in a worker."""
+    parent, read_range = os.getpid(), ingest._read_range
+    return lambda *args: read_range(*args) if os.getpid() == parent else fn()
+
+
 def test_interrupt_while_waiting_kills_a_stuck_worker(tmp_path):
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
+    path = write_csv(tmp_path / "rec.csv", data_rows(12))
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
     try:
         with split(B), forks_seen() as pids, pytest.raises(KeyboardInterrupt), \
-                mock.patch.object(ingest, "_parse_range", lambda *args: time.sleep(60)):
+                mock.patch.object(ingest, "_read_range", in_workers(lambda: time.sleep(60))):
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             ingest_csv(path, FS, FS)
     finally:
@@ -425,12 +488,13 @@ def test_interrupt_while_waiting_kills_a_stuck_worker(tmp_path):
     assert_reaped(pids)
 
 
-@pytest.mark.parametrize("fail, status", [(lambda *args: 1 / 0, 1),
-                                          (lambda *args: os.kill(os.getpid(), signal.SIGKILL),
+@pytest.mark.parametrize("fail, status", [(lambda: 1 / 0, 1),
+                                          (lambda: os.kill(os.getpid(), signal.SIGKILL),
                                            -signal.SIGKILL)], ids=["raises", "killed"])
 def test_worker_without_a_result_raises_oserror(tmp_path, fail, status):
-    path = write_csv(tmp_path / "rec.csv", data_rows(3 * B))
-    with split(B), forks_seen() as pids, mock.patch.object(ingest, "_parse_range", fail), \
+    path = write_csv(tmp_path / "rec.csv", data_rows(12))
+    with split(B), forks_seen() as pids, \
+            mock.patch.object(ingest, "_read_range", in_workers(fail)), \
             pytest.raises(OSError, match=rf"the worker parsing bytes \d+ to \d+ exited with "
                                          rf"status {status}$"):
         ingest_csv(path, FS, FS)
@@ -473,10 +537,10 @@ def traced_peak(fn, *args):
 
 STATUS = Path("/proc/self/status")
 PEAK = """
-{setup}
 def status(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+{setup}
 before = status("VmRSS")
 {call}
 print(status("VmHWM") - before)
@@ -506,7 +570,7 @@ def test_ingest_peak_is_the_kept_columns_and_a_few_blocks(tmp_path):
     # two cores, and a first read that loads the code the measured one runs
     setup = ("from unittest import mock\n"
              "from cardioseis import ingest\n"
-             f"mock.patch.object(ingest, 'CSV_BLOCK_ROWS', {block}).start()\n"
+             f"mock.patch.object(ingest, 'CSV_BLOCK_BYTES', {block * ROW}).start()\n"
              "mock.patch.object(ingest, '_usable_cores', lambda: 2).start()\n"
              f"ingest.ingest_csv({str(warm)!r}, {FS}, {FS})")
     peak = resident_peak(setup, f"rec = ingest.ingest_csv({str(path)!r}, {FS}, {FS})")
@@ -517,6 +581,41 @@ def test_ingest_peak_is_the_kept_columns_and_a_few_blocks(tmp_path):
     assert peak < kept + worker / 2, (peak, kept)
 
 
+def test_a_worker_peak_is_its_columns_and_a_few_blocks(tmp_path):
+    block = 4096
+    n = 300_000
+    path = write_csv(tmp_path / "rec.csv", data_rows(n))
+    warm = write_csv(tmp_path / "warm.csv", data_rows(3 * block))
+    report = tmp_path / "worker"
+    # as in the test above; the worker writes what it adds to its resident
+    # set at its peak, read in the worker: VmHWM after its range less VmRSS
+    # before it, less the pages of files, such as numpy's code, that it maps
+    # back in after the fork
+    setup = ("import os\n"
+             "from unittest import mock\n"
+             "from cardioseis import ingest\n"
+             f"mock.patch.object(ingest, 'CSV_BLOCK_BYTES', {block * ROW}).start()\n"
+             "mock.patch.object(ingest, '_usable_cores', lambda: 2).start()\n"
+             "parent, read_range = os.getpid(), ingest._read_range\n"
+             "def measured(*args):\n"
+             "    if os.getpid() == parent:\n"
+             "        return read_range(*args)\n"
+             "    before, files = status('VmRSS'), status('RssFile')\n"
+             "    result = read_range(*args)\n"
+             f"    with open({str(report)!r}, 'w') as fh:\n"
+             "        fh.write(str(status('VmHWM') - before - (status('RssFile') - files)))\n"
+             "    return result\n"
+             "mock.patch.object(ingest, '_read_range', measured).start()\n"
+             f"ingest.ingest_csv({str(warm)!r}, {FS}, {FS})")
+    resident_peak(setup, f"rec = ingest.ingest_csv({str(path)!r}, {FS}, {FS})")
+    peak = int(report.read_text())
+    kept = 2 * n * 8  # the SCG and flow columns
+    # its half of the columns, which it writes into the shared room, and a
+    # few chunks; its rows with their times, as workers once kept them,
+    # would be 3/4 of the columns, which with the same chunks breaks it
+    assert peak < kept / 2 + 6 * block * ROW, (peak, kept)
+
+
 def test_ingest_room_takes_memory_as_written(tmp_path):
     block = 4096
     n = 20_000
@@ -524,7 +623,7 @@ def test_ingest_room_takes_memory_as_written(tmp_path):
     warm = write_csv(tmp_path / "warm.csv", data_rows(3 * block))
     setup = ("from unittest import mock\n"
              "from cardioseis import ingest\n"
-             f"mock.patch.object(ingest, 'CSV_BLOCK_ROWS', {block}).start()\n"
+             f"mock.patch.object(ingest, 'CSV_BLOCK_BYTES', {block * ROW}).start()\n"
              "mock.patch.object(ingest, '_usable_cores', lambda: 2).start()\n"
              f"ingest.ingest_csv({str(warm)!r}, {FS}, {FS})")
     peak = resident_peak(setup, f"rec = ingest.ingest_csv({str(path)!r}, {FS}, {FS})")
@@ -587,7 +686,7 @@ def test_run_pipeline_holds_no_10_khz_column(tmp_path):
     # block and the resampler's buffer are small beside the columns
     setup = ("from unittest import mock\n"
              "from cardioseis import ingest, signal_core\n"
-             "mock.patch.object(ingest, 'CSV_BLOCK_ROWS', 4096).start()\n"
+             f"mock.patch.object(ingest, 'CSV_BLOCK_BYTES', {4096 * ROW}).start()\n"
              "mock.patch.object(ingest, '_usable_cores', lambda: 2).start()\n"
              "mock.patch.object(signal_core, '_RESAMPLE_SPAN', 1 << 15).start()\n" + setup)
     peak = resident_peak(setup, run("a"))

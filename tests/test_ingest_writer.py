@@ -170,6 +170,7 @@ def test_forks_pass_under_the_python_3_12_fork_warning(tmp_path):
 
     rec = recording(np.random.default_rng(5).normal(size=(3, 12)), 320.0)
     with mock.patch.object(ingest, "CSV_BLOCK_ROWS", 4), \
+            mock.patch.object(ingest, "CSV_BLOCK_BYTES", 64), \
             mock.patch.object(os, "fork", warning_fork), workers_seen(cores=2) as pids:
         new, old = both_outputs(tmp_path, rec)
         read = ingest_csv(tmp_path / "new.csv", 320.0, 320.0)
