@@ -144,6 +144,8 @@ def fault(kind, row):
         "late time": (f"{(row + 0.5) / FS:.9g},0,0,0", off_grid((row + 0.5) / FS, row / FS)),
         # a NaN first time puts the whole grid at NaN
         "nan time": ("nan,0,0,0", off_grid(np.nan, row / FS if row else np.nan)),
+        # far past the rows that the file's bytes could hold
+        "far time": ("1000000,0,0,0", off_grid(1e6, row / FS)),
     }[kind]
 
 
@@ -234,7 +236,7 @@ def with_fault(tmp_path, body, kind, row, name="bad.csv"):
     return write_csv(tmp_path / name, body), tail.format(L=row + 4)
 
 
-KINDS = ["parse", "wide", "short", "nan scg", "inf flow", "late time", "nan time"]
+KINDS = ["parse", "wide", "short", "nan scg", "inf flow", "late time", "nan time", "far time"]
 
 
 @pytest.mark.parametrize("side", [-2, -1, 0, 1])  # from the first row of the second range
@@ -247,6 +249,21 @@ def test_fault_on_either_side_of_the_cut_names_the_line_of_an_unsplit_parse(tmp_
     split_, unsplit = error_with_blocks(path, B), error_with_blocks(path, UNSPLIT)
     assert split_ == unsplit
     assert split_.endswith(tail), split_
+
+
+@pytest.mark.parametrize("jump", [1e6, -1.0])
+def test_a_second_range_that_starts_off_the_file_names_its_first_row(tmp_path, jump):
+    # every row of the second range keeps the grid, but from a time jumped
+    # past the rows that the body could hold, or before the first row:
+    # its place from its time would lie outside the output
+    first = rows_before_cut(write_csv(tmp_path / "clean.csv", padded_body()))
+    body = padded_body()[:first + 2] + [padded(f"{jump + r / FS!r},0,0,0")
+                                        for r in range(first, 14)]
+    path = write_csv(tmp_path / "bad.csv", body)
+    assert rows_before_cut(path) == first
+    split_, unsplit = error_with_blocks(path, B), error_with_blocks(path, UNSPLIT)
+    assert split_ == unsplit
+    assert split_.endswith(off_grid(jump + first / FS, first / FS).format(L=first + 4))
 
 
 @pytest.mark.parametrize("later", ["parse", "wide", "nan scg", "late time"])
@@ -378,7 +395,8 @@ def faulty(kind, row, fs):
     t = f"{row / fs:.9g}"
     return {"parse": f"{t},abc,0,0", "wide": f"{t},0,0,0,0", "short": f"{t},0,0",
             "nan scg": f"{t},nan,0,0", "inf flow": f"{t},0,0,inf",
-            "late time": f"{(row + 0.5) / fs:.9g},0,0,0", "nan time": "nan,0,0,0"}[kind]
+            "late time": f"{(row + 0.5) / fs:.9g},0,0,0", "nan time": "nan,0,0,0",
+            "far time": "1000000,0,0,0"}[kind]
 
 
 def outcome(path, rates, block, cores):
@@ -617,7 +635,7 @@ def test_a_worker_peak_is_its_columns_and_a_few_blocks(tmp_path):
 
 
 def test_ingest_room_takes_memory_as_written(tmp_path):
-    block = 4096
+    block = 1024  # rows in a chunk, which is small beside the columns
     n = 20_000
     path = write_csv(tmp_path / "rec.csv", data_rows(n))
     warm = write_csv(tmp_path / "warm.csv", data_rows(3 * block))
@@ -709,11 +727,11 @@ def test_resampled_columns_pinned(tmp_path, fs):
     rec, _ = gen_recording(SynthConfig(seed=19, fs=fs, duration_s=20.0))
     path = tmp_path / "rec.csv"
     write_recording_csv(rec, path)
-    # 4,096-line blocks on two cores put a cut and a worker in the file, and
-    # a span of 10,000 inputs puts block edges at many places in a span;
-    # ingest resamples the blocks as it reads them, or resample the whole
-    # columns after it
-    with split(4096), forks_seen() as pids, \
+    # 128 KiB chunks (some 3,500 rows) on two cores put a cut and a worker
+    # in the file, and a span of 10,000 inputs puts chunk edges at many
+    # places in a span; ingest resamples the chunks as it reads them, or
+    # resample the whole columns after it
+    with split(1 << 17), forks_seen() as pids, \
             mock.patch.object(signal_core, "_RESAMPLE_SPAN", 10_000):
         streamed = ingest_csv(path, fs, 320.0)
         read = ingest_csv(path, fs, fs)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cardioseis.signal_core import Channel, best_lag, hilbert_envelope, lowpass, resample, rms
+from cardioseis.signal_core import (Channel, Resampler, best_lag, hilbert_envelope, lowpass,
+                                    resample, rms)
 from cardioseis.errors import InputError
 
 
@@ -199,3 +200,33 @@ class TestChannel:
     def test_rejects_bad_fs(self):
         with pytest.raises(InputError):
             Channel(np.zeros(4), 0.0)
+
+
+def split_resampled(x, up, down, cut):
+    """x resampled by up/down as two processes of ingest_csv do: rows
+    before `cut` and rows from it on each go to their own at() resampler,
+    fed the rows past their end that wants() asks for, into one shared
+    output."""
+    out = Resampler(float(down), float(up), len(x), 2, shared=True)
+    for start, stop in ((0, cut), (cut, len(x))):
+        part = out.at(start)
+        part.feed(x[start:stop])
+        part.feed(x[stop:stop + part.wants(stop)])
+        part.finish(stop)
+    return out.result(int(round(len(x) * up / down)))
+
+
+# (up, down, per_phase): a block's oldest input is row q*down - per_phase + 1,
+# so cuts at every offset around a multiple of down put each row of a block
+# on either side of the cut
+@pytest.mark.parametrize("up, down, per_phase, offsets", [
+    (4, 125, 657, range(125)), (215, 6719, 657, [-2, -1, 0, 1, 2, 3]), (1, 1, 1, range(3))])
+def test_resamplers_from_any_row_meet_bit_for_bit(up, down, per_phase, offsets):
+    m = per_phase // down + 2  # the first block whose oldest input is past row 0, and one more
+    x = np.random.default_rng(5).standard_normal(((m + 3) * down, 2))
+    whole = Resampler(float(down), float(up), len(x), 2)
+    whole.feed(x)
+    want = whole.result()
+    for offset in offsets:
+        cut = m * down - per_phase + 1 + offset
+        assert split_resampled(x, up, down, cut).tobytes() == want.tobytes(), cut
