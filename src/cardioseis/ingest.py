@@ -78,7 +78,7 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
         # the most data rows that the body could hold: a data row takes at
         # least a byte for each field and each comma or line end, as ref_row
         most = (cuts[-1] - cuts[0]) // len(ref_row) + 1
-        out = Resampler(acquisition_fs, analysis_fs, most, 2, shared=True)
+        out = Resampler(acquisition_fs, analysis_fs, most, 2)
 
         def read(start, stop):
             return _read_range(path, start, stop, ref_row, cols, t0, dt, out,

@@ -58,7 +58,7 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
 
     The SCG and flow are first resampled to config.analysis_fs. A
     recording that ingest_csv read for run_pipeline is already at that
-    rate, so there this step is a copy.
+    rate, so there this step passes its channels through.
 
     Returns (CriterionComparison, context dict with the kept events as
     ScgEvents and the number of outliers dropped).

@@ -26,19 +26,19 @@ class VolumePhase(enum.Enum):
     HLV = "HLV"
 
 
-def integrate_flow(flow: Channel, detrend: bool = True) -> np.ndarray:
+def integrate_flow(flow: Channel) -> np.ndarray:
     """The volume samples: the cumulative trapezoidal integral of flow
     (L/s -> L), starting at 0.
 
-    With detrend the flow is offset-corrected so the trapezoidal integral
-    over the whole recording is exactly zero, killing spirometer-offset
-    drift (the offset used is the trapezoid mean, not the arithmetic mean,
-    so the final volume sample lands on 0 to machine precision).
+    The flow is offset-corrected so the trapezoidal integral over the whole
+    recording is exactly zero, killing spirometer-offset drift (the offset
+    used is the trapezoid mean, not the arithmetic mean, so the final
+    volume sample lands on 0 to machine precision).
     """
     if len(flow) == 0:
         raise InputError("empty waveform")
     f = flow.samples
-    if detrend and len(f) > 1:
+    if len(f) > 1:
         f = f - np.trapezoid(f) / (len(f) - 1)
     # scipy's cumulative_trapezoid(f, dx=1/fs, initial=0), in its order of operations
     return np.concatenate(([0.0], np.cumsum((1.0 / flow.fs) * (f[1:] + f[:-1]) / 2.0)))

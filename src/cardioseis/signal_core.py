@@ -1,8 +1,10 @@
 """Sampled-signal container and the DSP primitives the pipeline is built on.
 
-Everything here but a Resampler, which is fed its input in blocks, is a
-pure function of its inputs. Channels are treated as immutable once built;
-operations return new arrays/channels. The filter
+Everything here but a Resampler is a pure function of its inputs.
+Channels are treated as immutable once built; operations return new
+arrays/channels, or the input itself where they would not change it. A
+Resampler's parts are fed its input in blocks and write its output into
+one room, a shared mapping that forked processes write into too. The filter
 design, polyphase resampling and analytic signal are written in numpy and
 follow scipy.signal's order of operations, so they give bit-identical
 results without loading scipy.
@@ -11,6 +13,7 @@ results without loading scipy.
 from __future__ import annotations
 
 import copy
+import math
 import mmap
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +29,7 @@ class Channel:
     """A uniformly sampled real-valued waveform.
 
     samples: the data (m/s^2, L/s, L, or dimensionless)
-    fs: sampling rate in Hz, > 0
+    fs: sampling rate in Hz, finite and > 0
     label: free-text channel name
     """
 
@@ -37,8 +40,8 @@ class Channel:
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", arr)
-        if self.fs <= 0:
-            raise InputError(f"channel {self.label!r}: fs must be > 0, got {self.fs}")
+        if not 0 < self.fs < math.inf:  # NaN included
+            raise InputError(f"channel {self.label!r}: fs must be finite and > 0, got {self.fs}")
         if arr.ndim != 1:
             raise InputError(f"channel {self.label!r}: samples must be 1-D")
         if arr.size and not np.all(np.isfinite(arr)):
@@ -141,11 +144,16 @@ def lowpass(ch: Channel, cutoff_hz: float) -> Channel:
 
 def resample(ch: Channel, target_fs: float) -> Channel:
     """Rational polyphase resampling with anti-aliasing: the channel fed to
-    a Resampler as one block. Output length is round(n * target_fs / fs),
-    and where target_fs is fs the output is a copy of the input."""
-    out = Resampler(ch.fs, target_fs, len(ch.samples))
-    out.feed(ch.samples[:, None])
-    return Channel(out.result()[0], float(target_fs), ch.label)
+    a Resampler as one block, as one range of ingest_csv. Output length is
+    round(n * target_fs / fs); where target_fs is fs the output is ch."""
+    if target_fs == ch.fs:
+        return ch
+    n = len(ch)
+    out = Resampler(ch.fs, target_fs, n)
+    part = out.at(0)
+    part.feed(ch.samples[:, None])
+    part.finish(n)
+    return Channel(out.result(round(n * target_fs / ch.fs))[0], float(target_fs), ch.label)
 
 
 # inputs per span of a Resampler's output blocks, which bounds its
@@ -155,8 +163,8 @@ _RESAMPLE_SPAN = 1 << 19
 
 class Resampler:
     """Rational polyphase resampling with anti-aliasing of `channels`
-    signals sampled at fs and fed in order, as (k, channels) blocks of rows
-    that hold at most max_len rows in all.
+    signals sampled at fs, at most max_len rows in all, fed as (k, channels)
+    blocks of rows to the parts that at() makes, each in order from its row.
 
     The ratio up/down is target_fs / fs within a denominator of 10000. The
     kernel h is a 20 * max(up, down) + 1 tap low-pass whose cutoff sits at
@@ -165,8 +173,7 @@ class Resampler:
     scipy.signal.resample_poly(x, up, down, window=h), bit for bit, however
     x is split into blocks; past its ceil(n * up / down) samples the input
     continues as zeros. With up == down, as in scipy, the output is the
-    input, unfiltered, written once: a copy of a first block that holds
-    all max_len rows, else into room for max_len rows.
+    input, unfiltered.
 
     Output sample i = q*up + p is the sum over a phase of taps
     h[t_p + k*up] against the inputs that end at x[q*down + (p*down)//up].
@@ -179,18 +186,17 @@ class Resampler:
     read, which then move to its front. Besides the output, that buffer is
     all it holds, however long the input.
 
-    With shared=True the output is room for max_len rows in an anonymous
-    shared mapping, made at once, which takes memory only for the pages
-    written; the resamplers that at() makes from it, in this process or in
-    forked ones, each add up the output blocks of their own rows into it.
+    The output is room for max_len rows in an anonymous shared mapping,
+    made at once, which takes memory only for the pages written. Input is
+    fed only to the resamplers that at() makes, in this process or in
+    forked ones; each adds up the output blocks of its own rows into the
+    room, and result() reads it once every part is finished.
     """
 
-    def __init__(self, fs: float, target_fs: float, max_len: int, channels: int = 1,
-                 shared: bool = False):
-        if target_fs <= 0:
-            raise InputError("target_fs must be > 0")
-        self._fs, self._target_fs = fs, target_fs
-        self._max_len, self._channels = max_len, channels
+    def __init__(self, fs: float, target_fs: float, max_len: int, channels: int = 1):
+        if not 0 < target_fs < math.inf:  # NaN included
+            raise InputError(f"target_fs must be finite and > 0, got {target_fs}")
+        self._channels = channels
         frac = Fraction(target_fs / fs).limit_denominator(10000)
         up, down = self._up, self._down = frac.numerator, frac.denominator
         self._pre, self._per_phase, self._last = 0, 1, 0  # where up == down
@@ -222,43 +228,32 @@ class Resampler:
             # rows of padded that a span reads past it
             self._reach = (first[-1] + per_phase - 1) // down
         size = self._block(max_len) * up
-        if shared:
-            room = mmap.mmap(-1, max(8 * channels * size, 1))
-            self._y = np.ndarray((channels, size), dtype=float, buffer=room)
-            self._n = self._q = 0  # fed only through at()
-        else:
-            self._y = np.zeros((channels, size)) if up != down else None  # made at the first block
-            self._start(0)
+        room = mmap.mmap(-1, max(8 * channels * size, 1))
+        self._y = np.ndarray((channels, size), dtype=float, buffer=room)
 
     def _block(self, row: int) -> int:
         """The first output block whose oldest input is row `row` or later; 0 for row 0."""
         return -(-(row + self._per_phase - 1) // self._down) if row else 0
 
-    def _start(self, row0: int) -> None:
-        self._n, self._q = row0, self._block(row0)  # the input row fed and output block added next
-        # samples of padded in buf, from its start; below 0, the rows before
-        # the first one that block q reads, which are not kept
-        self._filled = row0 + self._per_phase - 1 - self._q * self._down
-        if self._up != self._down:
-            # buf[c, col, r] = padded[(q + r)*down + col] of channel c; a row of
-            # buf[c] holds the inputs that one tap multiplies in successive blocks
-            self._buf = np.zeros((self._channels, self._down, self._span + self._reach))
-
     def at(self, row0: int) -> "Resampler":
         """A resampler into this one's output, fed from input row `row0` on, that adds
         up the output blocks whose oldest input is that row or later."""
         part = copy.copy(self)
-        part._start(row0)
+        part._n, part._q = row0, self._block(row0)  # the input row fed and output block added next
+        # samples of padded in buf, from its start; below 0, the rows before
+        # the first one that block q reads, which are not kept
+        part._filled = row0 + self._per_phase - 1 - part._q * self._down
+        if self._up != self._down:
+            # buf[c, col, r] = padded[(q + r)*down + col] of channel c; a row of
+            # buf[c] holds the inputs that one tap multiplies in successive blocks
+            part._buf = np.zeros((self._channels, self._down, self._span + self._reach))
         return part
 
     def feed(self, rows) -> None:
         """Take the next len(rows) samples of each channel, a column of rows each."""
         k = len(rows)
         if self._up == self._down:
-            if self._y is None:
-                self._y = self._room(rows)
-            else:
-                self._y[:, self._n:self._n + k] = rows.T
+            self._y[:, self._n:self._n + k] = rows.T
         else:
             skip = min(k, max(0, -self._filled))
             rows, self._filled = rows[skip:], self._filled + skip
@@ -276,16 +271,6 @@ class Resampler:
     def wants(self, stop: int) -> int:
         """The rows still to feed before finish(stop) reads no zeros in their place."""
         return max(0, (self._block(stop) - 1) * self._down + self._last + 1 - self._n)
-
-    def _room(self, rows) -> np.ndarray:
-        """The output where up == down and it is not shared, made from the
-        first block: a copy of it where it holds all max_len rows, as from
-        resample; else zeros for max_len rows."""
-        if len(rows) == self._max_len:
-            return rows.T.copy()
-        y = np.zeros((self._channels, self._max_len))
-        y[:, :len(rows)] = rows.T
-        return y
 
     def _put(self, rows) -> None:
         """Write rows into buf, from its first free sample of padded on:
@@ -337,12 +322,9 @@ class Resampler:
                 self._drop(blocks)
                 self._buf[:, :, -blocks:] = 0
 
-    def result(self, n_out: int | None = None) -> np.ndarray:
+    def result(self, n_out: int) -> np.ndarray:
         """The first n_out output samples of each channel, a row each, once
-        every block is fed; n_out defaults to round(n * target_fs / fs)."""
-        if n_out is None:
-            n_out = int(round(self._n * self._target_fs / self._fs))
-        self.finish(self._n)
+        every part that at() made is finished."""
         y = self._y[:, self._pre:self._pre + n_out]  # zeros past the input, as the room starts
         if y.shape[1] < n_out:  # past the room
             y = np.concatenate((y, np.zeros((len(y), n_out - y.shape[1]))), axis=1)

@@ -122,11 +122,14 @@ def test_criterion_4_dsp_primitive_oracles():
         assert np.all(pb >= 10 ** (-0.5 / 20)) and np.all(pb <= 10 ** (0.5 / 20))
         assert np.all(sb <= 10 ** (-40 / 20))
 
-        # flow integration vs closed-form antiderivative, 1% RMS
+        # flow integration vs closed-form antiderivative, 1% RMS; 10 s hold
+        # 2.5 breaths, so the flow's offset correction takes away the line
+        # from 0 to the antiderivative's last value
         amp, freq = 1.0, 0.25
         flow = Channel(amp * np.sin(2 * np.pi * freq * t), fs, "flow")
-        volume = integrate_flow(flow, detrend=False)
+        volume = integrate_flow(flow)
         expected = (amp / (2 * np.pi * freq)) * (1 - np.cos(2 * np.pi * freq * t))
+        expected -= t / t[-1] * expected[-1]
         assert rms(volume - expected) / rms(expected) < 0.01
 
 

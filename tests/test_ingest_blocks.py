@@ -10,10 +10,11 @@ whole-file np.loadtxt bit for bit wherever the block edges and the cut
 fall, every fault must name the file line that an unsplit parse names,
 and no worker may outlive the call. Resampled as they are read, the
 columns must equal, bit for bit, the whole columns resampled after the
-read. The output lives in a shared mapping, which tracemalloc does not
-see, so the memory bounds of ingest, of its workers and of run_pipeline
-read the resident set of a fresh interpreter; numpy reports its buffers
-to tracemalloc, so the bound of resample is deterministic.
+read. The output of every resampler lives in a shared mapping, which
+tracemalloc does not see, so the memory bounds of ingest, of its workers
+and of run_pipeline read the resident set of a fresh interpreter; numpy
+reports its other buffers to tracemalloc, so the bound of resample, which
+counts its working buffers but not its output, is deterministic.
 """
 
 import contextlib
@@ -545,10 +546,11 @@ def test_whitespace_line_is_a_row_as_loadtxt_counts_it(tmp_path):
 
 
 def traced_peak(fn, *args):
+    """The peak of the memory that tracemalloc sees in fn(*args), and its result."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
@@ -655,13 +657,16 @@ def test_resample_peak_is_one_span_and_the_output():
     x = Channel(np.random.default_rng(0).standard_normal(1_200_000), 10_000.0)
     down = 125  # 10 kHz to 320 Hz is 4/125
     n_out = 38_400
-    peak = traced_peak(resample, x, 320.0)
+    peak, out = traced_peak(resample, x, 320.0)
     # the by-column buffer of a span and of the few rows of down inputs
-    # that its last taps read past it, the accumulator, one product and the
-    # output; a copy of the whole of x would break it
+    # that its last taps read past it, the accumulator and one product; a
+    # copy of the whole of x would break it
     span = 8 * (signal_core._RESAMPLE_SPAN + 10 * down)
     assert span < x.samples.nbytes / 2
     assert peak < span + 4 * 8 * n_out + 2**16, (peak, span)
+    # the output, which tracemalloc does not see, is a view of the room
+    assert len(out) == n_out
+    assert isinstance(mapping_of(out.samples), mmap.mmap)
 
 
 def ten_khz_runs(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from cardioseis.errors import InputError
 from cardioseis.respiration import FlowPhase, VolumePhase, integrate_flow, label_events, phases
-from cardioseis.signal_core import Channel, rms
+from cardioseis.signal_core import Channel
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 
@@ -12,34 +12,44 @@ def sine_flow(amp=1.0, freq=0.25, fs=320.0, duration=20.0):
     return Channel(amp * np.sin(2 * np.pi * freq * t), fs, "flow")
 
 
+def sine_volume(amp, freq, fs, n):
+    """integrate_flow of n samples of amp * sin(2 pi freq t), in closed form.
+    At theta radians a sample, the trapezoids up to sample k add up to
+    amp * (1 - cos(k theta)) / (2 fs tan(theta / 2)); the offset correction
+    takes away the line from 0 to that sum at the last sample."""
+    theta = 2 * np.pi * freq / fs
+    k = np.arange(n)
+    raw = amp * (1 - np.cos(k * theta)) / (2 * fs * np.tan(theta / 2))
+    return raw - k * raw[-1] / (n - 1)
+
+
 class TestIntegrateFlow:
     def test_trapezoid_by_hand(self):
+        # the trapezoid mean 2/3 comes off each sample: [-2/3, 1/3, 1/3, -2/3]
         flow = Channel(np.array([0.0, 1, 1, 0]), 1.0, "flow")
-        assert np.allclose(integrate_flow(flow, detrend=False), [0, 0.5, 1.5, 2.0])
+        assert np.allclose(integrate_flow(flow), [0, -1 / 6, 1 / 6, 0])
 
     def test_zero_flow(self):
-        volume = integrate_flow(Channel(np.zeros(100), 320.0), detrend=False)
-        assert np.allclose(volume, 0.0)
+        volume = integrate_flow(Channel(np.zeros(100), 320.0))
+        assert volume.tolist() == [0.0] * 100
 
     def test_sine_closed_form(self):
         amp, freq, fs = 1.0, 0.25, 320.0
         flow = sine_flow(amp, freq, fs, 20.0)
-        volume = integrate_flow(flow, detrend=False)
-        t = np.arange(len(flow)) / fs
-        expected = (amp / (2 * np.pi * freq)) * (1 - np.cos(2 * np.pi * freq * t))
-        err = rms(volume - expected) / rms(expected)
-        assert err < 0.01
+        expected = sine_volume(amp, freq, fs, len(flow))
+        assert np.max(np.abs(integrate_flow(flow) - expected)) < 1e-12
 
     def test_linearity(self, rng):
+        # linear in the flow, and blind to a constant added to it
         f = rng.normal(size=500)
-        base = integrate_flow(Channel(f, 320.0), detrend=False)
+        base = integrate_flow(Channel(f, 320.0))
         for k in (-2.0, 0.5, 3.0):
-            scaled = integrate_flow(Channel(k * f, 320.0), detrend=False)
+            scaled = integrate_flow(Channel(k * f + 0.3, 320.0))
             assert np.allclose(scaled, k * base, rtol=1e-9, atol=1e-12)
 
     def test_detrend_zero_net_drift(self, rng):
         f = rng.normal(size=2000) + 0.3  # spirometer offset
-        volume = integrate_flow(Channel(f, 320.0), detrend=True)
+        volume = integrate_flow(Channel(f, 320.0))
         assert abs(volume[-1]) < 1e-9
         assert volume[0] == 0.0
 
@@ -47,14 +57,13 @@ class TestIntegrateFlow:
         with pytest.raises(InputError):
             integrate_flow(Channel(np.array([]), 320.0))
 
-    @pytest.mark.parametrize("detrend", [False, True])
-    def test_bitwise_equal_to_scipy(self, rng, detrend):
+    def test_bitwise_equal_to_scipy(self, rng):
         from scipy.integrate import cumulative_trapezoid
         for n in (1, 2, 3, 17, 1000, 4999):
             for fs in (10.0, 320.0, 10000.37):
                 f = rng.uniform(-1, 1, size=n) * 10.0 ** rng.uniform(-5, 5)
-                got = integrate_flow(Channel(f, fs), detrend=detrend)
-                if detrend and n > 1:
+                got = integrate_flow(Channel(f, fs))
+                if n > 1:
                     f = f - np.trapezoid(f) / (n - 1)
                 want = cumulative_trapezoid(f, dx=1.0 / fs, initial=0.0)
                 assert got.tobytes() == want.tobytes(), (n, fs)
@@ -67,8 +76,8 @@ def labels_at(flow, volume, index):
 
 
 def flow_and_volume(flow: Channel):
-    """The flow samples and their integral without detrending."""
-    return flow.samples, integrate_flow(flow, detrend=False)
+    """The flow samples and their offset-corrected integral."""
+    return flow.samples, integrate_flow(flow)
 
 
 class TestPhaseLabels:

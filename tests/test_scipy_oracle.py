@@ -93,12 +93,14 @@ def test_lowpass_short_and_long_channels(cutoff_hz):
         assert np.max(np.abs(got - want)) < 1e-13, n
 
 
-def resampled(x, up, down, edges, n_out=None):
-    """x resampled by up/down, fed to one Resampler in the blocks that the
-    sorted `edges` cut it into."""
+def resampled(x, up, down, edges, n_out):
+    """x resampled by up/down, fed to one part of a Resampler in the blocks
+    that the sorted `edges` cut it into."""
     out = Resampler(float(down), float(up), len(x))
+    part = out.at(0)
     for start, stop in zip([0, *edges], [*edges, len(x)]):
-        out.feed(x[start:stop, None])
+        part.feed(x[start:stop, None])
+    part.finish(len(x))
     return out.result(n_out)[0]
 
 

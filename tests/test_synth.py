@@ -7,7 +7,7 @@ import pytest
 from cardioseis.errors import InputError
 from cardioseis.respiration import integrate_flow, label_events, phases
 from cardioseis.signal_core import rms
-from cardioseis.synth import (Coupling, SynthConfig, default_morphologies,
+from cardioseis.synth import (_RESP_FREQ, Coupling, SynthConfig, default_morphologies,
                               gen_recording, gen_respiration)
 
 
@@ -19,10 +19,15 @@ class TestGenRespiration:
         assert abs(flow.samples[hi]) < 0.02 * 0.5  # peak flow is 0.5 L/s
 
     def test_integral_matches_closed_form(self):
+        # the trapezoids of a sine at theta radians a sample add up to its
+        # closed-form integral times (theta / 2) / tan(theta / 2); the offset
+        # correction takes away the line from 0 to that sum at the last sample
         cfg = SynthConfig(duration_s=20)
         flow, volume = gen_respiration(cfg)
-        err = rms(integrate_flow(flow, detrend=False) - volume.samples) / rms(volume.samples)
-        assert err < 0.01
+        half = np.pi * _RESP_FREQ / cfg.fs
+        raw = volume.samples * (half / np.tan(half))
+        expected = raw - np.arange(len(raw)) * raw[-1] / (len(raw) - 1)
+        assert np.max(np.abs(integrate_flow(flow) - expected)) < 1e-12
 
 
 class TestGenRecording:
@@ -80,7 +85,7 @@ class TestGenRecording:
     def test_truth_labels_consistent_with_respiration_module(self):
         cfg = SynthConfig(duration_s=60, seed=9)
         rec, truth = gen_recording(cfg)
-        volume = integrate_flow(rec["flow"], detrend=True)
+        volume = integrate_flow(rec["flow"])
         agree = 0
         flow, volume = phases(*label_events(truth.beat_indices, rec["flow"].samples, volume))
         for i, (flow_phase, volume_phase) in enumerate(zip(flow, volume)):
