@@ -42,8 +42,12 @@ class Template:
 def cut_windows(samples, refs, length: int) -> np.ndarray:
     """The (n, length) windows of the events at refs: row i is
     samples[refs[i] - length//2:][:length]. Every ref must lie within
-    ref_bounds."""
-    return samples[(np.asarray(refs) - length // 2)[:, None] + np.arange(length)]
+    ref_bounds. The rows are gathered from a view of every window, which
+    copies only the windows taken."""
+    step = samples.strides[0]
+    windows = np.lib.stride_tricks.as_strided(samples, (len(samples) - length + 1, length),
+                                              (step, step), writeable=False)
+    return windows[np.asarray(refs) - length // 2]
 
 
 def ref_bounds(n: int, length: int) -> tuple[int, int]:
@@ -86,6 +90,21 @@ def _peak_offset(tpl: Template) -> int:
     y = matched_filter_output(tpl.samples, build_matched_filter(tpl))
     env = hilbert_envelope(y)
     return int(np.argmax(env)) - tpl.length // 2
+
+
+def _percentile(x, q: float) -> float:
+    """np.percentile(x, q) of a non-empty array of finite values, bit for
+    bit: numpy's 'linear' rule from one partition, where numpy partitions
+    at four places. Of the two values around the point (n - 1) * q / 100,
+    the lower is the partition's and the upper the least of those above
+    it; numpy's lerp takes the nearer as its base."""
+    at = (len(x) - 1) * (q / 100)
+    k = int(at)
+    g = at - k
+    part = np.partition(x, k)
+    a = float(part[k])
+    b = float(part[k + 1:].min()) if k + 1 < len(x) else a
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 def _find_peaks(x, height: float, distance: int) -> np.ndarray:
@@ -135,7 +154,7 @@ def detect_events(ch: Channel, tpl: Template) -> np.ndarray:
     w = build_matched_filter(tpl)
     y = matched_filter_output(ch.samples, w)
     env = hilbert_envelope(y)
-    thr = THRESHOLD_FRAC * float(np.percentile(env, 95))
+    thr = THRESHOLD_FRAC * _percentile(env, 95)
     if thr <= 0:
         return np.empty(0, dtype=int)
     distance = max(1, int(round(MIN_SEPARATION_S * ch.fs)))

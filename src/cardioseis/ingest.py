@@ -117,9 +117,9 @@ def _read_range(path, start: int, stop: int, ref_row: bytes, cols, t0: float, dt
     [0, most], where the rows from `start` on fit in out; its rows go to
     out.at(that row), and the rows past `stop` that their last outputs
     read are parsed and fed too, unchecked, as the ranges that hold them
-    check them. Returns that global row (-1 if none), the first row, the
-    rows checked and the first fault: an InputError, or loadtxt's error on
-    the chunk from the row after them."""
+    check them, until a piece of them does not parse. Returns that global
+    row (-1 if none), the first row, the rows checked and the first fault:
+    an InputError, or loadtxt's error on the chunk from the row after them."""
     keep = [cols["scg"], cols["flow"]]
     row0, first, n = -1, None, 0
     with open(path, "rb") as fh:
@@ -143,7 +143,14 @@ def _read_range(path, start: int, stop: int, ref_row: bytes, cols, t0: float, dt
             out.feed(block[:, keep])
             n += len(block)
         if first is not None:
-            for chunk in _chunks(fh, os.fstat(fh.fileno()).st_size):
+            size = reach = os.fstat(fh.fileno()).st_size
+            if want := out.wants(row0 + n):
+                # the rows wanted and a quarter more, at the range's mean
+                # bytes per row; whole chunks after them while rows are
+                # still wanted
+                reach = _line_start(fh, min(stop + 5 * want * (stop - start) // (4 * n), size))
+                fh.seek(stop)
+            for chunk in chain(_chunks(fh, reach), _chunks(fh, size)):
                 if not (want := out.wants(row0 + n)):
                     break
                 try:

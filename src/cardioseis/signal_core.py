@@ -158,7 +158,7 @@ def resample(ch: Channel, target_fs: float) -> Channel:
 
 # inputs per span of a Resampler's output blocks, which bounds its
 # by-column buffer
-_RESAMPLE_SPAN = 1 << 19
+_RESAMPLE_SPAN = 1 << 18
 
 
 class Resampler:
@@ -179,12 +179,16 @@ class Resampler:
     h[t_p + k*up] against the inputs that end at x[q*down + (p*down)//up].
     As in scipy's upfirdn, the products are added one tap at a time, oldest
     input first, so the loop runs over the taps of a phase and each pass
-    adds one (channels, up, blocks) block of products into the output. The
-    output blocks are taken a span of about _RESAMPLE_SPAN inputs at a
-    time, as soon as a span's inputs are in: a by-column buffer holds them
-    and the `reach` rows of down inputs past them that the span's last taps
-    read, which then move to its front. Besides the output, that buffer is
-    all it holds, however long the input.
+    adds one (up, channels, blocks) block of products into the output.
+    The products are phase-major so that numpy's inner loop runs over the
+    blocks of every channel at once: numpy buffers a broadcast operand, here
+    the tap, on inner loops of at most 4,096 elements, which multiply about
+    twice as slowly, and a span of one channel at 10 kHz → 320 Hz is 2,097
+    blocks. The output blocks are taken a span of about _RESAMPLE_SPAN
+    inputs at a time, as soon as a span's inputs are in: a by-column buffer
+    holds them and the `reach` rows of down inputs past them that the
+    span's last taps read, which then move to its front. Besides the
+    output, that buffer is all it holds, however long the input.
 
     The output is room for max_len rows in an anonymous shared mapping,
     made at once, which takes memory only for the pages written. Input is
@@ -221,7 +225,7 @@ class Resampler:
             # per_phase - 1 zeros and ahead of more; tap j of output block q reads
             # padded[(q + shift_j)*down + col_j]
             shift, col = np.divmod(first + np.arange(per_phase)[:, None], down)  # (per_phase, up)
-            self._taps = list(zip(shift, col, coeffs.T[:, :, None]))
+            self._taps = list(zip(shift, col, coeffs.T[:, :, None, None]))
             # output blocks per span; an input shorter than a span gets one
             # as long as itself
             self._span = max(1, min(_RESAMPLE_SPAN, max_len) // down)
@@ -290,12 +294,15 @@ class Resampler:
 
     def _pass(self, blocks: int) -> None:
         """Add up the next `blocks` output blocks from the front of buf."""
+        # runs[col, shift, c, b] = padded[(shift + b)*down + col] of channel c
         runs = np.lib.stride_tricks.sliding_window_view(self._buf, blocks, axis=2)
-        acc = np.zeros((len(self._buf), self._up, blocks))
+        runs = runs.transpose(1, 2, 0, 3)
+        channels, up = len(self._buf), self._up
+        acc = np.zeros((up, channels, blocks))
         for shift_j, col_j, tap in self._taps:
-            acc += runs[:, col_j, shift_j] * tap
-        q, up = self._q, self._up
-        self._y[:, q * up:(q + blocks) * up] = acc.transpose(0, 2, 1).reshape(len(acc), -1)
+            acc += runs[col_j, shift_j] * tap
+        q = self._q
+        self._y[:, q * up:(q + blocks) * up] = acc.transpose(1, 2, 0).reshape(channels, -1)
         self._q += blocks
 
     def _drop(self, blocks: int) -> None:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioseis.errors import DegenerateAnalysisError, InputError
-from cardioseis.event_detection import (Template, build_matched_filter, cut_windows,
-                                        detect_events, matched_filter_output,
+from cardioseis.event_detection import (Template, _percentile, build_matched_filter,
+                                        cut_windows, detect_events, matched_filter_output,
                                         template_from_channel)
 from cardioseis.signal_core import Channel, lowpass, rms
 from cardioseis.synth import Coupling, SynthConfig, default_morphologies, gen_recording
@@ -157,6 +157,34 @@ class TestDetectEvents:
         ch = Channel(x, 320.0)
         refs = detect_events(ch, make_template(BURST))
         assert all(ref - len(BURST) // 2 >= 0 for ref in refs)
+
+
+def same_percentile(x):
+    """_percentile(x, 95) and np.percentile(x, 95) are the same float, bit for bit."""
+    x = np.asarray(x, dtype=float)
+    return _percentile(x, 95).hex() == float(np.percentile(x, 95)).hex()
+
+
+class TestPercentile:
+    @pytest.mark.parametrize("x", [[2.5], [1.0, 3.0], [3.0, 1.0], [0.0, 0.0], [4.0] * 7,
+                                   [1.0, 2.0] + [5.0] * 30, [0.0] * 30 + [1.0, 9.0],
+                                   list(range(21)), [7.0, 1e-300, 1e300],
+                                   # the point halfway, 9.5, where numpy's lerp
+                                   # rounds from the upper value
+                                   [0.0] * 9 + [8.6, 0.3]])
+    def test_small_and_plateaus(self, x):
+        assert same_percentile(x)
+
+    # values on a coarse grid repeat, so the two values around the point
+    # are often equal, and lengths from 1 put that point at every fraction
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 6).map(lambda v: v / 4)
+                    | st.floats(0, 1e6, allow_subnormal=False), min_size=1, max_size=300))
+    def test_equals_numpy(self, x):
+        assert same_percentile(x)
+
+    def test_the_envelope_of_a_recording(self, rng):
+        assert same_percentile(np.abs(rng.standard_normal(40_000)).round(2))
 
 
 class TestSyntheticAccuracy:

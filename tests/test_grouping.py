@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioseis.errors import DegenerateAnalysisError, InputError
-from cardioseis.event_detection import cut_windows
+from cardioseis.event_detection import cut_windows, ref_bounds
 from cardioseis.grouping import (RD_TIE_TOLERANCE, align, compare_criteria,
                                  ensemble_average, evaluate_criterion,
                                  mean_dissimilarity, normalized_dissim,
@@ -102,6 +102,16 @@ class TestAlignEvents:
         assert windows.shape == (3, 80)
         for window, ref in zip(windows, (340, 500, 740)):
             assert np.array_equal(window, window_at(ch, ref))
+
+    def test_cut_windows_at_the_bounds_of_a_strided_channel(self):
+        # every other sample of an array, so that a sample's stride is not
+        # its size; the first and the last ref whose windows fit
+        x = np.arange(1000.0)[::2]
+        first, last = ref_bounds(len(x), 80)
+        windows = cut_windows(x, [first, last, first], 80)
+        assert np.array_equal(windows, [x[:80], x[-80:], x[:80]])
+        windows[0, 0] = -1  # a copy, which leaves x as it was
+        assert x[0] == 0
 
 
 class TestScreenOutliers:

@@ -53,9 +53,9 @@ HEADER = "time_s,scg_z,ecg,flow_lps"
 UNSPLIT = 10**9
 
 
-def data_rows(n, seed=0):
+def data_rows(n, seed=0, fs=FS):
     vals = np.random.default_rng(seed).standard_normal((n, 3)).tolist()
-    return [f"{i / FS:.9g},{a!r},{e!r},{f!r}" for i, (a, e, f) in enumerate(vals)]
+    return [f"{i / fs:.9g},{a!r},{e!r},{f!r}" for i, (a, e, f) in enumerate(vals)]
 
 
 def write_csv(path, body, final_newline=True, eol="\r\n"):
@@ -423,8 +423,7 @@ def outcome(path, rates, block, cores):
 def test_a_split_read_equals_an_unsplit_one(rates, n, seed, others, eol, final_newline, cores,
                                            block, bad):
     fs = rates[0]
-    vals = np.random.default_rng(seed).standard_normal((n, 3)).tolist()
-    body = [f"{i / fs:.9g},{a!r},{e!r},{f!r}" for i, (a, e, f) in enumerate(vals)]
+    body = data_rows(n, seed, fs)
     if bad:
         body[bad[0] % n] = faulty(bad[1], bad[0] % n, fs)
     for at, text in others:
@@ -746,3 +745,43 @@ def test_resampled_columns_pinned(tmp_path, fs):
         assert [hashlib.sha256(got[name].samples.tobytes()).hexdigest()
                 for name in ("scg", "flow")] == list(RESAMPLED[fs])
         assert {got[name].fs for name in ("scg", "flow")} == {320.0}
+
+
+# some 20,000 rows a range, with 1 MiB chunks on two cores; the chunk past
+# the first range's end holds some 15,000, against about 780 rows that the
+# reach reads at 4/125 and 7,400 at 215/6719
+@pytest.mark.parametrize("fs", [10_000.0, 10_000.37])
+def test_the_reach_parses_little_more_than_the_rows_wanted(tmp_path, fs):
+    path = write_csv(tmp_path / "rec.csv", data_rows(40_000, fs=fs), eol="\n")
+    parsed, wanted = [], []
+    parse, wants = ingest._parse_chunk, signal_core.Resampler.wants
+
+    def parse_spy(chunk, ref_row):
+        parsed.append(len(block := parse(chunk, ref_row)))
+        return block
+
+    def wants_spy(self, stop):
+        wanted.append(want := wants(self, stop))
+        return want
+
+    # this process reads the first range; the forked worker's calls go unseen
+    with split(1 << 20), mock.patch.object(ingest, "_parse_chunk", parse_spy), \
+            mock.patch.object(signal_core.Resampler, "wants", wants_spy):
+        cut = ingest._cuts(path)[1]
+        ingest_csv(path, fs, 320.0)
+    before = path.read_bytes()[:cut].count(b"\n") - 1  # the header is no row
+    past = sum(parsed) - 1 - before  # _first_time parses row 0 once more
+    assert 0 < wanted[0] <= past <= 1.5 * wanted[0], (past, wanted[0])
+
+
+def test_a_reach_short_of_the_rows_wanted_reads_on(tmp_path):
+    # rows five times as wide follow the first range, so a first read sized
+    # at its mean bytes per row holds a quarter of the rows wanted
+    narrow = data_rows(6_000, fs=10_000.0)
+    body = narrow[:5_000] + [padded(row).ljust(5 * len(row), "-") for row in narrow[5_000:]]
+    path = write_csv(tmp_path / "rec.csv", body, eol="\n")
+    with split(1 << 19):
+        cut = ingest._cuts(path)[1]
+    assert 4_900 <= path.read_bytes()[:cut].count(b"\n") - 1 <= 5_100
+    rates = (10_000.0, 320.0)
+    assert outcome(path, rates, 1 << 19, 2) == outcome(path, rates, UNSPLIT, 1)

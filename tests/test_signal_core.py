@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cardioseis import signal_core
 from cardioseis.signal_core import (Channel, Resampler, best_lag, hilbert_envelope, lowpass,
                                     resample, rms)
 from cardioseis.errors import InputError
@@ -233,3 +234,11 @@ def test_resamplers_from_any_row_meet_bit_for_bit(up, down, per_phase, offsets):
     for offset in offsets:
         cut = m * down - per_phase + 1 + offset
         assert split_resampled(x, up, down, cut).tobytes() == want.tobytes(), cut
+
+
+@pytest.mark.parametrize("up, down", [(4, 125), (215, 6719)])
+def test_a_part_buffer_is_one_span_and_its_reach(up, down):
+    # two channels, as ingest feeds, and an input of many spans
+    part = Resampler(float(down), float(up), 10 * signal_core._RESAMPLE_SPAN, 2).at(0)
+    bound = 2 * 8 * (signal_core._RESAMPLE_SPAN + (part._reach + 1) * down)
+    assert part._buf.nbytes <= bound, (part._buf.nbytes, bound)
