@@ -157,7 +157,12 @@ def _read_range(path, start: int, stop: int, ref_row: bytes, cols, t0: float, dt
                     block = _parse_chunk(chunk, ref_row)
                 except ValueError:  # the range that holds the row names it
                     break
-                out.feed(block[:want, keep])
+                rows = block[:want, keep]
+                # nor is a NaN or inf fed, which would make NaNs of the sums it meets
+                if len(bad := np.flatnonzero(~np.isfinite(rows).all(axis=1))):
+                    out.feed(rows[:bad[0]])
+                    break
+                out.feed(rows)
             out.finish(row0 + n)
     return row0, first, n, None
 

@@ -33,7 +33,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_reaped, forks_seen
@@ -412,8 +412,12 @@ def outcome(path, rates, block, cores):
 
 # up to 600 rows on up to four cores put every cut within the filter's
 # reach of the next cut and of the file's ends at both ratios (at least
-# 657 rows), and blocks from 20 bytes hold from one line to some 60
+# 657 rows), and blocks from 20 bytes hold from one line to some 60;
+# and an inf in the rows that the first range reads past its cut for its
+# last outputs, which the second range names
 @settings(max_examples=30, deadline=None)
+@example(rates=RATES[0], n=2, seed=0, others=[], eol="\r\n", final_newline=False, cores=2,
+         block=20, bad=(1, "inf flow"))
 @given(rates=st.sampled_from(RATES), n=st.integers(1, 600), seed=st.integers(0, 2**16),
        others=st.lists(st.tuples(st.integers(0, 600), st.sampled_from(["", "# note", "#"])),
                        max_size=8),
