@@ -29,7 +29,8 @@ COLUMNS = {"time": "time_s", "scg": "scg_z", "flow": "flow_lps"}
 TIME_TOLERANCE_FRAC = 0.1  # of one sample period
 # bytes parsed per chunk and rows formatted per write, which bound the memory
 # of each ingest process and of the writer; both split their work into
-# parts (_parts) and fork a _Worker for each part after the first
+# parts (_parts) and fork _Workers: the reader one for each part where there
+# are two or more, the writer one for each part after the first
 CSV_BLOCK_BYTES = 1 << 19
 CSV_BLOCK_ROWS = 65536
 _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
@@ -44,15 +45,18 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
     The header is the first line. Every row must have the header's field
     count, a timestamp within a tenth of a sample period of the uniform grid
     from the first one, t0, and finite SCG and flow samples. The body is cut
-    at line ends into one byte range per part (_parts): this process reads
-    the first and a forked worker each other one (_read_range), into the
-    shared output of one signal_core.Resampler, so no row at acquisition_fs
-    leaves the process that parsed it. At its peak each process holds a
-    chunk and its rows, its resampler's span and the output it has written.
-    A range places its first row on the grid by its time; this process
-    confirms that place against the rows of the ranges before, or names
-    that row as off the grid. The first faulty row, whatever the split,
-    aborts the read with its file line, and no worker outlives the call.
+    at line ends into one byte range per part (_parts). A body of one range
+    is read in this process; where there are two or more, a forked worker
+    reads each of them, the first included (_read_range), so that this
+    process, which goes on to analyse the recording, never holds a parse.
+    Every range goes into the shared output of one signal_core.Resampler,
+    so no row at acquisition_fs leaves the process that parsed it. At its
+    peak each reading process holds a chunk and its rows, its resampler's
+    span and the output it has written. A range places its first row on the
+    grid by its time; this process confirms that place against the rows of
+    the ranges before, or names that row as off the grid. The first faulty
+    row, whatever the split, aborts the read with its file line, and no
+    worker outlives the call.
     """
     path = Path(path)
     with input_file(path, "input file"), contextlib.ExitStack() as stack:
@@ -85,13 +89,15 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
                                most - (cuts[-1] - start) // len(ref_row) - 1)
 
         workers = []
-        for start, stop in zip(cuts[1:], cuts[2:]):
-            worker = _Worker(f"{path}: the worker parsing bytes {start} to {stop}", read, start, stop)
-            stack.callback(worker.stop)
-            workers.append(worker)
+        if len(cuts) > 2:  # two ranges or more: a worker each, so that this process holds no parse
+            for start, stop in zip(cuts, cuts[1:]):
+                worker = _Worker(f"{path}: the worker parsing bytes {start} to {stop}", read,
+                                 start, stop)
+                stack.callback(worker.stop)
+                workers.append(worker)
         n = 0
-        for row0, first_row, rows, fault in chain([read(cuts[0], cuts[1])],
-                                                  (worker.result() for worker in workers)):
+        for row0, first_row, rows, fault in ((worker.result() for worker in workers) if workers
+                                             else [read(cuts[0], cuts[1])]):
             if first_row is not None and row0 != n:  # so its first row is off the grid at row n
                 raise _fault(path, first_row, cols, n, t0, dt)
             if isinstance(fault, (InputError, UnicodeDecodeError)):
@@ -391,9 +397,9 @@ def write_recording_csv(rec: Recording, path):
 
 
 def _parts(size: int, block: int) -> int:
-    """The parts to split `size` bytes or rows into, each after the first
-    for a forked _Worker: one per usable core, at most one per `block`, at
-    least one, and one where there is no os.fork."""
+    """The parts to split `size` bytes or rows into, for forked _Workers:
+    one per usable core, at most one per `block`, at least one, and one
+    where there is no os.fork."""
     if not hasattr(os, "fork"):
         return 1
     return max(1, min(_usable_cores(), -(-size // block)))

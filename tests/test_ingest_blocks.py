@@ -3,8 +3,9 @@ memory it saves.
 
 ingest_csv cuts the body into byte ranges, one per usable core and at most
 one per CSV_BLOCK_BYTES bytes, and each process parses, checks and
-resamples its range in chunks of about CSV_BLOCK_BYTES bytes, the first
-range in this process and each other one in a forked worker. With the
+resamples its range in chunks of about CSV_BLOCK_BYTES bytes: a body of
+one range in this process, and each range of two or more in a forked
+worker, so that this process parses no range of a split body. With the
 block size patched small and two usable cores, its columns must equal a
 whole-file np.loadtxt bit for bit wherever the block edges and the cut
 fall, every fault must name the file line that an unsplit parse names,
@@ -199,7 +200,7 @@ def test_one_row_names_time_then_scg_then_flow(tmp_path, line, named):
     assert error_with_blocks(path, B).endswith(named)
 
 
-# ---- the cut between the first range and a worker's
+# ---- the cut between the first range and the second
 
 W = 80  # characters in a padded line, its line end excluded
 
@@ -455,8 +456,8 @@ def test_ranges_meet_in_the_shared_room(tmp_path, block):
 
 
 @pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"])
-@pytest.mark.parametrize("cores, blocks, workers", [(4, 1, 0), (1, 3, 0), (4, 1.1, 1),
-                                                    (2, 3, 1), (4, 3, 2)])
+@pytest.mark.parametrize("cores, blocks, workers", [(4, 1, 0), (1, 3, 0), (4, 1.1, 2),
+                                                    (2, 3, 2), (4, 3, 3)])
 def test_one_worker_per_core_and_at_most_one_per_block(tmp_path, cores, blocks, workers, eol):
     path = write_csv(tmp_path / "rec.csv", data_rows(12), eol=eol)
     body = path.stat().st_size - len(HEADER + eol)
@@ -476,11 +477,25 @@ def test_one_block_starts_no_worker_and_no_fork_none(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("raised", [KeyboardInterrupt, InputError])
 def test_fault_in_the_first_range_reaps_workers(tmp_path, raised):
-    path = write_csv(tmp_path / "rec.csv", data_rows(12))
+    # a NaN first time places no range, so this process names row 0 where
+    # it places the first range, both workers started
+    body = data_rows(12)
+    body[0] = faulty("nan time", 0, FS)
+    path = write_csv(tmp_path / "rec.csv", body)
     with split(B), forks_seen() as pids, \
             mock.patch.object(ingest, "_fault", side_effect=raised("x")), pytest.raises(raised):
         ingest_csv(path, FS, FS)
-    assert len(pids) == 1
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+def test_fault_from_the_first_worker_reaps_the_other(tmp_path):
+    path = write_csv(tmp_path / "rec.csv", data_rows(12))
+    with split(B), forks_seen() as pids, \
+            mock.patch.object(ingest, "_fault", return_value=InputError("x")), \
+            pytest.raises(InputError, match="^x$"):
+        ingest_csv(path, FS, FS)
+    assert len(pids) == 2
     assert_reaped(pids)
 
 
@@ -506,7 +521,7 @@ def test_interrupt_while_waiting_kills_a_stuck_worker(tmp_path):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
-    assert len(pids) == 1
+    assert len(pids) == 2
     assert_reaped(pids)
 
 
@@ -609,11 +624,12 @@ def test_a_worker_peak_is_its_columns_and_a_few_blocks(tmp_path):
     n = 300_000
     path = write_csv(tmp_path / "rec.csv", data_rows(n))
     warm = write_csv(tmp_path / "warm.csv", data_rows(3 * block))
-    report = tmp_path / "worker"
-    # as in the test above; the worker writes what it adds to its resident
+    report = tmp_path / "workers"
+    report.mkdir()
+    # as in the test above; each worker writes what it adds to its resident
     # set at its peak, read in the worker: VmHWM after its range less VmRSS
     # before it, less the pages of files, such as numpy's code, that it maps
-    # back in after the fork
+    # back in after the fork; to a file named for its CSV and its range
     setup = ("import os\n"
              "from unittest import mock\n"
              "from cardioseis import ingest\n"
@@ -625,18 +641,19 @@ def test_a_worker_peak_is_its_columns_and_a_few_blocks(tmp_path):
              "        return read_range(*args)\n"
              "    before, files = status('VmRSS'), status('RssFile')\n"
              "    result = read_range(*args)\n"
-             f"    with open({str(report)!r}, 'w') as fh:\n"
+             f"    with open(f'{report}/{{args[0].stem}}-{{args[1]}}', 'w') as fh:\n"
              "        fh.write(str(status('VmHWM') - before - (status('RssFile') - files)))\n"
              "    return result\n"
              "mock.patch.object(ingest, '_read_range', measured).start()\n"
              f"ingest.ingest_csv({str(warm)!r}, {FS}, {FS})")
     resident_peak(setup, f"rec = ingest.ingest_csv({str(path)!r}, {FS}, {FS})")
-    peak = int(report.read_text())
+    peaks = [int(p.read_text()) for p in sorted(report.glob("rec-*"))]
+    assert len(peaks) == 2  # the first range's worker and the second's
     kept = 2 * n * 8  # the SCG and flow columns
     # its half of the columns, which it writes into the shared room, and a
     # few chunks; its rows with their times, as workers once kept them,
     # would be 3/4 of the columns, which with the same chunks breaks it
-    assert peak < kept / 2 + 6 * block * ROW, (peak, kept)
+    assert max(peaks) < kept / 2 + 6 * block * ROW, (peaks, kept)
 
 
 def test_ingest_room_takes_memory_as_written(tmp_path):
@@ -654,6 +671,32 @@ def test_ingest_room_takes_memory_as_written(tmp_path):
     # the room has space for the most rows the bytes could hold, about 8.6
     # times these; if it took memory whole, it alone would break the bound
     assert peak < 3 * kept, (peak, kept)
+
+
+def test_this_process_parses_no_range_of_a_split_body(tmp_path):
+    # 20,000 rows at 10 kHz, some 1.3 MB, make two ranges of 512 KiB chunks
+    # on two cores, resampled by 4/125; a worker reads each, the first too
+    path = write_csv(tmp_path / "rec.csv", data_rows(20_000, fs=10_000.0))
+    parent, parse = os.getpid(), ingest._parse_chunk
+    parsed = []
+
+    def parse_spy(chunk, ref_row):
+        block = parse(chunk, ref_row)
+        if os.getpid() == parent:
+            parsed.append(len(block))
+        return block
+
+    with mock.patch.object(ingest, "_usable_cores", lambda: 2), forks_seen() as pids, \
+            mock.patch.object(ingest, "_parse_chunk", parse_spy):
+        assert len(ingest._cuts(path)) == 3
+        peak, rec = traced_peak(ingest_csv, path, 10_000.0, 320.0)
+    assert parsed == [1]  # the row of _first_time, which sets t0
+    assert len(pids) == 2
+    assert_reaped(pids)
+    assert len(rec["scg"]) == 640
+    # the first range parsed here would hold a chunk and its rows, and the
+    # resampler's span; most of what is left is the design of the kernel
+    assert peak < ingest.CSV_BLOCK_BYTES, peak
 
 
 def test_resample_peak_is_one_span_and_the_output():
@@ -735,7 +778,7 @@ def test_resampled_columns_pinned(tmp_path, fs):
     rec, _ = gen_recording(SynthConfig(seed=19, fs=fs, duration_s=20.0))
     path = tmp_path / "rec.csv"
     write_recording_csv(rec, path)
-    # 128 KiB chunks (some 3,500 rows) on two cores put a cut and a worker
+    # 128 KiB chunks (some 3,500 rows) on two cores put a cut and two workers
     # in the file, and a span of 10,000 inputs puts chunk edges at many
     # places in a span; ingest resamples the chunks as it reads them, or
     # resample the whole columns after it
@@ -744,7 +787,7 @@ def test_resampled_columns_pinned(tmp_path, fs):
         streamed = ingest_csv(path, fs, 320.0)
         read = ingest_csv(path, fs, fs)
         whole = {name: resample(read[name], 320.0) for name in ("scg", "flow")}
-    assert len(pids) == 2
+    assert len(pids) == 4
     for got in (streamed, whole):
         assert [hashlib.sha256(got[name].samples.tobytes()).hexdigest()
                 for name in ("scg", "flow")] == list(RESAMPLED[fs])
@@ -757,24 +800,34 @@ def test_resampled_columns_pinned(tmp_path, fs):
 @pytest.mark.parametrize("fs", [10_000.0, 10_000.37])
 def test_the_reach_parses_little_more_than_the_rows_wanted(tmp_path, fs):
     path = write_csv(tmp_path / "rec.csv", data_rows(40_000, fs=fs), eol="\n")
-    parsed, wanted = [], []
+    spied = tmp_path / "spied"
+    spied.mkdir()
     parse, wants = ingest._parse_chunk, signal_core.Resampler.wants
 
+    def note(kind, count):
+        # forked workers make the calls, so each notes them in its own file
+        with open(spied / f"{os.getpid()}", "a") as fh:
+            fh.write(f"{kind} {count}\n")
+
     def parse_spy(chunk, ref_row):
-        parsed.append(len(block := parse(chunk, ref_row)))
+        note("parsed", len(block := parse(chunk, ref_row)))
         return block
 
     def wants_spy(self, stop):
-        wanted.append(want := wants(self, stop))
+        note("wanted", want := wants(self, stop))
         return want
 
-    # this process reads the first range; the forked worker's calls go unseen
-    with split(1 << 20), mock.patch.object(ingest, "_parse_chunk", parse_spy), \
+    with split(1 << 20), forks_seen() as pids, \
+            mock.patch.object(ingest, "_parse_chunk", parse_spy), \
             mock.patch.object(signal_core.Resampler, "wants", wants_spy):
         cut = ingest._cuts(path)[1]
         ingest_csv(path, fs, 320.0)
+    assert len(pids) == 2
+    calls = [line.split() for line in (spied / f"{pids[0]}").read_text().splitlines()]
+    parsed = [int(count) for kind, count in calls if kind == "parsed"]
+    wanted = [int(count) for kind, count in calls if kind == "wanted"]
     before = path.read_bytes()[:cut].count(b"\n") - 1  # the header is no row
-    past = sum(parsed) - 1 - before  # _first_time parses row 0 once more
+    past = sum(parsed) - before  # the first range's worker
     assert 0 < wanted[0] <= past <= 1.5 * wanted[0], (past, wanted[0])
 
 

@@ -174,7 +174,7 @@ def test_forks_pass_under_the_python_3_12_fork_warning(tmp_path):
             mock.patch.object(os, "fork", warning_fork), workers_seen(cores=2) as pids:
         new, old = both_outputs(tmp_path, rec)
         read = ingest_csv(tmp_path / "new.csv", 320.0, 320.0)
-    assert len(pids) == 2  # one worker writes, one reads
+    assert len(pids) == 3  # one worker writes, one reads each of the two ranges
     assert_reaped(pids)
     assert new == old
     whole = np.loadtxt(tmp_path / "new.csv", delimiter=",", skiprows=1)
