@@ -15,7 +15,7 @@ import click
 from .config import PipelineConfig, load_config, parse_config
 from .errors import DegenerateAnalysisError, InputError
 from .ingest import write_recording_csv
-from .pipeline import StageError, make_out_dir, run_pipeline
+from .pipeline import make_out_dir, run_pipeline
 from .report import check_report
 from .synth import DEFAULT_MORPH_LENGTH_S, Coupling, SynthConfig, gen_recording
 
@@ -23,8 +23,6 @@ EXIT_INPUT, EXIT_DEGENERATE, EXIT_INTERNAL = 2, 3, 4
 
 
 def _exit_for(exc: Exception) -> int:
-    if isinstance(exc, StageError):
-        exc = exc.cause
     if isinstance(exc, InputError):
         return EXIT_INPUT
     if isinstance(exc, DegenerateAnalysisError):

@@ -62,7 +62,7 @@ _KEYS = {"input" if f.name == "inputs" else f.name:
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a flat `key = value` config file. Unknown keys are errors."""
+    """Parse a flat `key = value` config file. Unknown or repeated keys are errors."""
     with input_file(path, "config file"):
         text = Path(path).read_text(encoding="utf-8")
     return parse_config(text, path)
@@ -71,6 +71,7 @@ def load_config(path) -> PipelineConfig:
 def parse_config(text: str, path) -> PipelineConfig:
     """Parse config-file text; errors name `path` and the line."""
     values: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
@@ -81,6 +82,10 @@ def parse_config(text: str, path) -> PipelineConfig:
         key, value = key.strip(), value.strip()
         if key not in _KEYS:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise InputError(f"{path}:{lineno}: repeated key {key!r} "
+                             f"(first set on line {set_on[key]})")
+        set_on[key] = lineno
         name, parse = _KEYS[key]
         try:
             values[name] = parse(value)

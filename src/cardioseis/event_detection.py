@@ -84,12 +84,16 @@ def matched_filter_output(x, w) -> np.ndarray:
     return np.convolve(x, w, mode="full")
 
 
+def _matched_envelope(x, tpl: Template) -> np.ndarray:
+    """The detection statistic: the Hilbert envelope of x's matched-filter
+    output for the template."""
+    return hilbert_envelope(matched_filter_output(x, build_matched_filter(tpl)))
+
+
 def _peak_offset(tpl: Template) -> int:
     """Envelope-peak index minus the ideal reference, measured on the
     template's own matched response. Calibrates the peak-to-event mapping."""
-    y = matched_filter_output(tpl.samples, build_matched_filter(tpl))
-    env = hilbert_envelope(y)
-    return int(np.argmax(env)) - tpl.length // 2
+    return int(np.argmax(_matched_envelope(tpl.samples, tpl))) - tpl.length // 2
 
 
 def _percentile(x, q: float) -> float:
@@ -151,9 +155,7 @@ def detect_events(ch: Channel, tpl: Template) -> np.ndarray:
     """
     if tpl.fs != ch.fs:
         raise InputError("channel rate mismatch")
-    w = build_matched_filter(tpl)
-    y = matched_filter_output(ch.samples, w)
-    env = hilbert_envelope(y)
+    env = _matched_envelope(ch.samples, tpl)
     thr = THRESHOLD_FRAC * _percentile(env, 95)
     if thr <= 0:
         return np.empty(0, dtype=int)

@@ -69,7 +69,8 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
         cols = {}
         for role, name in COLUMNS.items():
             if name not in header:
-                raise InputError(f"missing channel: {role}")
+                raise InputError(f"{path}:1: missing channel: {role}: "
+                                 f"the header names {header}")
             if header.count(name) > 1:
                 raise InputError(f"{path}: the header names {name} {header.count(name)} times")
             cols[role] = header.index(name)

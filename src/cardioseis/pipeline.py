@@ -1,9 +1,10 @@
 """End-to-end orchestration: condition -> detect -> screen -> label -> group -> report.
 
 Between stages an event is its ref index into the conditioned SCG channel,
-and its labels are two bool masks. Stage failures are re-raised with a
-stage tag so the CLI can print where a run died and exit with the right
-code.
+and its labels are two bool masks. A stage's error is re-raised as its own
+class (InputError or DegenerateAnalysisError), its message tagged with the
+stage, "[detect] ...", and chained from the untagged original; the class
+alone gives the CLI's exit code.
 """
 
 from __future__ import annotations
@@ -40,17 +41,11 @@ class ScgEvent:
     volume_phase: VolumePhase
 
 
-class StageError(CardioseisError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
-        self.cause = cause
-
-
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except CardioseisError as exc:
-        raise StageError(name, exc) from exc
+        raise type(exc)(f"[{name}] {exc}") from exc
 
 
 def analyze_recording(rec: Recording, config: PipelineConfig):
@@ -72,7 +67,7 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
     volume = _stage("respiration", integrate_flow, flow)
     refs, dropped = _stage("screen", screen_outliers, refs, scg.samples, tpl.length)
     if not len(refs):
-        raise StageError("group", DegenerateAnalysisError("no events detected"))
+        raise DegenerateAnalysisError("[group] no events detected")
     inspiring, high_volume = _stage("label", label_events, refs, flow.samples, volume)
     cmp = _stage("group", compare_criteria, refs, inspiring, high_volume,
                  scg.samples, tpl.length)
@@ -138,6 +133,7 @@ def run_pipeline(config: PipelineConfig):
                                       context["outliers_dropped"]))
         artifacts += _write_artifacts(rec.recording_id, cmp, config.analysis_fs, out_dir)
         del rec, cmp, context  # the next ingest must not hold two recordings
+    rows.sort(key=lambda row: row["recording_id"])
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
     write_report_json(rows, json_path)

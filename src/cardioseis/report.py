@@ -24,20 +24,9 @@ RD_CHECK_TOLERANCE = 0.01
 
 def comparison_to_row(recording_id: str, cmp: CriterionComparison, n_events: int,
                       outliers_dropped: int) -> dict:
-    groups = []
-    for st in cmp.groups:
-        groups.append({
-            "group": st.group_id,
-            "n": st.n,
-            "mean_dissim_same": round(st.mean_dissim_same, 4),
-            "sd_same": round(st.sd_same, 4),
-            "mean_dissim_alt": round(st.mean_dissim_alt, 4),
-            "sd_alt": round(st.sd_alt, 4),
-            "rd": round(st.rd, 2),
-        })
     return {
         "recording_id": recording_id,
-        "groups": groups,
+        "groups": [{key: _column(st, key) for key in GROUP_COLUMNS} for st in cmp.groups],
         "winners": {
             "inspiration_vs_llv": cmp.winner_insp_llv.value,
             "expiration_vs_hlv": cmp.winner_exp_hlv.value,
@@ -47,8 +36,14 @@ def comparison_to_row(recording_id: str, cmp: CriterionComparison, n_events: int
     }
 
 
+def _column(st, key: str):
+    """A group's value in report column `key`: RD rounded to 2 decimals,
+    the other dissimilarity statistics to 4."""
+    value = st.group_id if key == "group" else getattr(st, key)
+    return round(value, 2 if key == "rd" else 4) if isinstance(value, float) else value
+
+
 def write_report_json(rows: list[dict], path):
-    rows = sorted(rows, key=lambda r: r["recording_id"])
     with open(path, "w") as fh:
         json.dump({"rows": rows}, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -58,7 +53,7 @@ def write_report_csv(rows: list[dict], path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["recording_id", *GROUP_COLUMNS])
-        for row in sorted(rows, key=lambda r: r["recording_id"]):
+        for row in rows:
             for g in row["groups"]:
                 writer.writerow([row["recording_id"], *(g[key] for key in GROUP_COLUMNS)])
 

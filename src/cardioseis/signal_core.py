@@ -51,9 +51,6 @@ class Channel:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def with_samples(self, samples) -> "Channel":
-        return Channel(np.asarray(samples, dtype=float), self.fs, self.label)
-
 
 @dataclass(frozen=True)
 class Recording:
@@ -134,12 +131,12 @@ def lowpass(ch: Channel, cutoff_hz: float) -> Channel:
     half = len(taps) // 2
     x = ch.samples
     if x.size == 0:
-        return ch.with_samples(x)
+        return ch
     pad = min(half, x.size - 1)
     padded = np.pad(x, pad, mode="reflect")
     # the "same" part of the full convolution, centred on padded even when
     # the taps are the longer operand
-    return ch.with_samples(np.convolve(padded, taps)[half + pad:half + pad + x.size])
+    return Channel(np.convolve(padded, taps)[half + pad:half + pad + x.size], ch.fs, ch.label)
 
 
 def resample(ch: Channel, target_fs: float) -> Channel:

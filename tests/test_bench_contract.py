@@ -2,7 +2,9 @@
 
 bench/tracing.py wraps the program's functions by (module, attribute) name
 and counts events and outliers from their results; bench/run.py reads the
-kept events from the context that analyze_recording returns.
+kept events from the context that analyze_recording returns, and its traced
+mode runs each CLI command in its own process as
+cli.main.main(args=[...], standalone_mode=False).
 """
 
 import importlib
@@ -10,13 +12,14 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from cardioseis import grouping, pipeline
+from cardioseis import cli, grouping, pipeline
 from cardioseis.respiration import integrate_flow, label_events
 from cardioseis.signal_core import lowpass, resample
 from cardioseis.synth import Coupling
 
-from conftest import sweep_recording
+from conftest import DATA_DIR, sweep_recording
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -62,3 +65,14 @@ def test_context_events_expose_ref_window_and_phases():
         assert ev.window.tobytes() == scg.samples[start:start + length].tobytes()
         assert ev.flow_phase.value == ("Inspiration" if insp else "Expiration")
         assert ev.volume_phase.value == ("HLV" if high else "LLV")
+
+
+def test_cli_runs_in_process_without_standalone_mode(capsys, tmp_path):
+    # success returns; a failure raises SystemExit with the command's exit code
+    cli.main.main(args=["report", "--check", str(DATA_DIR / "reference_tables.json")],
+                  standalone_mode=False)
+    assert "self-consistent" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main.main(args=["report", "--check", str(tmp_path / "missing.json")],
+                      standalone_mode=False)
+    assert exit_info.value.code == 2

@@ -545,7 +545,8 @@ def test_header_is_the_first_line(tmp_path):
     path.write_text('time_s,scg_z,"e\r\ncg",flow_lps\r\n' + "\r\n".join(data_rows(3)),
                     newline="")
     for block in (B, UNSPLIT):
-        assert error_with_blocks(path, block) == "missing channel: flow"
+        assert error_with_blocks(path, block) == \
+            f"{path}:1: missing channel: flow: the header names ['time_s', 'scg_z', 'e']"
 
 
 def test_blank_lines_only_is_no_data_without_a_warning(tmp_path):

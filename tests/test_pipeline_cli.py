@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,10 +14,10 @@ from click.testing import CliRunner
 
 import cardioseis
 from cardioseis.cli import main
-from cardioseis.config import _KEYS, PipelineConfig, load_config
-from cardioseis.errors import InputError
+from cardioseis.config import _KEYS, PipelineConfig, load_config, parse_config
+from cardioseis.errors import DegenerateAnalysisError, InputError
 from cardioseis.ingest import ingest_csv, write_recording_csv
-from cardioseis.pipeline import run_pipeline
+from cardioseis.pipeline import analyze_recording, run_pipeline
 from cardioseis.report import check_report
 from cardioseis.signal_core import Channel, Recording
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
@@ -71,6 +73,16 @@ class TestIngest:
         p.write_text("time_s,scg_z,ecg\n0,0,0\n")
         with pytest.raises(InputError, match="missing channel: flow"):
             ingest_csv(p, PipelineConfig.acquisition_fs, PipelineConfig.analysis_fs)
+
+    def test_missing_column_behind_a_bom_names_the_header(self, tmp_path):
+        # a spreadsheet export's UTF-8 BOM is part of the first name, not skipped
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        res = CliRunner().invoke(main, ["run", "--input", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.output == (f"error: [ingest] {path}:1: missing channel: time: the header "
+                              "names ['\\ufefftime_s', 'scg_z', 'ecg', 'flow_lps']\n")
 
     def test_repeated_column_rejected_before_parse(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -245,6 +257,29 @@ template_start_s = 1.5
         with pytest.raises(InputError, match="unknown key"):
             load_config(p)
 
+    @pytest.mark.parametrize("text,key", [
+        ("input = h.csv\n# the second file\ninput = e.csv\n", "input"),
+        ("analysis_fs = 320\n\nanalysis_fs = 160\n", "analysis_fs"),
+    ])
+    def test_repeated_key(self, text, key):
+        # the last value does not win: each key may appear once
+        with pytest.raises(InputError, match=rf"^run\.cfg:3: repeated key '{key}' "
+                                             r"\(first set on line 1\)$"):
+            parse_config(text, "run.cfg")
+
+    def test_repeated_input_key_exits_2_before_ingest(self, tmp_path, monkeypatch):
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+        p = tmp_path / "twice.cfg"
+        p.write_text(f"input = {path}\nacquisition_fs = 320\ninput = {path}\n")
+        ingested = []
+        monkeypatch.setattr("cardioseis.pipeline.ingest_csv",
+                            lambda *args: ingested.append(args))
+        res = CliRunner().invoke(main, ["run", "--config", str(p)])
+        assert res.exit_code == 2, res.output
+        assert res.output == (f"error: {p}:3: repeated key 'input' "
+                              "(first set on line 1)\n")
+        assert ingested == []
+
     @pytest.mark.parametrize("key", ["channel.ecg", "channel.time", "channel.scg",
                                      "channel.flow", "detrend", "max_shift", "outlier_screen",
                                      "threshold_frac", "min_separation_s", "lowpass_cutoff_hz"])
@@ -316,11 +351,23 @@ class TestRunPipeline:
     def test_zero_flow_degenerate_split(self, tmp_path):
         path, truth, cfg = zero_flow_csv(tmp_path)
         config = pipeline_config(tmp_path, path, truth, cfg)
-        from cardioseis.pipeline import StageError
-        from cardioseis.errors import DegenerateAnalysisError
-        with pytest.raises(StageError) as err:
+        # the stage's error keeps its class, tagged, and chains the untagged original
+        with pytest.raises(DegenerateAnalysisError, match=r"^\[group\] ") as err:
             run_pipeline(config)
-        assert isinstance(err.value.cause, DegenerateAnalysisError)
+        cause = err.value.__cause__
+        assert type(cause) is DegenerateAnalysisError
+        assert str(err.value) == f"[group] {cause}"
+        assert not str(cause).startswith("[")
+
+    def test_template_outside_recording_is_a_tagged_input_error(self):
+        cfg = SynthConfig(seed=1, duration_s=10.0)
+        rec, _ = gen_recording(cfg)
+        config = PipelineConfig(acquisition_fs=cfg.fs, analysis_fs=cfg.fs,
+                                template_start_s=20.0, template_length_s=0.25)
+        with pytest.raises(InputError, match=r"^\[template\] template span .* outside "
+                                             r"recording$") as err:
+            analyze_recording(rec, config)
+        assert type(err.value.__cause__) is InputError
 
     def test_acquisition_to_analysis_resampling(self, tmp_path):
         # generate above the analysis rate; pipeline must downsample first
@@ -492,6 +539,26 @@ class TestCli:
                                         "--out", str(tmp_path / "out")])
         assert res.exit_code == 3, res.output
         assert res.output.startswith("error: [group] ")
+
+    def test_run_prints_rows_in_report_order(self, tmp_path):
+        # b is given first, yet its row is printed after a's, as the reports hold them
+        path, _, truth, cfg = synth_csv(tmp_path, duration=30.0)
+        inputs = [tmp_path / "b.csv", tmp_path / "a.csv"]
+        for copy in inputs:
+            copy.write_bytes(path.read_bytes())
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"acquisition_fs = {cfg.fs:g}\nanalysis_fs = {cfg.fs:g}\n"
+                            f"template_start_s = {truth.beat_indices[0] / cfg.fs - 0.125}\n")
+        out = tmp_path / "out"
+        res = CliRunner().invoke(main, ["run", "--config", str(cfg_file), "--out", str(out),
+                                        *(arg for p in inputs for arg in ("--input", str(p)))])
+        assert res.exit_code == 0, res.output
+        printed = [line.split(":", 1)[0] for line in res.output.splitlines()[:-1]]
+        assert printed == ["a", "b"]
+        report = json.loads((out / "report.json").read_text())
+        assert [row["recording_id"] for row in report["rows"]] == printed
+        csv_ids = [line.split(",", 1)[0] for line in (out / "report.csv").read_text().split()[1:]]
+        assert csv_ids == ["a"] * 4 + ["b"] * 4
 
     def test_run_internal_error_exits_4(self, tmp_path, monkeypatch):
         path, *_ = synth_csv(tmp_path, duration=5.0)
@@ -672,3 +739,15 @@ def test_no_command_loads_scipy(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"import": [], "report": [], "synth": [], "run": []}
     assert (analysis / "report.json").is_file()
+
+
+def test_readme_api_names_resolve():
+    # every `module.name` of README.md whose module is a cardioseis module
+    # names something that module defines; `pipeline.cfg` is the config file
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    modules = {p.stem for p in Path(cardioseis.__file__).parent.glob("*.py")}
+    named = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)", readme)
+             if mod in modules and (mod, name) != ("pipeline", "cfg")]
+    assert len(named) >= 20
+    for mod, name in named:
+        assert hasattr(importlib.import_module(f"cardioseis.{mod}"), name), f"{mod}.{name}"

@@ -57,6 +57,10 @@ class TestLowpass:
         ratio = rms(out.samples) / rms(ch.samples)
         assert db(ratio) <= -40
 
+    def test_empty_channel_is_the_input(self):
+        ch = Channel(np.empty(0), 320.0, "scg")
+        assert lowpass(ch, 100.0) is ch
+
     def test_cutoff_above_nyquist(self):
         with pytest.raises(InputError, match="Nyquist"):
             lowpass(Channel(np.ones(100), 320.0), 200.0)
