@@ -7,7 +7,9 @@ analysis has a construction whose correct answer is known in advance.
 
 from __future__ import annotations
 
+import copy
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -97,13 +99,14 @@ def gen_respiration(cfg: SynthConfig):
     return Channel(flow, cfg.fs, "flow"), Channel(volume, cfg.fs, "volume")
 
 
-def _alpha_at(cfg: SynthConfig, index: int, phase: FlowPhase) -> float:
-    if cfg.coupling is Coupling.VOLUME:
-        # closed-form volume normalized to [0, 1]
-        return float(0.5 * (1.0 - np.cos(2 * np.pi * _RESP_FREQ * (index / cfg.fs))))
-    if cfg.coupling is Coupling.FLOW:
-        return 1.0 if phase is FlowPhase.INSPIRATION else 0.0
-    return 0.5
+@functools.lru_cache(maxsize=1, typed=True)  # typed: Channel.fs keeps the type of cfg.fs
+def _labelled_respiration(duration_s: float, fs: float):
+    """gen_respiration's flow, read-only so that recordings of one length and
+    rate can share it, and label_events' two masks over every sample. The
+    volume is not kept: only its labels are needed."""
+    flow, volume = gen_respiration(SynthConfig(duration_s=duration_s, fs=fs))
+    flow.samples.flags.writeable = False
+    return flow, label_events(np.arange(len(flow)), flow.samples, volume.samples)
 
 
 def gen_recording(cfg: SynthConfig):
@@ -113,7 +116,8 @@ def gen_recording(cfg: SynthConfig):
     (1-alpha_k)*m_low + alpha_k*m_high with alpha driven by the configured
     coupling at the beat instant. White Gaussian noise is added to the SCG
     channel to hit snr_db (RMS over the whole record). A spike-train ECG
-    channel marks each beat index.
+    channel marks each beat index. The flow channel is shared, read-only, by
+    every recording of the same duration and rate.
     """
     m_low, m_high = default_morphologies(cfg.fs)
     length = len(m_low)
@@ -126,23 +130,29 @@ def gen_recording(cfg: SynthConfig):
         raise InputError(f"duration_s = {cfg.duration_s:g} is too short to hold one beat")
 
     rng = np.random.default_rng(cfg.seed)
-    flow_ch, volume_ch = gen_respiration(cfg)
+    flow_ch, masks = _labelled_respiration(cfg.duration_s, cfg.fs)
 
-    starts = []
-    pos = float(length)  # start margin: one morphology length
-    while pos + length <= n - length:
-        starts.append(int(round(pos)))
-        pos += period * (1.0 + rng.uniform(-jitter, jitter))
-    beat_indices = [start + length // 2 for start in starts]
-    flow_phase, volume_phase = phases(*label_events(beat_indices, flow_ch.samples,
-                                                    volume_ch.samples))
+    # cumsum adds the jittered periods in sequence, as a loop would. A copy of
+    # rng draws one for every beat that could fit; rng skips one per beat placed
+    jitters = copy.deepcopy(rng).uniform(-jitter, jitter, size=int(n / (period * (1 - jitter))))
+    pos = np.cumsum([float(length), *(period * (1.0 + jitters))])
+    starts = np.rint(pos[pos + length <= n - length]).astype(int)
+    rng.uniform(-jitter, jitter, size=len(starts))
+    centers = starts + length // 2
+    inspiring, high_volume = (mask[centers] for mask in masks)
 
+    if cfg.coupling is Coupling.VOLUME:  # closed-form volume normalized to [0, 1]
+        alphas = 0.5 * (1.0 - np.cos(2 * np.pi * _RESP_FREQ * (centers / cfg.fs)))
+    elif cfg.coupling is Coupling.FLOW:
+        alphas = inspiring.astype(float)
+    else:
+        alphas = np.full(len(centers), 0.5)
+    a = alphas[:, None]
     scg = np.zeros(n)
     ecg = np.zeros(n)
-    alphas = [_alpha_at(cfg, center, phase) for center, phase in zip(beat_indices, flow_phase)]
-    for start, center, alpha in zip(starts, beat_indices, alphas):
-        scg[start:start + length] += (1 - alpha) * m_low + alpha * m_high
-        ecg[center] = 1.0
+    # beats never overlap (period * (1 - jitter) >= length): no sample is added to twice
+    scg[starts[:, None] + np.arange(length)] += (1 - a) * m_low + a * m_high
+    ecg[centers] = 1.0
 
     if math.isfinite(cfg.snr_db):
         noise_rms = rms(scg) * 10 ** (-cfg.snr_db / 20.0)
@@ -151,4 +161,4 @@ def gen_recording(cfg: SynthConfig):
     channels = {"scg": Channel(scg, cfg.fs, "scg"), "ecg": Channel(ecg, cfg.fs, "ecg"),
                 "flow": flow_ch}
     return (Recording(channels, f"synth-{cfg.coupling.value}-seed{cfg.seed}"),
-            GroundTruth(beat_indices, alphas, flow_phase, volume_phase))
+            GroundTruth(centers.tolist(), alphas.tolist(), *phases(inspiring, high_volume)))
