@@ -19,15 +19,21 @@ from .pipeline import make_out_dir, run_pipeline
 from .report import check_report
 from .synth import DEFAULT_MORPH_LENGTH_S, Coupling, SynthConfig, gen_recording
 
-EXIT_INPUT, EXIT_DEGENERATE, EXIT_INTERNAL = 2, 3, 4
+EXIT_INTERNAL = 4
+_EXIT_CODES = {InputError: 2, DegenerateAnalysisError: 3, Exception: EXIT_INTERNAL}
 
 
-def _exit_for(exc: Exception) -> int:
-    if isinstance(exc, InputError):
-        return EXIT_INPUT
-    if isinstance(exc, DegenerateAnalysisError):
-        return EXIT_DEGENERATE
-    return EXIT_INTERNAL
+class _Command(click.Command):
+    """A command behind the one error boundary: a failure prints `error: <message>`
+    and exits with the code of the first class of its MRO that _EXIT_CODES holds.
+    Click's own exits (--help, a usage error) come from parsing, before invoke."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except Exception as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES))
 
 
 @click.group()
@@ -35,7 +41,7 @@ def main():
     """SCG heartbeat grouping by respiratory phase and lung volume."""
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Flat key=value config file.")
 @click.option("--input", "inputs", multiple=True, type=click.Path(),
@@ -43,16 +49,12 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Output directory.")
 def run(config_path, inputs, out_dir):
     """Run the full analysis pipeline and write reports and plots."""
-    try:
-        config = load_config(config_path) if config_path else PipelineConfig()
-        if inputs:
-            config = replace(config, inputs=tuple(inputs))
-        if out_dir is not None:
-            config = replace(config, out_dir=out_dir)
-        rows, artifacts = run_pipeline(config)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_for(exc))
+    config = load_config(config_path) if config_path else PipelineConfig()
+    if inputs:
+        config = replace(config, inputs=tuple(inputs))
+    if out_dir is not None:
+        config = replace(config, out_dir=out_dir)
+    rows, artifacts = run_pipeline(config)
     for row in rows:
         winners = row["winners"]
         click.echo(f"{row['recording_id']}: {row['n_events']} events, "
@@ -61,7 +63,7 @@ def run(config_path, inputs, out_dir):
     click.echo(f"wrote {len(artifacts)} artifact(s) to {config.out_dir}")
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--seed", type=int, default=SynthConfig.seed, show_default=True)
 @click.option("--coupling", type=click.Choice([c.value for c in Coupling]),
               default=SynthConfig.coupling.value, show_default=True)
@@ -73,24 +75,20 @@ def run(config_path, inputs, out_dir):
 @click.option("--snr", "snr_db", type=float, default=SynthConfig.snr_db, show_default=True)
 def synth(seed, coupling, out_dir, duration, fs, snr_db):
     """Generate a synthetic recording, ground truth, and a ready-to-run config."""
-    try:
-        cfg = SynthConfig(duration_s=duration, fs=fs, snr_db=snr_db,
-                          coupling=Coupling(coupling), seed=seed)
-        rec, truth = gen_recording(cfg)
-        out = Path(out_dir)
-        csv_path, cfg_path = out / f"{rec.recording_id}.csv", out / "pipeline.cfg"
-        run_config = _synth_config(csv_path, cfg, truth)
-        if parse_config(run_config, cfg_path).inputs != (str(csv_path),):
-            raise InputError(f"--out {out_dir!r}: the input line of pipeline.cfg would not "
-                             f"read back as {csv_path} (it must hold no comma, no '#' after "
-                             "whitespace, and no whitespace at either end)")
-        make_out_dir(out, "--out")
-        write_recording_csv(rec, csv_path)
-        truth.to_json(out / f"{rec.recording_id}_truth.json")
-        cfg_path.write_text(run_config)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_for(exc))
+    cfg = SynthConfig(duration_s=duration, fs=fs, snr_db=snr_db,
+                      coupling=Coupling(coupling), seed=seed)
+    rec, truth = gen_recording(cfg)
+    out = Path(out_dir)
+    csv_path, cfg_path = out / f"{rec.recording_id}.csv", out / "pipeline.cfg"
+    run_config = _synth_config(csv_path, cfg, truth)
+    if parse_config(run_config, cfg_path).inputs != (str(csv_path),):
+        raise InputError(f"--out {out_dir!r}: the input line of pipeline.cfg would not "
+                         f"read back as {csv_path} (it must hold no comma, no '#' after "
+                         "whitespace, and no whitespace at either end)")
+    make_out_dir(out, "--out")
+    write_recording_csv(rec, csv_path)
+    truth.to_json(out / f"{rec.recording_id}_truth.json")
+    cfg_path.write_text(run_config)
     click.echo(f"wrote {csv_path} ({len(truth.beat_indices)} beats)")
 
 
@@ -115,16 +113,12 @@ def _exact(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--check", "report_path", type=click.Path(), required=True,
               help="Report JSON to verify for RD self-consistency.")
 def report(report_path):
     """Recompute RD values from a report's own mean columns."""
-    try:
-        problems = check_report(report_path)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_for(exc))
+    problems = check_report(report_path)
     if problems:
         for p in problems:
             click.echo(f"inconsistent: {p}", err=True)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import InputError, input_file
+from .event_detection import MIN_TEMPLATE_SAMPLES
 from .signal_core import _lowpass_taps
 
 
@@ -38,9 +39,9 @@ class PipelineConfig:
         if self.template_start_s < 0:
             raise InputError(f"template_start_s must be >= 0, got {self.template_start_s}")
         n_template = round(self.template_length_s * self.analysis_fs)
-        if n_template < 8:
-            raise InputError(f"template_length_s must span >= 8 samples at analysis_fs = "
-                             f"{self.analysis_fs:g}, got {self.template_length_s} "
+        if n_template < MIN_TEMPLATE_SAMPLES:
+            raise InputError(f"template_length_s must span >= {MIN_TEMPLATE_SAMPLES} samples at "
+                             f"analysis_fs = {self.analysis_fs:g}, got {self.template_length_s} "
                              f"({n_template} samples)")
         try:
             # designed here, before any input is read; the lowpass stage reuses it

@@ -17,6 +17,7 @@ from .signal_core import Channel, hilbert_envelope
 
 THRESHOLD_FRAC = 0.5
 MIN_SEPARATION_S = 0.4
+MIN_TEMPLATE_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,9 @@ class Template:
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", arr)
-        if arr.size < 8:
-            raise InputError(f"template too short: {arr.size} samples (need >= 8)")
+        if arr.size < MIN_TEMPLATE_SAMPLES:
+            raise InputError(f"template too short: {arr.size} samples (need >= "
+                             f"{MIN_TEMPLATE_SAMPLES})")
         if np.ptp(arr) == 0:
             raise DegenerateAnalysisError("template is constant")
 

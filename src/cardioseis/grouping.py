@@ -204,6 +204,8 @@ def _pick_winner(rd_fr: float, rd_lv: float) -> Winner:
 def compare_criteria(refs, inspiring, high_volume, samples, length: int) -> CriterionComparison:
     """Evaluate both criteria on the events at refs, split by their
     label_events masks, and flag the winner per group pair."""
+    if not len(refs):
+        raise DegenerateAnalysisError("no events detected")
     insp, exp = evaluate_criterion(refs, inspiring, Criterion.FLOW_RATE, samples, length)
     llv, hlv = evaluate_criterion(refs, ~high_volume, Criterion.LUNG_VOLUME, samples, length)
     return CriterionComparison(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import CardioseisError, DegenerateAnalysisError, InputError
+from .errors import CardioseisError, InputError
 from .event_detection import cut_windows, detect_events, template_from_channel
 from .grouping import compare_criteria, screen_outliers
 from .ingest import ingest_csv
@@ -66,8 +66,6 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
     refs = _stage("detect", detect_events, scg, tpl)
     volume = _stage("respiration", integrate_flow, flow)
     refs, dropped = _stage("screen", screen_outliers, refs, scg.samples, tpl.length)
-    if not len(refs):
-        raise DegenerateAnalysisError("[group] no events detected")
     inspiring, high_volume = _stage("label", label_events, refs, flow.samples, volume)
     cmp = _stage("group", compare_criteria, refs, inspiring, high_volume,
                  scg.samples, tpl.length)

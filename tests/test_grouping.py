@@ -278,6 +278,13 @@ class TestCriteria:
             evaluate_criterion(np.array([340, 740]), np.array([True, True]),
                                Criterion.FLOW_RATE, ch.samples, 80)
 
+    def test_no_events_named(self):
+        # the tag "[group]" is added by the pipeline's stage wrapper, not here
+        ch = planted_channel([300, 700])
+        no_labels = np.zeros(0, dtype=bool)
+        with pytest.raises(DegenerateAnalysisError, match="^no events detected$"):
+            compare_criteria(np.zeros(0, dtype=int), no_labels, no_labels, ch.samples, 80)
+
     def test_amplitude_invariance_of_stats(self):
         cmp, refs, _, scg = run_synth_analysis(Coupling.VOLUME, seed=34, screen=False)
         flow = gen_recording(SynthConfig(coupling=Coupling.VOLUME, seed=34))[0]["flow"]

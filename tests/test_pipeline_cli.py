@@ -516,6 +516,9 @@ class TestCli:
         ("min_separation_s = inf", "min_separation_s"),
         ("template_start_s = -1", "template_start_s"),
         ("template_length_s = 0.02", "template_length_s"),
+        # the message names the file and the line
+        ("analysis_fs", "pipeline.cfg:3: expected key = value, got 'analysis_fs'"),
+        ("analysis_fs = abc", "pipeline.cfg:3: bad value for analysis_fs: "),
     ])
     def test_bad_config_exits_2_before_ingest(self, tmp_path, monkeypatch, line, field):
         path, *_ = synth_csv(tmp_path, duration=5.0)
@@ -610,6 +613,45 @@ class TestCli:
         assert "input file not found" in res.output
         assert list(tmp_path.iterdir()) == []
 
+    def test_run_without_inputs_exits_2(self, tmp_path, monkeypatch):
+        # neither a config nor --input names a file
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(main, ["run"])
+        assert res.exit_code == 2, res.output
+        assert res.output == "error: no input files configured\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_empty_csv_exits_2(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        res = CliRunner().invoke(main, ["run", "--input", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: [ingest] {path}: empty file\n"
+
+    def test_run_no_events_exits_3(self, tmp_path, monkeypatch):
+        # a real recording always keeps the beat its template was cut from,
+        # so the detector is stubbed to find nothing
+        path, _, truth, cfg = synth_csv(tmp_path, duration=5.0)
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"input = {path}\nacquisition_fs = {cfg.fs:g}\n"
+                            f"template_start_s = {truth.beat_indices[0] / cfg.fs - 0.125}\n")
+        monkeypatch.setattr("cardioseis.pipeline.detect_events",
+                            lambda ch, tpl: np.zeros(0, dtype=int))
+        res = CliRunner().invoke(main, ["run", "--config", str(cfg_file),
+                                        "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+        assert res.output == "error: [group] no events detected\n"
+
+    def test_click_exits_pass_the_error_boundary(self):
+        # --help and a usage error are click's own, with click's own output
+        res = CliRunner().invoke(main, ["run", "--help"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("Usage: ")
+        res = CliRunner().invoke(main, ["run", "--bogus"])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("Usage: ")
+        assert "Error: No such option" in res.output and "--bogus" in res.output
+
     def test_run_repeated_stem_exits_2_before_ingest(self, tmp_path, monkeypatch):
         # each recording's artifacts and report row are named by its file stem
         path, *_ = synth_csv(tmp_path, duration=5.0)
@@ -656,6 +698,8 @@ class TestCli:
                    {"recording_id": "y",
                     "groups": CONSISTENT_GROUPS[:3] + CONSISTENT_GROUPS[:1]}]},
          "row 1 (y): 'groups' must hold"),
+        ({"rows": [{"recording_id": "x", "groups": [1, 2]}]},
+         "row 0 (x): 'groups' is not a list of objects"),
     ])
     def test_report_check_malformed_exits_2(self, tmp_path, payload, problem):
         bad = tmp_path / "bad.json"
@@ -663,6 +707,22 @@ class TestCli:
         res = CliRunner().invoke(main, ["report", "--check", str(bad)])
         assert res.exit_code == 2, res.output
         assert problem in res.output
+
+    def test_report_check_invalid_json_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": [')
+        res = CliRunner().invoke(main, ["report", "--check", str(bad)])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith(f"error: {bad}: not valid JSON: ")
+
+    def test_report_check_unrecomputable_rd_exits_4(self, tmp_path):
+        groups = [dict(CONSISTENT_GROUPS[0], mean_dissim_same=0.0)] + CONSISTENT_GROUPS[1:]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rows": [{"recording_id": "x", "groups": groups}]}))
+        res = CliRunner().invoke(main, ["report", "--check", str(bad)])
+        assert res.exit_code == 4, res.output
+        assert res.output == ("inconsistent: x/Inspiration: cannot recompute RD "
+                              "(zero within-group dissimilarity)\n")
 
     def test_report_check_missing_file(self, tmp_path):
         runner = CliRunner()
