@@ -353,26 +353,31 @@ def _format_rows(values) -> bytes:
 
 def write_recording_csv(rec: Recording, path):
     """Write a recording in the ingestible CSV format (%.9g precision),
-    with the COLUMNS names and an ecg column after scg_z.
+    with the COLUMNS names and an ecg column after scg_z: the spike train
+    of rec.ecg_beats, 1 at each beat's row and 0 elsewhere, all 0 where
+    the recording has no beats.
 
     The body is cut at CSV_BLOCK_ROWS edges into one contiguous slice per
     part (_parts). A forked worker formats each slice after the first into
     an anonymous file in the CSV's directory while this process formats the
     first into the CSV, CSV_BLOCK_ROWS rows per %-format; the workers' files
-    are then appended in order. The bytes do not depend on the split. A
-    worker that fails raises OSError, and no worker outlives the call.
+    are then appended in order. Each block builds its own rows of the ecg
+    column from the beats, so no process holds the whole column. The bytes
+    do not depend on the split. A worker that fails raises OSError, and no
+    worker outlives the call.
     """
-    scg, ecg, flow = rec["scg"], rec["ecg"], rec["flow"]
+    scg, flow = rec["scg"], rec["flow"]
+    beats = np.asarray(rec.ecg_beats, dtype=int)
     n = len(scg)
     fs = scg.fs
 
     def write_rows(out, start, stop):
         for s in range(start, stop, CSV_BLOCK_ROWS):
             e = min(s + CSV_BLOCK_ROWS, stop)
-            block = np.empty((e - s, 4))
+            block = np.zeros((e - s, 4))
             block[:, 0] = np.arange(s, e) / fs  # the same IEEE value as i / fs
             block[:, 1] = scg.samples[s:e]
-            block[:, 2] = ecg.samples[s:e]
+            block[beats[(s <= beats) & (beats < e)] - s, 2] = 1.0
             block[:, 3] = flow.samples[s:e]
             out.write(_format_rows(block.ravel().tolist()))
         out.flush()  # a worker leaves through os._exit, which flushes nothing

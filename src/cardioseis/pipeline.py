@@ -94,21 +94,40 @@ def _write_artifacts(rec_id: str, cmp, fs: float, out_dir: Path):
     return [avg_csv, ens_svg, rd_svg]
 
 
-def make_out_dir(path: Path, name: str) -> None:
+def make_out_dir(path: Path, name: str) -> Path | None:
     """Create the output directory `path` and its parents. A file at the
-    path or above it is an InputError that names the option `name`."""
+    path or above it is an InputError that names the option `name`.
+
+    Returns the outermost directory this call created, or None if `path`
+    was already there."""
+    created = next((p for p in reversed([path, *path.parents]) if not p.exists()), None)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise InputError(f"{name} {str(path)!r}: a file stands where the output "
                          f"directory would go: {exc}") from None
+    return created
+
+
+def _remove_empty_dirs(path: Path, top: Path) -> None:
+    """Remove the directory `path` and its parents up to `top`, innermost
+    first, while each is empty."""
+    for directory in [path, *path.parents]:
+        try:
+            directory.rmdir()
+        except OSError:  # not empty, or gone
+            return
+        if directory == top:
+            return
 
 
 def run_pipeline(config: PipelineConfig):
     """Process every configured input file and write reports and plots.
 
     Returns (rows, artifact paths). Deterministic: rows sorted by
-    recording id, groups in fixed order, stable float formatting.
+    recording id, groups in fixed order, stable float formatting. A run
+    that fails before it writes an artifact removes the output directory
+    if it created it, and leaves one that was there before as it was.
     """
     if not config.inputs:
         raise InputError("no input files configured")
@@ -122,7 +141,17 @@ def run_pipeline(config: PipelineConfig):
         if not path.is_file():
             raise InputError(f"input file not found: {path}")
     out_dir = Path(config.out_dir)
-    make_out_dir(out_dir, "out_dir")
+    created = make_out_dir(out_dir, "out_dir")
+    try:
+        return _process(paths, config, out_dir)
+    except BaseException:
+        if created:
+            _remove_empty_dirs(out_dir, created)
+        raise
+
+
+def _process(paths, config: PipelineConfig, out_dir: Path):
+    """run_pipeline's work on its checked inputs, in the directory it made."""
     rows, artifacts = [], []
     for path in paths:
         rec = _stage("ingest", ingest_csv, path, config.acquisition_fs, config.analysis_fs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,10 +54,16 @@ class Channel:
 
 @dataclass(frozen=True)
 class Recording:
-    """A bundle of synchronized channels of equal duration."""
+    """A bundle of synchronized channels of equal duration.
+
+    ecg_beats: the sample indices at which the recording's ECG spikes, one
+    per beat, in place of a dense ECG channel; empty where the recording
+    has no ECG, as one that ingest_csv reads.
+    """
 
     channels: dict[str, Channel]
     recording_id: str = "recording"
+    ecg_beats: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def __getitem__(self, name: str) -> Channel:
         try:

@@ -92,21 +92,26 @@ def default_morphologies(fs: float):
 def gen_respiration(cfg: SynthConfig):
     """Sinusoidal flow and its closed-form integral (lung volume)."""
     n = int(round(cfg.duration_s * cfg.fs))
-    t = np.arange(n) / cfg.fs
     w = 2 * np.pi * _RESP_FREQ
-    flow = _RESP_AMPLITUDE * np.sin(w * t)
-    volume = (_RESP_AMPLITUDE / w) * (1.0 - np.cos(w * t))
+    # in place, so that no more than two arrays of the recording's length
+    # are held: the values of A * sin(w * t) and (A / w) * (1 - cos(w * t))
+    phase = np.arange(n) / cfg.fs
+    phase *= w
+    flow = np.sin(phase)
+    flow *= _RESP_AMPLITUDE
+    volume = np.cos(phase, out=phase)
+    np.subtract(1.0, volume, out=volume)
+    volume *= _RESP_AMPLITUDE / w
     return Channel(flow, cfg.fs, "flow"), Channel(volume, cfg.fs, "volume")
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # typed: Channel.fs keeps the type of cfg.fs
-def _labelled_respiration(duration_s: float, fs: float):
-    """gen_respiration's flow, read-only so that recordings of one length and
-    rate can share it, and label_events' two masks over every sample. The
-    volume is not kept: only its labels are needed."""
+def _shared_respiration(duration_s: float, fs: float):
+    """gen_respiration's flow and volume samples, read-only, so that
+    recordings of one length and rate can share them."""
     flow, volume = gen_respiration(SynthConfig(duration_s=duration_s, fs=fs))
-    flow.samples.flags.writeable = False
-    return flow, label_events(np.arange(len(flow)), flow.samples, volume.samples)
+    flow.samples.flags.writeable = volume.samples.flags.writeable = False
+    return flow, volume.samples
 
 
 def gen_recording(cfg: SynthConfig):
@@ -115,9 +120,11 @@ def gen_recording(cfg: SynthConfig):
     Beats sit at quasi-regular intervals (uniform period jitter); beat k is
     (1-alpha_k)*m_low + alpha_k*m_high with alpha driven by the configured
     coupling at the beat instant. White Gaussian noise is added to the SCG
-    channel to hit snr_db (RMS over the whole record). A spike-train ECG
-    channel marks each beat index. The flow channel is shared, read-only, by
-    every recording of the same duration and rate.
+    channel to hit snr_db (RMS over the whole record). The Recording holds
+    two channels, scg and flow, as one that ingest_csv reads, and the beat
+    indices as its ecg_beats, where the ECG spikes; it keeps no dense ECG.
+    The flow channel is shared, read-only, by every recording of the same
+    duration and rate.
     """
     m_low, m_high = default_morphologies(cfg.fs)
     length = len(m_low)
@@ -130,7 +137,7 @@ def gen_recording(cfg: SynthConfig):
         raise InputError(f"duration_s = {cfg.duration_s:g} is too short to hold one beat")
 
     rng = np.random.default_rng(cfg.seed)
-    flow_ch, masks = _labelled_respiration(cfg.duration_s, cfg.fs)
+    flow_ch, volume = _shared_respiration(cfg.duration_s, cfg.fs)
 
     # cumsum adds the jittered periods in sequence, as a loop would. A copy of
     # rng draws one for every beat that could fit; rng skips one per beat placed
@@ -139,7 +146,7 @@ def gen_recording(cfg: SynthConfig):
     starts = np.rint(pos[pos + length <= n - length]).astype(int)
     rng.uniform(-jitter, jitter, size=len(starts))
     centers = starts + length // 2
-    inspiring, high_volume = (mask[centers] for mask in masks)
+    inspiring, high_volume = label_events(centers, flow_ch.samples, volume)
 
     if cfg.coupling is Coupling.VOLUME:  # closed-form volume normalized to [0, 1]
         alphas = 0.5 * (1.0 - np.cos(2 * np.pi * _RESP_FREQ * (centers / cfg.fs)))
@@ -149,16 +156,13 @@ def gen_recording(cfg: SynthConfig):
         alphas = np.full(len(centers), 0.5)
     a = alphas[:, None]
     scg = np.zeros(n)
-    ecg = np.zeros(n)
     # beats never overlap (period * (1 - jitter) >= length): no sample is added to twice
     scg[starts[:, None] + np.arange(length)] += (1 - a) * m_low + a * m_high
-    ecg[centers] = 1.0
 
     if math.isfinite(cfg.snr_db):
         noise_rms = rms(scg) * 10 ** (-cfg.snr_db / 20.0)
         scg = scg + rng.normal(0.0, noise_rms, size=n)
 
-    channels = {"scg": Channel(scg, cfg.fs, "scg"), "ecg": Channel(ecg, cfg.fs, "ecg"),
-                "flow": flow_ch}
-    return (Recording(channels, f"synth-{cfg.coupling.value}-seed{cfg.seed}"),
+    channels = {"scg": Channel(scg, cfg.fs, "scg"), "flow": flow_ch}
+    return (Recording(channels, f"synth-{cfg.coupling.value}-seed{cfg.seed}", centers),
             GroundTruth(centers.tolist(), alphas.tolist(), *phases(inspiring, high_volume)))

@@ -3,11 +3,12 @@ it replaced.
 
 `loop_write_recording_csv` is that loop, kept here as the oracle: the new
 writer must produce the same bytes for every input, including values the
-pipeline itself never writes (nan, inf, subnormals, -0.0), however many
-parts the rows are cut into. Each part after the first is formatted by a
-worker that the writer forks, as ingest_csv forks its readers: the tests
-count the forks, fail a worker and interrupt the writer, and no worker may
-outlive the call or leave a file behind.
+pipeline itself never writes (nan, inf, subnormals, -0.0), for any set of
+beat rows that the ecg column marks, however many parts the rows are cut
+into. Each part after the first is formatted by a worker that the writer
+forks, as ingest_csv forks its readers: the tests count the forks, fail a
+worker and interrupt the writer, and no worker may outlive the call or
+leave a file behind.
 """
 
 import contextlib
@@ -34,8 +35,10 @@ from cardioseis.signal_core import Recording
 
 
 def loop_write_recording_csv(rec, path):
-    """The writer as it was: one csv.writer row per sample."""
-    scg, ecg, flow = rec["scg"], rec["ecg"], rec["flow"]
+    """The writer as it was: one csv.writer row per sample, its ecg field 1
+    at the rows of the recording's beats and 0 elsewhere."""
+    scg, flow = rec["scg"], rec["flow"]
+    beats = set(rec.ecg_beats.tolist())
     n = len(scg)
     fs = scg.fs
     with open(path, "w", newline="") as fh:
@@ -45,7 +48,7 @@ def loop_write_recording_csv(rec, path):
             writer.writerow([
                 "%.9g" % (i / fs),
                 "%.9g" % scg.samples[i],
-                "%.9g" % ecg.samples[i],
+                "%.9g" % (1.0 if i in beats else 0.0),
                 "%.9g" % flow.samples[i],
             ])
 
@@ -62,10 +65,11 @@ class RawChannel:
         return len(self.samples)
 
 
-def recording(columns, fs):
-    scg, ecg, flow = (np.asarray(c, dtype=float) for c in columns)
-    return Recording(channels={"scg": RawChannel(scg, fs), "ecg": RawChannel(ecg, fs),
-                               "flow": RawChannel(flow, fs)})
+def recording(columns, fs, beats=()):
+    """A recording of the scg and flow columns, its ECG spiking at the rows `beats`."""
+    scg, flow = (np.asarray(c, dtype=float) for c in columns)
+    return Recording(channels={"scg": RawChannel(scg, fs), "flow": RawChannel(flow, fs)},
+                     ecg_beats=np.array(list(beats), dtype=int))
 
 
 def both_outputs(tmp_path, rec):
@@ -84,13 +88,24 @@ RATES = st.one_of(st.sampled_from([1.0, 3.0, 320.0, 1000.0, 10000.0, 44100.0]),
 
 
 def columns(n):
-    return st.tuples(*(hnp.arrays(np.float64, n, elements=ANY_FLOAT) for _ in range(3)))
+    return st.tuples(*(hnp.arrays(np.float64, n, elements=ANY_FLOAT) for _ in range(2)))
+
+
+def beat_rows(n):
+    """Any set of the n rows, the empty one included."""
+    return st.sets(st.integers(0, n - 1)) if n else st.just(set())
+
+
+def edge_rows(n, edges):
+    """Row 0, the last row, and the rows on each side of every edge, of n rows."""
+    rows = {0, n - 1, *(row for edge in edges for row in (edge - 1, edge))}
+    return {row for row in rows if 0 <= row < n}
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(0, 40), fs=RATES)
 def test_bytes_equal_loop(tmp_path_factory, data, n, fs):
-    rec = recording(data.draw(columns(n)), fs)
+    rec = recording(data.draw(columns(n)), fs, data.draw(beat_rows(n)))
     new, old = both_outputs(tmp_path_factory.mktemp("w"), rec)
     assert new == old
 
@@ -99,18 +114,21 @@ def test_bytes_equal_loop(tmp_path_factory, data, n, fs):
 @given(data=st.data(), n=st.integers(0, 30), block=st.integers(1, 7), fs=RATES)
 def test_bytes_equal_loop_across_small_blocks(tmp_path_factory, data, n, block, fs):
     """Many block edges per file, so the time column is checked where a
-    block starts past row 0."""
-    rec = recording(data.draw(columns(n)), fs)
+    block starts past row 0, and the ecg column where beats fall on or
+    beside a block edge."""
+    rec = recording(data.draw(columns(n)), fs, data.draw(beat_rows(n)))
     with mock.patch.object(ingest, "CSV_BLOCK_ROWS", block):
         new, old = both_outputs(tmp_path_factory.mktemp("w"), rec)
     assert new == old
 
 
+@pytest.mark.parametrize("beats", ["none", "edges"])
 @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
-def test_bytes_equal_loop_at_block_edges(tmp_path, n):
+def test_bytes_equal_loop_at_block_edges(tmp_path, n, beats):
     rng = np.random.default_rng(n)
-    cols = rng.normal(0.0, 1.0, (3, n)) * 10.0 ** rng.integers(-12, 12, (3, n))
-    new, old = both_outputs(tmp_path, recording(cols, 10000.0))
+    cols = rng.normal(0.0, 1.0, (2, n)) * 10.0 ** rng.integers(-12, 12, (2, n))
+    rows = edge_rows(n, [CSV_BLOCK_ROWS]) if beats == "edges" else set()
+    new, old = both_outputs(tmp_path, recording(cols, 10000.0, rows))
     assert new == old
     assert new.count(b"\r\n") == n + 1
 
@@ -128,11 +146,13 @@ def workers_seen(cores):
 def test_bytes_equal_loop_in_parts(tmp_path, parts):
     n = 2 * CSV_BLOCK_ROWS + 1
     rng = np.random.default_rng(parts)
-    cols = rng.normal(0.0, 1.0, (3, n)) * 10.0 ** rng.integers(-12, 12, (3, n))
+    cols = rng.normal(0.0, 1.0, (2, n)) * 10.0 ** rng.integers(-12, 12, (2, n))
     cols[:, :len(SPECIAL)] = SPECIAL  # in the first slice
     cols[:, -len(SPECIAL):] = SPECIAL  # in the last, which a worker formats
+    # parts start at block edges: rows B and 2B, with 2 parts or 3
+    beats = edge_rows(n, [CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS]) | set(rng.choice(n, 100).tolist())
     with workers_seen(cores=parts) as pids:
-        new, old = both_outputs(tmp_path, recording(cols, 10000.37))
+        new, old = both_outputs(tmp_path, recording(cols, 10000.37, beats))
     assert len(pids) == parts - 1
     assert_reaped(pids)
     assert new == old
@@ -140,9 +160,9 @@ def test_bytes_equal_loop_in_parts(tmp_path, parts):
 
 
 def test_one_block_starts_no_worker(tmp_path):
-    cols = np.ones((3, CSV_BLOCK_ROWS))
+    cols = np.ones((2, CSV_BLOCK_ROWS))
     with workers_seen(cores=4) as pids:
-        new, old = both_outputs(tmp_path, recording(cols, 320.0))
+        new, old = both_outputs(tmp_path, recording(cols, 320.0, edge_rows(CSV_BLOCK_ROWS, [])))
     assert pids == []
     assert new == old
 
@@ -152,7 +172,7 @@ def test_no_fork_writes_in_one_part(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     with mock.patch.object(ingest, "CSV_BLOCK_ROWS", 4), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}):
-        new, old = both_outputs(tmp_path, recording(rng.normal(size=(3, 12)), 320.0))
+        new, old = both_outputs(tmp_path, recording(rng.normal(size=(2, 12)), 320.0, {3, 4, 11}))
     assert new == old
 
 
@@ -168,7 +188,7 @@ def test_forks_pass_under_the_python_3_12_fork_warning(tmp_path):
                       "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
         return fork()
 
-    rec = recording(np.random.default_rng(5).normal(size=(3, 12)), 320.0)
+    rec = recording(np.random.default_rng(5).normal(size=(2, 12)), 320.0, {0, 4, 7})
     with mock.patch.object(ingest, "CSV_BLOCK_ROWS", 4), \
             mock.patch.object(ingest, "CSV_BLOCK_BYTES", 64), \
             mock.patch.object(os, "fork", warning_fork), workers_seen(cores=2) as pids:
@@ -188,7 +208,7 @@ def _write_failing(tmp_path, format_rows, expected, match=None):
     but the CSV."""
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    rec = recording(np.zeros((3, 5 * CSV_BLOCK_ROWS)), 10000.0)
+    rec = recording(np.zeros((2, 5 * CSV_BLOCK_ROWS)), 10000.0)
     with workers_seen(cores=3) as pids, mock.patch.object(ingest, "_format_rows", format_rows), \
             pytest.raises(expected, match=match):
         write_recording_csv(rec, out_dir / "rec.csv")

@@ -19,7 +19,7 @@ from cardioseis.errors import DegenerateAnalysisError, InputError
 from cardioseis.ingest import ingest_csv, write_recording_csv
 from cardioseis.pipeline import analyze_recording, run_pipeline
 from cardioseis.report import check_report
-from cardioseis.signal_core import Channel, Recording
+from cardioseis.signal_core import Channel
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
 from conftest import DATA_DIR
@@ -42,9 +42,9 @@ def zero_flow_csv(tmp_path):
     """A 60 s recording whose flow is all zeros, written to a CSV."""
     cfg = SynthConfig(seed=2, duration_s=60.0)
     rec, truth = gen_recording(cfg)
-    zeroed = Recording(channels={**rec.channels,
-                                 "flow": Channel(np.zeros(len(rec["flow"])), cfg.fs, "flow")},
-                       recording_id="zeroflow")
+    zeroed = replace(rec, channels={**rec.channels,
+                                    "flow": Channel(np.zeros(len(rec["flow"])), cfg.fs, "flow")},
+                     recording_id="zeroflow")
     path = tmp_path / "zeroflow.csv"
     write_recording_csv(zeroed, path)
     return path, truth, cfg
@@ -627,6 +627,39 @@ class TestCli:
         res = CliRunner().invoke(main, ["run", "--input", str(path), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2, res.output
         assert res.output == f"error: [ingest] {path}: empty file\n"
+
+    @pytest.mark.parametrize("out", ["o2", "o2/sub"])
+    def test_failed_run_removes_the_out_dir_it_made(self, tmp_path, out):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        res = CliRunner().invoke(main, ["run", "--input", str(path), "--out", str(tmp_path / out)])
+        assert res.exit_code == 2, res.output
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
+
+    @pytest.mark.parametrize("out, kept", [("o2", []), ("o2", ["keep.txt"]), ("o2/sub", [])])
+    def test_failed_run_leaves_a_dir_that_was_there(self, tmp_path, out, kept):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        (tmp_path / "o2").mkdir()
+        for name in kept:
+            (tmp_path / "o2" / name).write_text("kept")
+        res = CliRunner().invoke(main, ["run", "--input", str(path), "--out", str(tmp_path / out)])
+        assert res.exit_code == 2, res.output
+        assert sorted(p.name for p in (tmp_path / "o2").iterdir()) == kept
+        assert [(tmp_path / "o2" / name).read_text() for name in kept] == ["kept"] * len(kept)
+
+    def test_failed_run_keeps_the_artifacts_it_wrote(self, tmp_path):
+        # the inputs run in their order: the good one writes its artifacts first
+        good, _, truth, cfg = synth_csv(tmp_path, duration=5.0)
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        config = pipeline_config(tmp_path, good, truth, cfg, inputs=(str(good), str(empty)),
+                                 out_dir=str(tmp_path / "o2"))
+        with pytest.raises(InputError, match="empty file"):
+            run_pipeline(config)
+        assert sorted(p.name for p in (tmp_path / "o2").iterdir()) == [
+            f"{good.stem}_ensemble_averages.csv", f"{good.stem}_ensemble_averages.svg",
+            f"{good.stem}_rd_bars.svg"]
 
     def test_run_no_events_exits_3(self, tmp_path, monkeypatch):
         # a real recording always keeps the beat its template was cut from,

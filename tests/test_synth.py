@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardioseis.errors import InputError
+from cardioseis.ingest import ingest_csv, write_recording_csv
 from cardioseis.respiration import FlowPhase, integrate_flow, label_events, phases
 from cardioseis.signal_core import Channel, Recording, rms
 from cardioseis.synth import (_HEART_RATE_BPM, _HR_JITTER_PCT, _RESP_FREQ, GroundTruth,
@@ -58,17 +59,25 @@ def reference_gen_recording(cfg: SynthConfig):
         noise_rms = rms(scg) * 10 ** (-cfg.snr_db / 20.0)
         scg = scg + rng.normal(0.0, noise_rms, size=n)
 
-    channels = {"scg": Channel(scg, cfg.fs, "scg"), "ecg": Channel(ecg, cfg.fs, "ecg"),
-                "flow": flow_ch}
-    return (Recording(channels, f"synth-{cfg.coupling.value}-seed{cfg.seed}"),
+    channels = {"scg": Channel(scg, cfg.fs, "scg"), "flow": flow_ch}
+    return (Recording(channels, f"synth-{cfg.coupling.value}-seed{cfg.seed}",
+                      np.flatnonzero(ecg)),
             GroundTruth(beat_indices, alphas, flow_phase, volume_phase))
 
 
+def ecg_spike_train(rec) -> np.ndarray:
+    """The recording's ECG as a dense channel: 1.0 at its beats, 0.0 elsewhere."""
+    ecg = np.zeros(len(rec["scg"]))
+    ecg[rec.ecg_beats] = 1.0
+    return ecg
+
+
 def synth_digest(rec, truth) -> str:
-    """SHA-256 of the scg, ecg and flow bytes and of every truth field."""
+    """SHA-256 of the scg, ecg and flow bytes and of every truth field; the
+    ecg bytes are those of the spike train at the recording's beats."""
     h = hashlib.sha256()
-    for name in ("scg", "ecg", "flow"):
-        h.update(rec[name].samples.tobytes())
+    for samples in (rec["scg"].samples, ecg_spike_train(rec), rec["flow"].samples):
+        h.update(samples.tobytes())
     h.update(json.dumps([truth.beat_indices, truth.alpha, [p.value for p in truth.flow_phase],
                          [p.value for p in truth.volume_phase]]).encode())
     return h.hexdigest()
@@ -188,11 +197,25 @@ class TestGenRecording:
         got = 20 * np.log10(rms(clean["scg"].samples) / rms(noise))
         assert got == pytest.approx(20.0, abs=0.5)
 
-    def test_ecg_spikes_at_beats(self):
+    def test_ecg_spikes_at_beats(self, tmp_path):
         cfg = SynthConfig(duration_s=30)
         rec, truth = gen_recording(cfg)
-        spikes = np.flatnonzero(rec["ecg"].samples)
-        assert list(spikes) == truth.beat_indices
+        write_recording_csv(rec, tmp_path / "rec.csv")
+        ecg = np.loadtxt(tmp_path / "rec.csv", delimiter=",", skiprows=1)[:, 2]
+        assert len(ecg) == len(rec["scg"])
+        assert set(ecg.tolist()) == {0.0, 1.0}
+        assert np.flatnonzero(ecg).tolist() == truth.beat_indices
+
+    def test_channels_are_those_ingest_reads(self, tmp_path):
+        """No dense ECG: the channels are the scg and flow that ingest_csv
+        reads back from the CSV, and the beats are where its ECG spikes."""
+        cfg = SynthConfig(duration_s=10)
+        rec, truth = gen_recording(cfg)
+        write_recording_csv(rec, tmp_path / "rec.csv")
+        read = ingest_csv(tmp_path / "rec.csv", cfg.fs, cfg.fs)
+        assert list(rec.channels) == list(read.channels) == ["scg", "flow"]
+        assert rec.ecg_beats.tolist() == truth.beat_indices
+        assert read.ecg_beats.size == 0
 
     def test_beat_overlap_error(self):
         # at 8 Hz the 8-sample morphology outlasts a 66 bpm heart period
