@@ -32,7 +32,7 @@ TIME_TOLERANCE_FRAC = 0.1  # of one sample period
 # parts (_parts) and fork _Workers: the reader one for each part where there
 # are two or more, the writer one for each part after the first
 CSV_BLOCK_BYTES = 1 << 19
-CSV_BLOCK_ROWS = 65536
+CSV_BLOCK_ROWS = 16384
 _CSV_HEADER = "{time},{scg},ecg,{flow}\r\n".format(**COLUMNS).encode()
 _ROW = b"%.9g,%.9g,%.9g,%.9g\r\n"
 _LINE_END = re.compile(rb"\r\n?|\n")  # as text mode with newline="" ends a line

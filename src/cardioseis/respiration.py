@@ -34,6 +34,9 @@ def integrate_flow(flow: Channel) -> np.ndarray:
     recording is exactly zero, killing spirometer-offset drift (the offset
     used is the trapezoid mean, not the arithmetic mean, so the final
     volume sample lands on 0 to machine precision).
+
+    Each step after the offset runs in place in the volume it returns, so
+    it holds at most two arrays of the flow's length.
     """
     if len(flow) == 0:
         raise InputError("empty waveform")
@@ -41,7 +44,14 @@ def integrate_flow(flow: Channel) -> np.ndarray:
     if len(f) > 1:
         f = f - np.trapezoid(f) / (len(f) - 1)
     # scipy's cumulative_trapezoid(f, dx=1/fs, initial=0), in its order of operations
-    return np.concatenate(([0.0], np.cumsum((1.0 / flow.fs) * (f[1:] + f[:-1]) / 2.0)))
+    volume = np.empty(len(f))
+    volume[0] = 0.0
+    steps = volume[1:]
+    np.add(f[1:], f[:-1], out=steps)
+    steps *= 1.0 / flow.fs
+    steps /= 2.0
+    np.cumsum(steps, out=steps)
+    return volume
 
 
 def label_events(refs, flow, volume):

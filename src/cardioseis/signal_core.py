@@ -84,12 +84,27 @@ def rms(x):
 def _firwin(numtaps: int, cutoff: float) -> np.ndarray:
     """Hamming-windowed sinc low-pass, cutoff relative to Nyquist, scaled to
     unit gain at DC: scipy.signal.firwin(numtaps, cutoff), in its order of
-    operations."""
-    m = np.arange(0, numtaps, dtype=float) - 0.5 * (numtaps - 1)
-    h = cutoff * np.sinc(cutoff * m)
+    operations. Each step runs in place, so it holds at most two arrays of
+    numtaps at once."""
+    # y = pi * cutoff * m, m the tap's offset from the centre
+    y = np.arange(0, numtaps, dtype=float)
+    y -= 0.5 * (numtaps - 1)
+    y *= cutoff
+    y *= np.pi
+    # np.sinc: the centre tap, where y is 0, gets sin(eps) / eps, which is 1
+    y[y == 0] = np.finfo(float).eps
+    h = np.sin(y)
+    h /= y
+    h *= cutoff
+    del y
     # scipy's general_cosine window with coefficients [0.54, 1 - 0.54]
-    h *= 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
-    return h / np.sum(h)
+    window = np.linspace(-np.pi, np.pi, numtaps)
+    np.cos(window, out=window)
+    window *= 1 - 0.54
+    window += 0.54
+    h *= window
+    h /= np.sum(h)
+    return h
 
 
 def _freqz(taps, fs: float):
@@ -209,25 +224,32 @@ class Resampler:
         self._pre, self._per_phase, self._last = 0, 1, 0  # where up == down
         if up != down:
             m = max(up, down)
-            h = _firwin(20 * m + 1, 0.9 / m) * up
-            half_len = (len(h) - 1) // 2
+            numtaps = 20 * m + 1
+            half_len = (numtaps - 1) // 2
             n_pre_pad = down - half_len % down
             self._pre = (half_len + n_pre_pad) // down  # outputs that scipy drops at the start
-            # zero-pad the taps to a whole number of phases
-            per_phase = self._per_phase = -(-(n_pre_pad + len(h)) // up)
-            h = np.concatenate((np.zeros(n_pre_pad), h,
-                                np.zeros(per_phase * up - n_pre_pad - len(h))))
+            # the taps zero-padded to a whole number of phases; no step
+            # below holds more than three arrays of the kernel's length
+            # (134,381 taps at 215/6719), as many as the phase table and
+            # the two index tables that it keeps
+            per_phase = self._per_phase = -(-(n_pre_pad + numtaps) // up)
+            h = np.zeros(per_phase * up)
+            h[n_pre_pad:n_pre_pad + numtaps] = _firwin(numtaps, 0.9 / m)
+            h *= up
             # one row per phase, the tap for its oldest input first
             phase_taps = h.reshape(per_phase, up).T[:, ::-1]
             p = np.arange(up)
             coeffs = phase_taps[p * down % up]             # (up, per_phase)
+            del h, phase_taps
             first = p * down // up                         # newest input of output p, less q*down
             self._last = int(first[-1])
             # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
             # which is padded[q*down + first_p + j], padded being x behind
             # per_phase - 1 zeros and ahead of more; tap j of output block q reads
             # padded[(q + shift_j)*down + col_j]
-            shift, col = np.divmod(first + np.arange(per_phase)[:, None], down)  # (per_phase, up)
+            shift = first + np.arange(per_phase)[:, None]  # (per_phase, up)
+            col = shift % down
+            shift //= down
             self._taps = list(zip(shift, col, coeffs.T[:, :, None, None]))
             # output blocks per span; an input shorter than a span gets one
             # as long as itself
@@ -359,14 +381,21 @@ def hilbert_envelope(x) -> np.ndarray:
     FFT length is padded to a fast size internally; accuracy guarantees hold
     on the interior of the signal (edges show the usual Hilbert roll-off).
     Bit-identical to abs(scipy.signal.hilbert(x, N)[:n]) at that size.
+
+    The analytic signal is built in one complex buffer of the FFT length,
+    zero past the spectrum in its front, and inverted in place. Besides
+    its input it holds that buffer and the envelope: 0.88 MB traced at
+    38,479 samples (120 s at 320 Hz).
     """
     x = np.asarray(x, dtype=float)
     if x.size < 4:
         raise InputError("waveform too short for envelope")
     n = _next_fast_len(x.size)
-    spectrum = np.fft.rfft(x, n)
-    spectrum[1:(n + 1) // 2] *= 2
-    return np.abs(np.fft.ifft(spectrum, n)[:x.size])
+    analytic = np.zeros(n, dtype=complex)
+    np.fft.rfft(x, n, out=analytic[:n // 2 + 1])
+    analytic[1:(n + 1) // 2] *= 2
+    np.fft.ifft(analytic, out=analytic)
+    return np.abs(analytic[:x.size])
 
 
 # a lag's score must beat the best so far by more than this to replace it

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -80,6 +81,16 @@ def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # reaped, not only exited
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory that tracemalloc sees in fn(*args), and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

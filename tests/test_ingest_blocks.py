@@ -27,7 +27,6 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -37,7 +36,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_reaped, forks_seen
+from conftest import assert_reaped, forks_seen, traced_peak
 
 from cardioseis import ingest, signal_core
 from cardioseis.config import PipelineConfig
@@ -562,16 +561,6 @@ def test_whitespace_line_is_a_row_as_loadtxt_counts_it(tmp_path):
     body.insert(1, "   ")
     path = write_csv(tmp_path / "bad.csv", body)
     assert error_with_blocks(path, B).endswith("changed from 4 to 1 at line 3")
-
-
-def traced_peak(fn, *args):
-    """The peak of the memory that tracemalloc sees in fn(*args), and its result."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
 
 
 STATUS = Path("/proc/self/status")

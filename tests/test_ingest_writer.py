@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import assert_reaped, forks_seen
+from conftest import assert_reaped, forks_seen, traced_peak
 
 from cardioseis import ingest
 from cardioseis.ingest import CSV_BLOCK_ROWS, ingest_csv, write_recording_csv
@@ -165,6 +165,17 @@ def test_one_block_starts_no_worker(tmp_path):
         new, old = both_outputs(tmp_path, recording(cols, 320.0, edge_rows(CSV_BLOCK_ROWS, [])))
     assert pids == []
     assert new == old
+
+
+def test_one_part_holds_one_block_of_formatting(tmp_path):
+    # four blocks in this process: the values, their tuple and the bytes
+    # of one block at a time, some 260 bytes a row, whatever the length
+    rng = np.random.default_rng(4)
+    rec = recording(rng.normal(size=(2, 4 * CSV_BLOCK_ROWS)), 10000.0, {5, 7000})
+    with workers_seen(cores=1) as pids:
+        peak, _ = traced_peak(write_recording_csv, rec, tmp_path / "rec.csv")
+    assert pids == []
+    assert peak < 320 * CSV_BLOCK_ROWS, peak
 
 
 def test_no_fork_writes_in_one_part(tmp_path, monkeypatch):

@@ -6,6 +6,8 @@ from cardioseis.respiration import FlowPhase, VolumePhase, integrate_flow, label
 from cardioseis.signal_core import Channel
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
+from conftest import traced_peak
+
 
 def sine_flow(amp=1.0, freq=0.25, fs=320.0, duration=20.0):
     t = np.arange(int(round(duration * fs))) / fs
@@ -56,6 +58,13 @@ class TestIntegrateFlow:
     def test_empty_flow(self):
         with pytest.raises(InputError):
             integrate_flow(Channel(np.array([]), 320.0))
+
+    def test_peak_is_two_arrays(self):
+        # 120 s at 320 Hz: the offset-corrected flow and the volume it
+        # returns; a fresh array for any step after the offset breaks it
+        flow = Channel(np.random.default_rng(0).standard_normal(38_400), 320.0)
+        peak, volume = traced_peak(integrate_flow, flow)
+        assert peak < 2 * volume.nbytes + 2**14, peak
 
     def test_bitwise_equal_to_scipy(self, rng):
         from scipy.integrate import cumulative_trapezoid

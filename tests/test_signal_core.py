@@ -6,6 +6,8 @@ from cardioseis.signal_core import (Channel, Resampler, best_lag, hilbert_envelo
                                     resample, rms)
 from cardioseis.errors import InputError
 
+from conftest import traced_peak
+
 
 def tone(freq, fs, duration, amp=1.0):
     t = np.arange(int(round(duration * fs))) / fs
@@ -170,6 +172,17 @@ class TestHilbertEnvelope:
         with pytest.raises(InputError):
             hilbert_envelope([1.0, 2.0])
 
+    def test_peak_is_one_fft_buffer_and_the_envelope(self):
+        # 120 s at 320 Hz, whose FFT length 38,500 is longer than the input;
+        # a first call primes what numpy keeps between transforms of one
+        # length. A spectrum apart from the complex buffer, or its
+        # zero-padded copy, would break the bound
+        x = np.random.default_rng(0).standard_normal(38_479)
+        n = signal_core._next_fast_len(len(x))
+        hilbert_envelope(x)
+        peak, env = traced_peak(hilbert_envelope, x)
+        assert peak < 16 * n + env.nbytes + 2**14, peak
+
 
 class TestBestLag:
     def test_self_alignment(self, rng):
@@ -246,3 +259,14 @@ def test_a_part_buffer_is_one_span_and_its_reach(up, down):
     part = Resampler(float(down), float(up), 10 * signal_core._RESAMPLE_SPAN, 2).at(0)
     bound = 2 * 8 * (signal_core._RESAMPLE_SPAN + (part._reach + 1) * down)
     assert part._buf.nbytes <= bound, (part._buf.nbytes, bound)
+
+
+def test_resampler_design_holds_its_tables_and_little_more():
+    # 10,000.37 Hz to 320 Hz is 215/6719: a 134,381-tap kernel in 626
+    # phases. The resampler keeps its phase table and two index tables of
+    # up * per_phase entries each, and the views of them that its taps
+    # loop reads; a copy of the kernel besides, as a design on fresh
+    # arrays at each step makes, would break the bound
+    peak, out = traced_peak(Resampler, 10_000.37, 320.0, 1_200_013, 2)
+    table = 8 * out._up * out._per_phase
+    assert peak < 4 * table, (peak, table)
