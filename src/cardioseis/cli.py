@@ -1,11 +1,13 @@
 """Command-line entry points: run, synth, report.
 
 Exit codes: 0 success, 2 input/parse error, 3 degenerate analysis,
-4 internal invariant violation.
+4 internal invariant violation, 141 stdout closed (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +17,7 @@ import click
 from .config import PipelineConfig, load_config, parse_config
 from .errors import DegenerateAnalysisError, InputError
 from .ingest import write_recording_csv
-from .pipeline import make_out_dir, run_pipeline
+from .pipeline import check_out_dir, run_pipeline
 from .report import check_report
 from .synth import DEFAULT_MORPH_LENGTH_S, Coupling, SynthConfig, gen_recording
 
@@ -31,6 +33,11 @@ class _Command(click.Command):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except BrokenPipeError:  # stdout's reader left, as in `yes | head -1`: no error
+            with contextlib.suppress(OSError):  # stdout has no descriptor under CliRunner
+                stdout = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)  # so the flush at exit is silent
+            sys.exit(141)  # 128 + SIGPIPE, as a shell reports it
         except Exception as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES))
@@ -85,7 +92,8 @@ def synth(seed, coupling, out_dir, duration, fs, snr_db):
         raise InputError(f"--out {out_dir!r}: the input line of pipeline.cfg would not "
                          f"read back as {csv_path} (it must hold no comma, no '#' after "
                          "whitespace, and no whitespace at either end)")
-    make_out_dir(out, "--out")
+    check_out_dir(out, "--out")
+    out.mkdir(parents=True, exist_ok=True)
     write_recording_csv(rec, csv_path)
     truth.to_json(out / f"{rec.recording_id}_truth.json")
     cfg_path.write_text(run_config)

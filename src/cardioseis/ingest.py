@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import os
 import pickle
 import re
@@ -192,19 +191,10 @@ def _chunks(fh, stop: int):
 def _parse_chunk(chunk: bytes, ref_row: bytes) -> np.ndarray:
     """The data rows of a chunk of CSV lines, parsed by np.loadtxt after
     ref_row; its ValueError, a decode error included, on a fault. A line
-    ends at "\n", "\r\n" or a lone "\r"; a binary stream, which makes no
-    list of the lines, ends them at "\n" alone, and loadtxt rejects a lone
-    "\r" left in one unless a comment hides it."""
-    def load(lines):
-        return np.loadtxt(chain([ref_row], lines), delimiter=",", ndmin=2, encoding="utf-8")[1:]
-
-    if b"#" not in chunk:
-        try:
-            return load(io.BytesIO(chunk))
-        except ValueError:
-            if chunk.count(b"\r") == chunk.count(b"\r\n"):
-                raise
-    return load(chunk.splitlines())
+    ends at "\n", "\r\n" or a lone "\r", as bytes.splitlines splits them;
+    no UTF-8 sequence holds a "\n" or "\r" byte."""
+    return np.loadtxt(chain([ref_row], chunk.splitlines()), delimiter=",", ndmin=2,
+                      encoding="utf-8")[1:]
 
 
 def _first_time(path, ref_row: bytes, time: int) -> float:

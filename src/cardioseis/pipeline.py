@@ -10,6 +10,7 @@ alone gives the CLI's exit code.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,40 +95,24 @@ def _write_artifacts(rec_id: str, cmp, fs: float, out_dir: Path):
     return [avg_csv, ens_svg, rd_svg]
 
 
-def make_out_dir(path: Path, name: str) -> Path | None:
-    """Create the output directory `path` and its parents. A file at the
-    path or above it is an InputError that names the option `name`.
-
-    Returns the outermost directory this call created, or None if `path`
-    was already there."""
-    created = next((p for p in reversed([path, *path.parents]) if not p.exists()), None)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+def check_out_dir(path: Path, name: str) -> None:
+    """Raise an InputError that names the option `name` if the output
+    directory `path` could not be made: if the nearest of it and its
+    parents that exists, a dangling symlink included, is not a directory.
+    Creates nothing."""
+    there = next((p for p in [path, *path.parents] if os.path.lexists(p)), None)
+    if there is not None and not there.is_dir():
         raise InputError(f"{name} {str(path)!r}: a file stands where the output "
-                         f"directory would go: {exc}") from None
-    return created
-
-
-def _remove_empty_dirs(path: Path, top: Path) -> None:
-    """Remove the directory `path` and its parents up to `top`, innermost
-    first, while each is empty."""
-    for directory in [path, *path.parents]:
-        try:
-            directory.rmdir()
-        except OSError:  # not empty, or gone
-            return
-        if directory == top:
-            return
+                         f"directory would go: {str(there)!r}")
 
 
 def run_pipeline(config: PipelineConfig):
     """Process every configured input file and write reports and plots.
 
     Returns (rows, artifact paths). Deterministic: rows sorted by
-    recording id, groups in fixed order, stable float formatting. A run
-    that fails before it writes an artifact removes the output directory
-    if it created it, and leaves one that was there before as it was.
+    recording id, groups in fixed order, stable float formatting. The
+    output directory is made at the first write, so a run that fails
+    before it leaves none behind.
     """
     if not config.inputs:
         raise InputError("no input files configured")
@@ -141,23 +126,14 @@ def run_pipeline(config: PipelineConfig):
         if not path.is_file():
             raise InputError(f"input file not found: {path}")
     out_dir = Path(config.out_dir)
-    created = make_out_dir(out_dir, "out_dir")
-    try:
-        return _process(paths, config, out_dir)
-    except BaseException:
-        if created:
-            _remove_empty_dirs(out_dir, created)
-        raise
-
-
-def _process(paths, config: PipelineConfig, out_dir: Path):
-    """run_pipeline's work on its checked inputs, in the directory it made."""
+    check_out_dir(out_dir, "out_dir")
     rows, artifacts = [], []
     for path in paths:
         rec = _stage("ingest", ingest_csv, path, config.acquisition_fs, config.analysis_fs)
         cmp, context = analyze_recording(rec, config)
         rows.append(comparison_to_row(rec.recording_id, cmp, len(context["events"]),
                                       context["outliers_dropped"]))
+        out_dir.mkdir(parents=True, exist_ok=True)
         artifacts += _write_artifacts(rec.recording_id, cmp, config.analysis_fs, out_dir)
         del rec, cmp, context  # the next ingest must not hold two recordings
     rows.sort(key=lambda row: row["recording_id"])

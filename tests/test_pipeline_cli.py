@@ -50,6 +50,14 @@ def zero_flow_csv(tmp_path):
     return path, truth, cfg
 
 
+def cli_env() -> dict:
+    """This environment, with the package under test first on PYTHONPATH,
+    for a CLI run in a fresh interpreter."""
+    src = Path(cardioseis.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def pipeline_config(tmp_path, csv_path, truth, cfg, **overrides):
     length_s = 0.25
     start_s = truth.beat_indices[0] / cfg.fs - length_s / 2
@@ -576,19 +584,46 @@ class TestCli:
         assert res.exit_code == 4, res.output
         assert res.output == "error: broken stage\n"
 
-    @pytest.mark.parametrize("under", ["", "sub"])
-    def test_run_out_on_a_file_exits_2_before_ingest(self, tmp_path, monkeypatch, under):
+    @pytest.mark.parametrize("out", ["blocker", "blocker/sub", "blocker/sub/deeper",
+                                     "link", "link/sub"],
+                             ids=lambda out: out.removeprefix("blocker").lstrip("/"))
+    def test_run_out_on_a_file_exits_2_before_ingest(self, tmp_path, monkeypatch, out):
+        # a dangling symlink counts as there, as it does for mkdir
         path, *_ = synth_csv(tmp_path, duration=5.0)
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
+        (tmp_path / "blocker").write_text("")
+        (tmp_path / "link").symlink_to(tmp_path / "gone")
         ingested = []
         monkeypatch.setattr("cardioseis.pipeline.ingest_csv",
                             lambda *args: ingested.append(args))
         res = CliRunner().invoke(main, ["run", "--input", str(path),
-                                        "--out", str(blocker / under)])
+                                        "--out", str(tmp_path / out)])
         assert res.exit_code == 2, res.output
-        assert "out_dir" in res.output
+        blocking = tmp_path / out.split("/")[0]
+        assert res.output == (f"error: out_dir {str(tmp_path / out)!r}: a file stands where "
+                              f"the output directory would go: {str(blocking)!r}\n")
         assert ingested == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "link", path.name]
+
+    def test_run_out_through_a_symlinked_dir(self, tmp_path):
+        # a link to a directory is a directory
+        path, _, truth, cfg = synth_csv(tmp_path, duration=5.0)
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        run_pipeline(pipeline_config(tmp_path, path, truth, cfg,
+                                     out_dir=str(tmp_path / "link" / "sub")))
+        assert (tmp_path / "real" / "sub" / "report.json").is_file()
+
+    @pytest.mark.parametrize("out", ["o2", "o2/sub"])
+    def test_interrupted_run_leaves_no_out_dir(self, tmp_path, monkeypatch, out):
+        path, *_ = synth_csv(tmp_path, duration=5.0)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("cardioseis.pipeline.ingest_csv", interrupted)
+        config = PipelineConfig(inputs=(str(path),), out_dir=str(tmp_path / out))
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("under", ["", "sub"])
     def test_synth_out_on_a_file_exits_2_before_writing(self, tmp_path, monkeypatch, under):
@@ -629,7 +664,7 @@ class TestCli:
         assert res.output == f"error: [ingest] {path}: empty file\n"
 
     @pytest.mark.parametrize("out", ["o2", "o2/sub"])
-    def test_failed_run_removes_the_out_dir_it_made(self, tmp_path, out):
+    def test_failed_run_makes_no_out_dir(self, tmp_path, out):
         path = tmp_path / "empty.csv"
         path.write_bytes(b"")
         res = CliRunner().invoke(main, ["run", "--input", str(path), "--out", str(tmp_path / out)])
@@ -701,6 +736,26 @@ class TestCli:
         assert f"2 inputs share the file stem {path.stem!r}" in res.output
         assert ingested == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "run"])
+    def test_closed_stdout_exits_141_silently(self, tmp_path, command):
+        # as a shell reports `yes | head -1`: 128 + SIGPIPE, and nothing on stderr
+        if command == "report":
+            args = ["report", "--check", str(DATA_DIR / "reference_tables.json")]
+        else:
+            res = CliRunner().invoke(main, ["synth", "--fs", "320", "--duration", "10",
+                                            "--out", str(tmp_path / "s")])
+            assert res.exit_code == 0, res.output
+            args = ["run", "--config", str(tmp_path / "s" / "pipeline.cfg"),
+                    "--out", str(tmp_path / "r")]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cardioseis.cli", *args], stdout=write,
+                                  stderr=subprocess.PIPE, env=cli_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_report_check_fixture(self):
         runner = CliRunner()
@@ -820,14 +875,11 @@ print(json.dumps(seen))
 def test_no_command_loads_scipy(tmp_path):
     """Importing the CLI, `report --check`, `synth` and a full `run` on
     what that `synth` wrote load no scipy module."""
-    src = Path(cardioseis.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     analysis = tmp_path / "analysis"
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
                            str(DATA_DIR / "reference_tables.json"), str(tmp_path / "synth"),
                            str(analysis)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"import": [], "report": [], "synth": [], "run": []}
