@@ -1,18 +1,17 @@
 """Command-line entry points: run, synth, report.
 
-Exit codes: 0 success, 2 input/parse error, 3 degenerate analysis,
-4 internal invariant violation, 141 stdout closed (128 + SIGPIPE).
+Exit codes: 0 success, 2 input/parse error (a usage error too), 3 degenerate
+analysis, 4 internal invariant violation, 141 stdout closed (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import click
 
 from .config import PipelineConfig, load_config, parse_config
 from .errors import DegenerateAnalysisError, InputError
@@ -25,35 +24,6 @@ EXIT_INTERNAL = 4
 _EXIT_CODES = {InputError: 2, DegenerateAnalysisError: 3, Exception: EXIT_INTERNAL}
 
 
-class _Command(click.Command):
-    """A command behind the one error boundary: a failure prints `error: <message>`
-    and exits with the code of the first class of its MRO that _EXIT_CODES holds.
-    Click's own exits (--help, a usage error) come from parsing, before invoke."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BrokenPipeError:  # stdout's reader left, as in `yes | head -1`: no error
-            with contextlib.suppress(OSError):  # stdout has no descriptor under CliRunner
-                stdout = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)  # so the flush at exit is silent
-            sys.exit(141)  # 128 + SIGPIPE, as a shell reports it
-        except Exception as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES))
-
-
-@click.group()
-def main():
-    """SCG heartbeat grouping by respiratory phase and lung volume."""
-
-
-@main.command(cls=_Command)
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Flat key=value config file.")
-@click.option("--input", "inputs", multiple=True, type=click.Path(),
-              help="Input recording CSV (repeatable; overrides config).")
-@click.option("--out", "out_dir", type=click.Path(), default=None, help="Output directory.")
 def run(config_path, inputs, out_dir):
     """Run the full analysis pipeline and write reports and plots."""
     config = load_config(config_path) if config_path else PipelineConfig()
@@ -64,22 +34,12 @@ def run(config_path, inputs, out_dir):
     rows, artifacts = run_pipeline(config)
     for row in rows:
         winners = row["winners"]
-        click.echo(f"{row['recording_id']}: {row['n_events']} events, "
-                   f"winners insp/LLV={winners['inspiration_vs_llv']} "
-                   f"exp/HLV={winners['expiration_vs_hlv']}")
-    click.echo(f"wrote {len(artifacts)} artifact(s) to {config.out_dir}")
+        print(f"{row['recording_id']}: {row['n_events']} events, "
+              f"winners insp/LLV={winners['inspiration_vs_llv']} "
+              f"exp/HLV={winners['expiration_vs_hlv']}")
+    print(f"wrote {len(artifacts)} artifact(s) to {config.out_dir}")
 
 
-@main.command(cls=_Command)
-@click.option("--seed", type=int, default=SynthConfig.seed, show_default=True)
-@click.option("--coupling", type=click.Choice([c.value for c in Coupling]),
-              default=SynthConfig.coupling.value, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(), default="synth_out", show_default=True)
-@click.option("--duration", type=float, default=SynthConfig.duration_s, show_default=True,
-              help="Recording length in seconds.")
-@click.option("--fs", type=float, default=SynthConfig.fs, show_default=True,
-              help="Sampling rate of the generated recording.")
-@click.option("--snr", "snr_db", type=float, default=SynthConfig.snr_db, show_default=True)
 def synth(seed, coupling, out_dir, duration, fs, snr_db):
     """Generate a synthetic recording, ground truth, and a ready-to-run config."""
     cfg = SynthConfig(duration_s=duration, fs=fs, snr_db=snr_db,
@@ -97,7 +57,7 @@ def synth(seed, coupling, out_dir, duration, fs, snr_db):
     write_recording_csv(rec, csv_path)
     truth.to_json(out / f"{rec.recording_id}_truth.json")
     cfg_path.write_text(run_config)
-    click.echo(f"wrote {csv_path} ({len(truth.beat_indices)} beats)")
+    print(f"wrote {csv_path} ({len(truth.beat_indices)} beats)")
 
 
 def _synth_config(csv_path, cfg: SynthConfig, truth) -> str:
@@ -121,17 +81,66 @@ def _exact(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-@main.command(cls=_Command)
-@click.option("--check", "report_path", type=click.Path(), required=True,
-              help="Report JSON to verify for RD self-consistency.")
 def report(report_path):
     """Recompute RD values from a report's own mean columns."""
     problems = check_report(report_path)
     if problems:
         for p in problems:
-            click.echo(f"inconsistent: {p}", err=True)
+            print(f"inconsistent: {p}", file=sys.stderr)
         sys.exit(EXIT_INTERNAL)
-    click.echo("report is self-consistent")
+    print("report is self-consistent")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cardioseis", description="SCG heartbeat grouping by respiratory phase and lung volume.")
+    commands = parser.add_subparsers(required=True)
+
+    def command(func, **kwargs):
+        sub = commands.add_parser(func.__name__, help=func.__doc__, description=func.__doc__,
+                                  allow_abbrev=False, **kwargs)
+        sub.set_defaults(command=func)
+        return sub.add_argument
+
+    option = command(run)
+    option("--config", dest="config_path", metavar="PATH", help="Flat key=value config file.")
+    option("--input", dest="inputs", metavar="PATH", action="append",
+           help="Input recording CSV (repeatable; overrides config).")
+    option("--out", dest="out_dir", metavar="PATH", help="Output directory.")
+    option = command(synth, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    option("--seed", type=int, default=SynthConfig.seed, help="Random seed.")
+    option("--coupling", choices=[c.value for c in Coupling], default=SynthConfig.coupling.value,
+           help="What the beat morphology follows.")
+    option("--out", dest="out_dir", metavar="PATH", default="synth_out", help="Output directory.")
+    option("--duration", type=float, default=SynthConfig.duration_s, help="Recording length in seconds.")
+    option("--fs", type=float, default=SynthConfig.fs, help="Sampling rate of the generated recording.")
+    option("--snr", dest="snr_db", type=float, default=SynthConfig.snr_db, help="Signal-to-noise ratio, dB.")
+    option = command(report)
+    option("--check", dest="report_path", metavar="PATH", required=True,
+           help="Report JSON to verify for RD self-consistency.")
+    return parser
+
+
+def main(argv=None):
+    """The one error boundary: a failure prints `error: <message>` and exits with
+    the code of the first class of its MRO that _EXIT_CODES holds. argparse's own
+    exits (--help, a usage error) raise SystemExit, which passes it by."""
+    try:
+        args = vars(_parser().parse_args(argv))
+        args.pop("command")(**args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the boundary
+    except BrokenPipeError:  # stdout's reader left, as in `yes | head -1`: no error
+        with contextlib.suppress(OSError):  # a captured stdout has no descriptor
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)  # so the flush at exit is silent
+        sys.exit(141)  # 128 + SIGPIPE, as a shell reports it
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES))
+
+
+# bench/run.py calls the CLI as click did, main.main(args=[...], standalone_mode=False)
+main.main = lambda args, standalone_mode: main(args)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 import contextlib
+import io
 import os
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from cardioseis.cli import main
 from cardioseis.config import PipelineConfig
 from cardioseis.event_detection import detect_events, template_from_channel
 from cardioseis.grouping import compare_criteria, screen_outliers
@@ -15,6 +18,23 @@ from cardioseis.signal_core import lowpass
 from cardioseis.synth import SynthConfig, default_morphologies, gen_recording
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, in the order they were written
+
+
+def invoke(args) -> CliResult:
+    """`cardioseis <args>` in this process, through its one entry point."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            main(args)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, output.getvalue())
 
 
 # the template length of run_synth_analysis, at the synth default rate

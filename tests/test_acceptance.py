@@ -9,9 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from cardioseis.cli import main as cli_main
 from cardioseis.event_detection import matched_filter_output
 from cardioseis.grouping import (Winner, ensemble_average, mean_dissimilarity,
                                  normalized_dissim, relative_difference)
@@ -20,7 +18,7 @@ from cardioseis.respiration import integrate_flow
 from cardioseis.signal_core import Channel, hilbert_envelope, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
-from conftest import DATA_DIR, detection_scores, run_synth_analysis, sweep_recording
+from conftest import DATA_DIR, detection_scores, invoke, run_synth_analysis, sweep_recording
 
 
 @contextmanager
@@ -44,8 +42,7 @@ def test_criterion_1_table_arithmetic():
                 assert rd == pytest.approx(g["rd"], abs=0.02), (row["recording_id"], g["group"])
                 checked += 1
         assert checked == 28
-        res = CliRunner().invoke(cli_main,
-                                 ["report", "--check", str(DATA_DIR / "reference_tables.json")])
+        res = invoke(["report", "--check", str(DATA_DIR / "reference_tables.json")])
         assert res.exit_code == 0, res.output
         assert time.perf_counter() - t0 < 1.0
 
