@@ -122,13 +122,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None):
-    """The one error boundary: a failure prints `error: <message>` and exits with
-    the code of the first class of its MRO that _EXIT_CODES holds. argparse's own
-    exits (--help, a usage error) raise SystemExit, which passes it by."""
+    """The one error boundary: a failure prints `error: <message>` and exits with the code
+    of the first class of its MRO in _EXIT_CODES; argparse's SystemExit passes it by."""
     try:
-        args = vars(_parser().parse_args(argv))
-        args.pop("command")(**args)
-        sys.stdout.flush()  # a closed stdout fails here, inside the boundary
+        try:
+            args = vars(_parser().parse_args(argv))
+            args.pop("command")(**args)
+        finally:
+            sys.stdout.flush()  # on every exit, --help's too: a closed stdout fails here
     except BrokenPipeError:  # stdout's reader left, as in `yes | head -1`: no error
         with contextlib.suppress(OSError):  # a captured stdout has no descriptor
             stdout = sys.stdout.fileno()

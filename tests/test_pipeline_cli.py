@@ -50,10 +50,12 @@ def zero_flow_csv(tmp_path):
 
 def cli_env() -> dict:
     """This environment, with the package under test first on PYTHONPATH,
-    for a CLI run in a fresh interpreter."""
+    for a CLI run in a fresh interpreter whose stdout is buffered, as in a shell."""
     src = Path(cardioseis.__file__).resolve().parent.parent
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def pipeline_config(tmp_path, csv_path, truth, cfg, **overrides):
@@ -737,12 +739,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["report", "run", "help"])
     def test_closed_stdout_exits_141_silently(self, tmp_path, command):
-        # as a shell reports `yes | head -1`: 128 + SIGPIPE, and nothing on stderr;
-        # from 3.11 on, argparse drops the failed write of --help itself
-        expected = (141, b"")
+        # as a shell reports `yes | head -1`: 128 + SIGPIPE, and nothing on stderr
         if command == "help":
             args = ["run", "--help"]
-            expected = (141 if sys.version_info < (3, 11) else 0, b"")
         elif command == "report":
             args = ["report", "--check", str(DATA_DIR / "reference_tables.json")]
         else:
@@ -758,7 +757,7 @@ class TestCli:
                                   stderr=subprocess.PIPE, env=cli_env(), timeout=120)
         finally:
             os.close(write)
-        assert (proc.returncode, proc.stderr) == expected
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_report_check_fixture(self):
         res = invoke(["report", "--check", str(DATA_DIR / "reference_tables.json")])
