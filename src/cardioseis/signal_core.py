@@ -16,7 +16,6 @@ import copy
 import math
 import mmap
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -174,6 +173,28 @@ def resample(ch: Channel, target_fs: float) -> Channel:
     return Channel(out.result(round(n * target_fs / ch.fs))[0], float(target_fs), ch.label)
 
 
+def _rate_ratio(x: float, max_den: int = 10000) -> tuple[int, int]:
+    """The fraction up/down nearest x with down at most max_den, in lowest
+    terms, the smaller down on a tie: Fraction(x).limit_denominator(max_den)
+    as CPython computes it, on the continued fraction of x."""
+    n, den = x.as_integer_ratio()
+    if den <= max_den:
+        return n, den
+    p0, q0, p1, q1, d = 0, 1, 1, 0, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # p1/q1 is d / (q1 * den) from x, and the two bounds 1 / (q1 * (q0 + k*q1)) apart
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 # inputs per span of a Resampler's output blocks, which bounds its
 # by-column buffer
 _RESAMPLE_SPAN = 1 << 18
@@ -219,8 +240,7 @@ class Resampler:
         if not 0 < target_fs < math.inf:  # NaN included
             raise InputError(f"target_fs must be finite and > 0, got {target_fs}")
         self._channels = channels
-        frac = Fraction(target_fs / fs).limit_denominator(10000)
-        up, down = self._up, self._down = frac.numerator, frac.denominator
+        up, down = self._up, self._down = _rate_ratio(target_fs / fs)
         self._pre, self._per_phase, self._last = 0, 1, 0  # where up == down
         if up != down:
             m = max(up, down)
@@ -228,29 +248,29 @@ class Resampler:
             half_len = (numtaps - 1) // 2
             n_pre_pad = down - half_len % down
             self._pre = (half_len + n_pre_pad) // down  # outputs that scipy drops at the start
-            # the taps zero-padded to a whole number of phases; no step
-            # below holds more than three arrays of the kernel's length
-            # (134,381 taps at 215/6719), as many as the phase table and
-            # the two index tables that it keeps
+            # the taps zero-padded to a whole number of phases. The design
+            # keeps the coefficients and two int16 index tables, per_phase * up
+            # entries each (1.62 MiB at 215/6719, 31 KiB at 4/125); no step
+            # holds more than three arrays of the kernel's length at once
             per_phase = self._per_phase = -(-(n_pre_pad + numtaps) // up)
             h = np.zeros(per_phase * up)
             h[n_pre_pad:n_pre_pad + numtaps] = _firwin(numtaps, 0.9 / m)
             h *= up
-            # one row per phase, the tap for its oldest input first
-            phase_taps = h.reshape(per_phase, up).T[:, ::-1]
             p = np.arange(up)
-            coeffs = phase_taps[p * down % up]             # (up, per_phase)
-            del h, phase_taps
+            # coeffs[j, p] is tap j of output p's phase, its oldest input first
+            coeffs = h.reshape(per_phase, up)[::-1].take(p * down % up, axis=1)
+            del h
             first = p * down // up                         # newest input of output p, less q*down
             self._last = int(first[-1])
             # output i reads x[q*down + first_p - per_phase + 1 + j], j < per_phase,
             # which is padded[q*down + first_p + j], padded being x behind
             # per_phase - 1 zeros and ahead of more; tap j of output block q reads
-            # padded[(q + shift_j)*down + col_j]
+            # padded[(q + shift_j)*down + col_j]; first_p + j reaches 210,000 at
+            # 1/10000, but the column is below 10000 and the shift at most 21
             shift = first + np.arange(per_phase)[:, None]  # (per_phase, up)
-            col = shift % down
+            col = (shift % down).astype(np.int16)
             shift //= down
-            self._taps = list(zip(shift, col, coeffs.T[:, :, None, None]))
+            self._taps = (shift.astype(np.int16), col, coeffs)
             # output blocks per span; an input shorter than a span gets one
             # as long as itself
             self._span = max(1, min(_RESAMPLE_SPAN, max_len) // down)
@@ -324,8 +344,8 @@ class Resampler:
         runs = runs.transpose(1, 2, 0, 3)
         channels, up = len(self._buf), self._up
         acc = np.zeros((up, channels, blocks))
-        for shift_j, col_j, tap in self._taps:
-            acc += runs[col_j, shift_j] * tap
+        for shift_j, col_j, tap in zip(*self._taps):
+            acc += runs[col_j, shift_j] * tap[:, None, None]
         q = self._q
         self._y[:, q * up:(q + blocks) * up] = acc.transpose(1, 2, 0).reshape(channels, -1)
         self._q += blocks

@@ -75,6 +75,11 @@ class GroundTruth:
             fh.write("\n")
 
 
+def _morph_length(fs: float) -> int:
+    """Samples in each of default_morphologies(fs)."""
+    return max(8, int(round(DEFAULT_MORPH_LENGTH_S * fs)))
+
+
 def default_morphologies(fs: float):
     """Two unit-RMS damped-oscillation bursts with a shared 20 Hz carrier.
 
@@ -82,8 +87,7 @@ def default_morphologies(fs: float):
     honest (peak at zero lag); the envelopes and a second harmonic make
     the shapes clearly distinct for the dissimilarity metrics.
     """
-    n = max(8, int(round(DEFAULT_MORPH_LENGTH_S * fs)))
-    t = np.arange(n) / fs
+    t = np.arange(_morph_length(fs)) / fs
     m_low = np.sin(2 * np.pi * 20 * t) * np.exp(-t / 0.05)
     m_high = (np.sin(2 * np.pi * 20 * t) + 0.8 * np.sin(2 * np.pi * 40 * t)) * np.exp(-t / 0.03)
     return m_low / rms(m_low), m_high / rms(m_high)
@@ -126,8 +130,7 @@ def gen_recording(cfg: SynthConfig):
     The flow channel is shared, read-only, by every recording of the same
     duration and rate.
     """
-    m_low, m_high = default_morphologies(cfg.fs)
-    length = len(m_low)
+    length = _morph_length(cfg.fs)
     n = int(round(cfg.duration_s * cfg.fs))
     period = cfg.fs * 60.0 / _HEART_RATE_BPM
     jitter = _HR_JITTER_PCT / 100.0
@@ -135,6 +138,7 @@ def gen_recording(cfg: SynthConfig):
         raise InputError("beat overlap: heart period shorter than morphology")
     if n < 3 * length:  # the first beat needs a morphology-length margin on each side
         raise InputError(f"duration_s = {cfg.duration_s:g} is too short to hold one beat")
+    m_low, m_high = default_morphologies(cfg.fs)
 
     rng = np.random.default_rng(cfg.seed)
     flow_ch, volume = _shared_respiration(cfg.duration_s, cfg.fs)

@@ -113,6 +113,16 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def traced_held(fn, *args):
+    """The memory that tracemalloc sees fn(*args) leave held, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -847,14 +847,15 @@ class TestCli:
 
 # Imports the package and the CLI, then runs `report --check`, a short
 # `synth` and `run` on what that `synth` wrote, all in the same interpreter,
-# listing the scipy and click modules loaded after each step. argv: report
-# path, synth output directory, run output directory.
+# listing the scipy, click, fractions and decimal modules loaded after each
+# step. argv: report path, synth output directory, run output directory.
 IMPORT_GUARD = """
 import json, sys
 import cardioseis, cardioseis.cli
 
 def unwanted_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "click"))
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "click", "fractions", "decimal"))
 
 seen = {"import": unwanted_loaded()}
 for name, args in (("report", ["report", "--check", sys.argv[1]]),
@@ -873,7 +874,8 @@ print(json.dumps(seen))
 
 def test_no_command_loads_scipy(tmp_path):
     """Importing the CLI, `report --check`, `synth` and a full `run` on
-    what that `synth` wrote load no scipy and no click module."""
+    what that `synth` wrote load no scipy, click, fractions or decimal
+    module."""
     analysis = tmp_path / "analysis"
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
                            str(DATA_DIR / "reference_tables.json"), str(tmp_path / "synth"),

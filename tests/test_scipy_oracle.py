@@ -1,10 +1,12 @@
-"""The numpy DSP primitives against the scipy.signal calls they replace.
+"""The numpy DSP primitives against the scipy.signal calls they replace,
+and the resampler's rate ratio against fractions.Fraction.
 
 Each one follows scipy's order of operations, so the comparisons are bit
 for bit. scipy is needed only by these tests.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from scipy.fft import next_fast_len
 from cardioseis import signal_core
 from cardioseis.event_detection import _find_peaks
 from cardioseis.signal_core import (Channel, Resampler, _firwin, _freqz, _lowpass_taps,
-                                    _next_fast_len, hilbert_envelope, lowpass)
+                                    _next_fast_len, _rate_ratio, hilbert_envelope, lowpass)
 
 # up/down ratios: 10 kHz to 320 Hz, rates beyond 6 significant digits,
 # and upsampling
@@ -91,6 +93,26 @@ def test_lowpass_short_and_long_channels(cutoff_hz):
         got = lowpass(Channel(x, 320.0), cutoff_hz).samples
         assert got.shape == want.shape, n
         assert np.max(np.abs(got - want)) < 1e-13, n
+
+
+def limit_denominator(x):
+    frac = Fraction(x).limit_denominator(10000)
+    return frac.numerator, frac.denominator
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=st.floats(1e-4, 1e4))
+def test_rate_ratio(x):
+    assert _rate_ratio(x) == limit_denominator(x)
+
+
+# the rates behind RATIOS, as the resampler tests pass them, and the
+# acquisition and analysis rates of the CLI runs
+@pytest.mark.parametrize("fs, target_fs", [*((float(down), float(up)) for up, down in RATIOS),
+                                           (10_000.0, 320.0), (10_000.37, 320.0),
+                                           (320.0, 10_000.37)])
+def test_rate_ratio_of_the_tested_rates(fs, target_fs):
+    assert _rate_ratio(target_fs / fs) == limit_denominator(target_fs / fs)
 
 
 def resampled(x, up, down, edges, n_out):

@@ -6,7 +6,7 @@ from cardioseis.signal_core import (Channel, Resampler, best_lag, hilbert_envelo
                                     resample, rms)
 from cardioseis.errors import InputError
 
-from conftest import traced_peak
+from conftest import traced_held, traced_peak
 
 
 def tone(freq, fs, duration, amp=1.0):
@@ -261,12 +261,29 @@ def test_a_part_buffer_is_one_span_and_its_reach(up, down):
     assert part._buf.nbytes <= bound, (part._buf.nbytes, bound)
 
 
-def test_resampler_design_holds_its_tables_and_little_more():
-    # 10,000.37 Hz to 320 Hz is 215/6719: a 134,381-tap kernel in 626
-    # phases. The resampler keeps its phase table and two index tables of
-    # up * per_phase entries each, and the views of them that its taps
-    # loop reads; a copy of the kernel besides, as a design on fresh
-    # arrays at each step makes, would break the bound
-    peak, out = traced_peak(Resampler, 10_000.37, 320.0, 1_200_013, 2)
-    table = 8 * out._up * out._per_phase
-    assert peak < 4 * table, (peak, table)
+# 10,000.37 Hz and 10 kHz to 320 Hz: 215/6719, a 134,381-tap kernel in 657
+# phases of 215 outputs, and 4/125, 2,501 taps in 657 phases of 4
+@pytest.mark.parametrize("fs, table_bytes", [(10_000.37, 8 + 2 + 2), (10_000.0, 0)])
+def test_resampler_design_holds_its_tables_and_little_more(fs, table_bytes):
+    # once made, a resampler holds its float coefficient table and its two
+    # int16 index tables, of per_phase * up entries each, and little more:
+    # the tables at 4/125 fit in the 64 KiB besides; per-tap views of them,
+    # or index tables of int64, would break the bound
+    held, out = traced_held(Resampler, fs, 320.0, round(120 * fs), 2)
+    bound = table_bytes * out._up * out._per_phase + 2**16
+    assert held < bound, (held, bound)
+
+
+@pytest.mark.parametrize("up, down", [(1, 10_000), (3, 10_000), (10_000, 1), (9_999, 10_000)])
+def test_resampler_index_tables_fit_int16(up, down):
+    # the extreme ratios of a denominator of at most 10,000, where the
+    # newest input of a tap, first_p + j, reaches 210,000: the stored tables
+    # are the shift and column of that input computed in int64
+    out = Resampler(float(down), float(up), 10, 1)
+    assert (out._up, out._down) == (up, down)
+    shift, col, coeffs = out._taps
+    assert shift.dtype == col.dtype == np.int16
+    assert coeffs.shape == shift.shape == col.shape == (out._per_phase, up)
+    p = np.arange(up, dtype=np.int64)
+    wide = p * down // up + np.arange(out._per_phase, dtype=np.int64)[:, None]
+    assert np.array_equal(shift, wide // down) and np.array_equal(col, wide % down)

@@ -15,6 +15,8 @@ from cardioseis.synth import (_HEART_RATE_BPM, _HR_JITTER_PCT, _RESP_FREQ, Groun
                               Coupling, SynthConfig, default_morphologies, gen_recording,
                               gen_respiration)
 
+from conftest import traced_peak
+
 
 def reference_gen_recording(cfg: SynthConfig):
     """gen_recording as a loop over beats: one uniform draw, one blend and
@@ -221,6 +223,15 @@ class TestGenRecording:
         # at 8 Hz the 8-sample morphology outlasts a 66 bpm heart period
         with pytest.raises(InputError, match="beat overlap"):
             gen_recording(SynthConfig(fs=8.0, duration_s=10))
+
+    def test_too_short_fails_before_building_a_morphology(self):
+        # at 10 MHz a morphology is 2.5 M samples, 20 MB each; 0.01 s cannot
+        # hold one, and that is found before any is built
+        def too_short():
+            with pytest.raises(InputError, match="too short to hold one beat"):
+                gen_recording(SynthConfig(fs=1e7, duration_s=0.01))
+        peak, _ = traced_peak(too_short)
+        assert peak < 2**20, peak
 
     def test_truth_labels_consistent_with_respiration_module(self):
         cfg = SynthConfig(duration_s=60, seed=9)
