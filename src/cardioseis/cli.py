@@ -47,10 +47,11 @@ def synth(seed, coupling, out_dir, duration, fs, snr_db):
     rec, truth = gen_recording(cfg)
     out = Path(out_dir)
     csv_path, cfg_path = out / f"{rec.recording_id}.csv", out / "pipeline.cfg"
-    run_config = _synth_config(csv_path, cfg, truth)
-    if parse_config(run_config, cfg_path).inputs != (str(csv_path),):
+    input_path = os.path.abspath(csv_path)  # so that run reads it from any directory
+    run_config = _synth_config(input_path, cfg, truth)
+    if parse_config(run_config, cfg_path).inputs != (input_path,):
         raise InputError(f"--out {out_dir!r}: the input line of pipeline.cfg would not "
-                         f"read back as {csv_path} (it must hold no comma, no '#' after "
+                         f"read back as {input_path} (it must hold no comma, no '#' after "
                          "whitespace, and no whitespace at either end)")
     check_out_dir(out, "--out")
     out.mkdir(parents=True, exist_ok=True)

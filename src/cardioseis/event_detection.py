@@ -144,7 +144,7 @@ def _find_peaks(x, height: float, distance: int) -> np.ndarray:
     return peaks
 
 
-def detect_events(ch: Channel, tpl: Template) -> np.ndarray:
+def detect_events(ch: Channel, tpl: Template, counts=None) -> np.ndarray:
     """Detect heartbeat events in a conditioned channel; returns their ref
     indices, in ascending order.
 
@@ -153,16 +153,18 @@ def detect_events(ch: Channel, tpl: Template) -> np.ndarray:
     least MIN_SEPARATION_S, become events. Peaks too close to either end to
     fit a template-length window around their ref are dropped. The
     threshold is relative, so detection is invariant to amplitude scaling
-    of the channel.
+    of the channel. Counts the peaks, those dropped and the threshold in
+    counts["peaks"], ["edge_peaks"] and ["envelope_threshold"].
     """
     if tpl.fs != ch.fs:
         raise InputError("channel rate mismatch")
     env = _matched_envelope(ch.samples, tpl)
     thr = THRESHOLD_FRAC * _percentile(env, 95)
-    if thr <= 0:
-        return np.empty(0, dtype=int)
     distance = max(1, int(round(MIN_SEPARATION_S * ch.fs)))
-    peaks = _find_peaks(env, thr, distance)
+    peaks = _find_peaks(env, thr, distance) if thr > 0 else np.empty(0, dtype=int)
     refs = peaks - _peak_offset(tpl)
     first, last = ref_bounds(len(ch), tpl.length)
-    return refs[(refs >= first) & (refs <= last)]
+    kept = refs[(refs >= first) & (refs <= last)]
+    if counts is not None:
+        counts.update(peaks=len(peaks), edge_peaks=len(refs) - len(kept), envelope_threshold=thr)
+    return kept

@@ -14,7 +14,6 @@ split is a bool mask over them. Each stage cuts the windows it needs.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ from .errors import DegenerateAnalysisError, InputError
 from .event_detection import cut_windows, ref_bounds
 from .respiration import FlowPhase, VolumePhase
 from .signal_core import best_lag, rms
-
-log = logging.getLogger(__name__)
 
 RD_TIE_TOLERANCE = 0.01
 
@@ -74,20 +71,25 @@ class CriterionComparison:
         return (self.inspiration, self.expiration, self.llv, self.hlv)
 
 
-def _shift_to(target, samples, refs, windows, max_shift: int):
+def _shift_to(target, samples, refs, windows, max_shift: int, counts=None):
     """Shift every row toward its best lag against target.
 
     Each window is re-cut lag samples later in the source, with the shifted
     ref clamped to ref_bounds so the window stays inside it; a row with a
     degenerate correlation keeps its place. Returns the new (refs, windows).
+    Counts the call in counts["best_lag_calls"], the refs clamped in
+    counts["clamped_shifts"].
     """
     length = windows.shape[1]
-    lags = best_lag(target, windows, max_shift)
-    refs = np.clip(refs + lags, *ref_bounds(len(samples), length))
+    shifted = refs + best_lag(target, windows, max_shift)
+    refs = np.clip(shifted, *ref_bounds(len(samples), length))
+    if counts is not None:
+        counts["best_lag_calls"] = counts.get("best_lag_calls", 0) + 1
+        counts["clamped_shifts"] = counts.get("clamped_shifts", 0) + int((refs != shifted).sum())
     return refs, cut_windows(samples, refs, length)
 
 
-def align(refs, samples, length: int, max_shift: int):
+def align(refs, samples, length: int, max_shift: int, counts=None):
     """Two-pass time alignment of the events at refs.
 
     samples is the channel the events were detected in; each event's
@@ -102,14 +104,14 @@ def align(refs, samples, length: int, max_shift: int):
     correlation peak. This is a limit of the method, not of the batching.
 
     Returns the aligned refs, in input order, and their aligned (n, length)
-    windows.
+    windows. Both passes add to counts as _shift_to does.
     """
     if not len(refs):
         raise DegenerateAnalysisError("empty group")
     windows = cut_windows(samples, refs, length)
     reference = windows[np.argmax(rms(windows))]
-    refs, windows = _shift_to(reference, samples, refs, windows, max_shift)
-    return _shift_to(ensemble_average(windows), samples, refs, windows, max_shift)
+    refs, windows = _shift_to(reference, samples, refs, windows, max_shift, counts)
+    return _shift_to(ensemble_average(windows), samples, refs, windows, max_shift, counts)
 
 
 def ensemble_average(windows) -> np.ndarray:
@@ -161,7 +163,7 @@ _GROUP_IDS = {Criterion.FLOW_RATE: (FlowPhase.INSPIRATION.value, FlowPhase.EXPIR
               Criterion.LUNG_VOLUME: (VolumePhase.LLV.value, VolumePhase.HLV.value)}
 
 
-def evaluate_criterion(refs, first, criterion: Criterion, samples, length: int):
+def evaluate_criterion(refs, first, criterion: Criterion, samples, length: int, counts=None):
     """Split the events at refs by one criterion and compute both GroupStats.
 
     first masks the events of the criterion's first group (Inspiration or
@@ -171,7 +173,7 @@ def evaluate_criterion(refs, first, criterion: Criterion, samples, length: int):
     then against the alternate group's average (each event is re-aligned to
     that average first so timing offsets do not masquerade as morphology
     differences), and finally the RD. Lags are searched within a quarter of
-    the event window.
+    the event window. Every shift adds to counts as _shift_to does.
     """
     max_shift = length // 4
     aligned = []
@@ -179,13 +181,13 @@ def evaluate_criterion(refs, first, criterion: Criterion, samples, length: int):
         if not member.any():
             raise DegenerateAnalysisError(f"degenerate split: {criterion.value} "
                                           f"group {group_id} is empty")
-        aligned.append(align(refs[member], samples, length, max_shift))
+        aligned.append(align(refs[member], samples, length, max_shift, counts))
     averages = [ensemble_average(windows) for _, windows in aligned]
     stats = []
     for group_id, (refs, windows), own_avg, alt_avg in zip(
             _GROUP_IDS[criterion], aligned, averages, averages[::-1]):
         mean_same, sd_same = mean_dissimilarity(windows, own_avg)
-        _, realigned = _shift_to(alt_avg, samples, refs, windows, max_shift)
+        _, realigned = _shift_to(alt_avg, samples, refs, windows, max_shift, counts)
         mean_alt, sd_alt = mean_dissimilarity(realigned, alt_avg)
         stats.append(GroupStats(
             group_id=group_id, n=len(windows), ensemble_avg=own_avg,
@@ -201,38 +203,40 @@ def _pick_winner(rd_fr: float, rd_lv: float) -> Winner:
     return Winner.LUNG_VOLUME if rd_lv > rd_fr else Winner.FLOW_RATE
 
 
-def compare_criteria(refs, inspiring, high_volume, samples, length: int) -> CriterionComparison:
+def compare_criteria(refs, inspiring, high_volume, samples, length: int,
+                     counts=None) -> CriterionComparison:
     """Evaluate both criteria on the events at refs, split by their
-    label_events masks, and flag the winner per group pair."""
+    label_events masks, and flag the winner per group pair. Every shift
+    adds to counts as _shift_to does."""
     if not len(refs):
         raise DegenerateAnalysisError("no events detected")
-    insp, exp = evaluate_criterion(refs, inspiring, Criterion.FLOW_RATE, samples, length)
-    llv, hlv = evaluate_criterion(refs, ~high_volume, Criterion.LUNG_VOLUME, samples, length)
+    insp, exp = evaluate_criterion(refs, inspiring, Criterion.FLOW_RATE, samples, length, counts)
+    llv, hlv = evaluate_criterion(refs, ~high_volume, Criterion.LUNG_VOLUME, samples, length, counts)
     return CriterionComparison(
         inspiration=insp, expiration=exp, llv=llv, hlv=hlv,
         winner_insp_llv=_pick_winner(insp.rd, llv.rd),
         winner_exp_hlv=_pick_winner(exp.rd, hlv.rd))
 
 
-def screen_outliers(refs, samples, length: int):
-    """Drop the events whose window is constant, with a warning, then, of
-    three or more left, those whose dissimilarity to the all-event ensemble
-    average exceeds mean + 3 SD. Stand-in for the manual artifact check.
-    samples is the conditioned channel the events were detected in, and
-    length the template length.
+def screen_outliers(refs, samples, length: int, counts=None):
+    """Drop the events whose window is constant, then, of three or more
+    left, those whose dissimilarity to the all-event ensemble average
+    exceeds mean + 3 SD. Stand-in for the manual artifact check. samples is
+    the conditioned channel the events were detected in, and length the
+    template length.
 
-    Returns (kept refs, n_dropped). Kept events keep their detected refs;
-    the screen's own alignment only serves the comparison.
+    Returns (kept refs, n_dropped), n_dropped split in counts["constant_windows"]
+    and ["outliers"]. Kept events keep their detected refs; the screen's own
+    alignment, which adds to counts as _shift_to does, only serves the comparison.
     """
     kept = refs[np.ptp(cut_windows(samples, refs, length), axis=1) > 0]
-    if len(kept) < len(refs):
-        log.warning("screen: dropped %d constant-window event(s)", len(refs) - len(kept))
-    if len(kept) < 3:
-        return kept, len(refs) - len(kept)
-    _, windows = align(kept, samples, length, length // 4)
-    avg = ensemble_average(windows)
-    if np.ptp(avg) == 0:
-        return kept, len(refs) - len(kept)
-    vals = normalized_dissim(windows, avg)  # >= 3 rows, all non-constant
-    kept = kept[vals <= vals.mean() + 3.0 * vals.std(ddof=1)]
+    constant = len(refs) - len(kept)
+    if len(kept) >= 3:
+        _, windows = align(kept, samples, length, length // 4, counts)
+        avg = ensemble_average(windows)
+        if np.ptp(avg) != 0:
+            vals = normalized_dissim(windows, avg)  # >= 3 rows, all non-constant
+            kept = kept[vals <= vals.mean() + 3.0 * vals.std(ddof=1)]
+    if counts is not None:
+        counts.update(constant_windows=constant, outliers=len(refs) - constant - len(kept))
     return kept, len(refs) - len(kept)

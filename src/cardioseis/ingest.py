@@ -37,7 +37,7 @@ _ROW = b"%.9g,%.9g,%.9g,%.9g\r\n"
 _LINE_END = re.compile(rb"\r\n?|\n")  # as text mode with newline="" ends a line
 
 
-def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
+def ingest_csv(path, acquisition_fs: float, analysis_fs: float, counts=None) -> Recording:
     """Read a recording sampled at acquisition_fs, validating as we go, and
     resample its SCG and flow to analysis_fs as signal_core.resample would.
 
@@ -55,7 +55,7 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
     grid by its time; this process confirms that place against the rows of
     the ranges before, or names that row as off the grid. The first faulty
     row, whatever the split, aborts the read with its file line, and no
-    worker outlives the call.
+    worker outlives the call. counts["csv_rows"] gets the data rows, and ["columns"] the header.
     """
     path = Path(path)
     with input_file(path, "input file"), contextlib.ExitStack() as stack:
@@ -109,6 +109,8 @@ def ingest_csv(path, acquisition_fs: float, analysis_fs: float) -> Recording:
             n += rows
     if not n:
         raise InputError(f"{path}: no data rows")
+    if counts is not None:
+        counts.update(csv_rows=n, columns=header)
     resampled = out.result(int(round(n * analysis_fs / acquisition_fs)))
     return Recording(channels={role: Channel(resampled[k], float(analysis_fs), role)
                                for k, role in enumerate(("scg", "flow"))},

@@ -4,18 +4,23 @@ Between stages an event is its ref index into the conditioned SCG channel,
 and its labels are two bool masks. A stage's error is re-raised as its own
 class (InputError or DegenerateAnalysisError), its message tagged with the
 stage, "[detect] ...", and chained from the untagged original; the class
-alone gives the CLI's exit code.
+alone gives the CLI's exit code. Each stage's seconds, and the counts the
+stages write, go to the recording's run record, which run.json holds.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
-from dataclasses import dataclass
+import sys
+import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import PipelineConfig
 from .errors import CardioseisError, InputError
 from .event_detection import cut_windows, detect_events, template_from_channel
@@ -42,11 +47,15 @@ class ScgEvent:
     volume_phase: VolumePhase
 
 
-def _stage(name, fn, *args, **kwargs):
+def _stage(record, name, fn, *args, **kwargs):
+    """fn(*args, **kwargs) as stage `name`, its time added to record["seconds"][name]."""
+    start = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except CardioseisError as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
+    finally:
+        record["seconds"][name] = record["seconds"].get(name, 0.0) + time.perf_counter() - start
 
 
 def analyze_recording(rec: Recording, config: PipelineConfig):
@@ -57,23 +66,28 @@ def analyze_recording(rec: Recording, config: PipelineConfig):
     rate, so there this step passes its channels through.
 
     Returns (CriterionComparison, context dict with the kept events as
-    ScgEvents and the number of outliers dropped).
+    ScgEvents, the number of outliers dropped and, as "manifest", the run
+    record: the recording's id, each stage's seconds and the counts).
     """
-    scg = _stage("resample", resample, rec["scg"], config.analysis_fs)
-    flow = _stage("resample", resample, rec["flow"], config.analysis_fs)
-    scg = _stage("lowpass", lowpass, scg, config.lowpass_cutoff_hz)
-    tpl = _stage("template", template_from_channel, scg,
+    record = {"recording_id": rec.recording_id, "seconds": {}, "counts": {}}
+    counts = record["counts"]
+    scg = _stage(record, "resample", resample, rec["scg"], config.analysis_fs)
+    flow = _stage(record, "resample", resample, rec["flow"], config.analysis_fs)
+    scg = _stage(record, "lowpass", lowpass, scg, config.lowpass_cutoff_hz)
+    tpl = _stage(record, "template", template_from_channel, scg,
                  config.template_start_s, config.template_length_s)
-    refs = _stage("detect", detect_events, scg, tpl)
-    volume = _stage("respiration", integrate_flow, flow)
-    refs, dropped = _stage("screen", screen_outliers, refs, scg.samples, tpl.length)
-    inspiring, high_volume = _stage("label", label_events, refs, flow.samples, volume)
-    cmp = _stage("group", compare_criteria, refs, inspiring, high_volume,
-                 scg.samples, tpl.length)
+    refs = _stage(record, "detect", detect_events, scg, tpl, counts=counts)
+    volume = _stage(record, "respiration", integrate_flow, flow)
+    refs, dropped = _stage(record, "screen", screen_outliers, refs, scg.samples, tpl.length,
+                           counts=counts)
+    inspiring, high_volume = _stage(record, "label", label_events, refs, flow.samples, volume)
+    cmp = _stage(record, "group", compare_criteria, refs, inspiring, high_volume,
+                 scg.samples, tpl.length, counts=counts)
+    counts["group_sizes"] = {st.group_id: st.n for st in cmp.groups}
     events = [ScgEvent(*fields) for fields in zip(
         refs.tolist(), cut_windows(scg.samples, refs, tpl.length),
         *phases(inspiring, high_volume))]
-    return cmp, {"events": events, "outliers_dropped": dropped}
+    return cmp, {"events": events, "outliers_dropped": dropped, "manifest": record}
 
 
 def _write_artifacts(rec_id: str, cmp, fs: float, out_dir: Path):
@@ -112,8 +126,10 @@ def run_pipeline(config: PipelineConfig):
     Returns (rows, artifact paths). Deterministic: rows sorted by
     recording id, groups in fixed order, stable float formatting. The
     output directory is made at the first write, so a run that fails
-    before it leaves none behind.
+    before it leaves none behind. run.json holds the versions, the config,
+    the run's seconds and each recording's run record, ingest included.
     """
+    start = time.perf_counter()
     if not config.inputs:
         raise InputError("no input files configured")
     paths = [Path(p) for p in config.inputs]
@@ -127,19 +143,34 @@ def run_pipeline(config: PipelineConfig):
             raise InputError(f"input file not found: {path}")
     out_dir = Path(config.out_dir)
     check_out_dir(out_dir, "out_dir")
-    rows, artifacts = [], []
+    rows, artifacts, records = [], [], []
     for path in paths:
-        rec = _stage("ingest", ingest_csv, path, config.acquisition_fs, config.analysis_fs)
+        ingested = {"seconds": {}, "counts": {}}
+        rec = _stage(ingested, "ingest", ingest_csv, path, config.acquisition_fs,
+                     config.analysis_fs, counts=ingested["counts"])
         cmp, context = analyze_recording(rec, config)
+        record = context["manifest"]
+        for part, values in ingested.items():
+            record[part].update(values)
         rows.append(comparison_to_row(rec.recording_id, cmp, len(context["events"]),
                                       context["outliers_dropped"]))
         out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts += _write_artifacts(rec.recording_id, cmp, config.analysis_fs, out_dir)
+        artifacts += _stage(record, "artifacts", _write_artifacts, rec.recording_id, cmp,
+                            config.analysis_fs, out_dir)
+        records.append(record)
         del rec, cmp, context  # the next ingest must not hold two recordings
     rows.sort(key=lambda row: row["recording_id"])
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
     write_report_json(rows, json_path)
     write_report_csv(rows, csv_path)
-    artifacts += [json_path, csv_path]
+    run_config = {**asdict(config), "lowpass_cutoff_hz": config.lowpass_cutoff_hz}
+    del run_config["out_dir"]  # run.json sits in it
+    with open(out_dir / "run.json", "w") as fh:
+        json.dump({"cardioseis": __version__, "python": sys.version.split()[0],
+                   "numpy": np.__version__, "config": run_config,
+                   "recordings": sorted(records, key=lambda r: r["recording_id"]),
+                   "seconds": time.perf_counter() - start}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    artifacts += [json_path, csv_path, out_dir / "run.json"]
     return rows, artifacts

@@ -7,7 +7,6 @@ analysis has a construction whose correct answer is known in advance.
 
 from __future__ import annotations
 
-import copy
 import enum
 import functools
 import json
@@ -143,9 +142,10 @@ def gen_recording(cfg: SynthConfig):
     rng = np.random.default_rng(cfg.seed)
     flow_ch, volume = _shared_respiration(cfg.duration_s, cfg.fs)
 
-    # cumsum adds the jittered periods in sequence, as a loop would. A copy of
+    # cumsum adds the jittered periods in sequence, as a loop would. A twin of
     # rng draws one for every beat that could fit; rng skips one per beat placed
-    jitters = copy.deepcopy(rng).uniform(-jitter, jitter, size=int(n / (period * (1 - jitter))))
+    jitters = np.random.default_rng(cfg.seed).uniform(-jitter, jitter,
+                                                      size=int(n / (period * (1 - jitter))))
     pos = np.cumsum([float(length), *(period * (1.0 + jitters))])
     starts = np.rint(pos[pos + length <= n - length]).astype(int)
     rng.uniform(-jitter, jitter, size=len(starts))

@@ -1,5 +1,4 @@
 import json
-import logging
 from functools import lru_cache
 from pathlib import Path
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioseis.errors import DegenerateAnalysisError, InputError
-from cardioseis.event_detection import cut_windows, ref_bounds
+from cardioseis.event_detection import Template, cut_windows, detect_events, ref_bounds
 from cardioseis.grouping import (RD_TIE_TOLERANCE, align, compare_criteria,
                                  ensemble_average, evaluate_criterion,
                                  mean_dissimilarity, normalized_dissim,
@@ -123,25 +122,26 @@ class TestScreenOutliers:
         assert (kept.tolist(), dropped) == ([340, 740], 1)
 
     @pytest.mark.parametrize("refs", [[500], [340, 500], [500, 740]])
-    def test_constant_window_dropped_below_three_events(self, refs, caplog):
+    def test_constant_window_dropped_below_three_events(self, refs):
         ch = planted_channel([300, 700])
-        with caplog.at_level(logging.WARNING, logger="cardioseis.grouping"):
-            kept, dropped = screen_outliers(np.array(refs), ch.samples, 80)
+        counts = {}
+        kept, dropped = screen_outliers(np.array(refs), ch.samples, 80, counts=counts)
         assert (kept.tolist(), dropped) == ([r for r in refs if r != 500], 1)
-        assert [r.getMessage() for r in caplog.records] == [
-            "screen: dropped 1 constant-window event(s)"]
+        # below three events the screen aligns nothing
+        assert counts == {"constant_windows": 1, "outliers": 0}
 
-    def test_constant_window_warns_and_yields_stats(self, caplog):
+    def test_constant_window_warns_and_yields_stats(self):
         x = np.zeros(1900)
         for p, k in zip((300, 700, 1100, 1500), (1.0, 1.2, 0.8, 1.5)):
             x[p:p + 80] += k * BURST
         ch = Channel(x, 320.0)
         # the window around 1300 lies between two bursts: all zeros
         refs = np.array([340, 740, 1140, 1300, 1540])
-        with caplog.at_level(logging.WARNING, logger="cardioseis.grouping"):
-            kept, dropped = screen_outliers(refs, ch.samples, 80)
-        assert [r.getMessage() for r in caplog.records] == [
-            "screen: dropped 1 constant-window event(s)"]
+        counts = {}
+        kept, dropped = screen_outliers(refs, ch.samples, 80, counts=counts)
+        # the screen's two-pass alignment of the four kept events counts too
+        assert counts == {"constant_windows": 1, "outliers": 0, "best_lag_calls": 2,
+                          "clamped_shifts": 0}
         assert (kept.tolist(), dropped) == ([340, 740, 1140, 1540], 1)
         first_stats, second_stats = evaluate_criterion(
             kept, np.array([True, True, False, False]), Criterion.FLOW_RATE, ch.samples, 80)
@@ -151,6 +151,35 @@ class TestScreenOutliers:
     def test_no_events(self):
         kept, dropped = screen_outliers(np.empty(0, dtype=int), np.zeros(200), 80)
         assert (kept.tolist(), dropped) == ([], 0)
+
+
+class TestCounts:
+    """What detection and alignment write into the counts dict of a run
+    record; TestScreenOutliers pins the screen's."""
+
+    def test_a_burst_cut_off_by_the_start_is_an_edge_peak(self):
+        x = planted_channel([300, 700, 1100]).samples.copy()
+        x[:70] = BURST[10:]  # a burst that began 10 samples before the channel
+        counts = {}
+        refs = detect_events(Channel(x, 320.0), Template(BURST.copy(), 320.0), counts=counts)
+        assert refs.tolist() == [340, 740, 1140]
+        assert (counts["peaks"], counts["edge_peaks"]) == (4, 1)
+        assert counts["envelope_threshold"] > 0
+
+    def test_a_shift_past_the_bounds_is_clamped(self):
+        # the event at the first ref ref_bounds allows holds a burst that began
+        # 5 samples before the channel, so its best lag points outward
+        x = planted_channel([300]).samples.copy()
+        x[:75] = BURST[5:]
+        first, _ = ref_bounds(len(x), 80)
+        counts = {}
+        aligned, _ = align(np.array([first, 340]), x, 80, 10, counts=counts)
+        assert aligned[0] == first
+        assert counts["clamped_shifts"] >= 1
+        assert counts["best_lag_calls"] == 2
+        unclamped = {}
+        align(np.array([340]), x, 80, 10, counts=unclamped)
+        assert unclamped == {"best_lag_calls": 2, "clamped_shifts": 0}
 
 
 class TestEnsembleAverage:

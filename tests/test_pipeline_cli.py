@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 import cardioseis
+from cardioseis import grouping, ingest, pipeline
+from cardioseis.cli import main
 from cardioseis.config import _KEYS, PipelineConfig, load_config, parse_config
 from cardioseis.errors import DegenerateAnalysisError, InputError
 from cardioseis.ingest import ingest_csv, write_recording_csv
@@ -20,7 +23,7 @@ from cardioseis.report import check_report
 from cardioseis.signal_core import Channel
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
-from conftest import DATA_DIR, invoke
+from conftest import DATA_DIR, invoke, sweep_recording
 
 
 # one report row's groups, each RD consistent with its means
@@ -426,7 +429,125 @@ def test_report_json_bytes_pinned(tmp_path, coupling, fs):
     assert hashlib.sha256(report).hexdigest() == PINNED_REPORTS[(coupling, fs)]
 
 
+# the stages that pipeline._stage times for each recording in run.json
+RUN_STAGES = ["artifacts", "detect", "group", "ingest", "label", "lowpass", "resample",
+              "respiration", "screen", "template"]
+
+
+def without_seconds(value):
+    """A run.json value without its `seconds` keys, at every depth."""
+    if isinstance(value, dict):
+        return {k: without_seconds(v) for k, v in value.items() if k != "seconds"}
+    if isinstance(value, list):
+        return [without_seconds(v) for v in value]
+    return value
+
+
+class TestRunRecord:
+    def test_run_json_holds_versions_config_and_each_recording(self, tmp_path):
+        path, _, truth, cfg = synth_csv(tmp_path, seed=3, duration=20.0)
+        config = pipeline_config(tmp_path, path, truth, cfg)
+        rows, artifacts = run_pipeline(config)
+        run_path = Path(config.out_dir) / "run.json"
+        assert artifacts[-1] == run_path
+        text = run_path.read_text()
+        run = json.loads(text)
+        assert text == json.dumps(run, indent=1, sort_keys=True) + "\n"
+        assert (run["cardioseis"], run["python"], run["numpy"]) == (
+            cardioseis.__version__, platform.python_version(), np.__version__)
+        assert run["config"] == {
+            "inputs": [str(path)], "acquisition_fs": 320.0, "analysis_fs": 320.0,
+            "template_start_s": config.template_start_s, "template_length_s": 0.25,
+            "lowpass_cutoff_hz": 100.0}
+        (record,) = run["recordings"]
+        assert record["recording_id"] == path.stem
+        assert sorted(record["seconds"]) == RUN_STAGES
+        assert run["seconds"] >= sum(record["seconds"].values()) > 0
+        counts = record["counts"]
+        assert (counts["csv_rows"], counts["columns"]) == (
+            20 * 320, ["time_s", "scg_z", "ecg", "flow_lps"])
+        (row,) = rows
+        assert counts["group_sizes"] == {g["group"]: g["n"] for g in row["groups"]}
+        assert counts["peaks"] - counts["edge_peaks"] == row["n_events"] + row["outliers_dropped"]
+        assert counts["envelope_threshold"] > 0
+        assert counts["clamped_shifts"] >= 0
+
+    def test_run_json_is_the_same_on_one_core(self, tmp_path, monkeypatch):
+        # 120 s at 320 Hz, over 512 KiB, which run reads in a range per
+        # usable core; on one core it reads the one range in its own process
+        path, _, truth, cfg = synth_csv(tmp_path, duration=120.0)
+        runs = []
+        for out in ("every-core", "one-core"):
+            if out == "one-core":
+                monkeypatch.setattr(ingest, "_usable_cores", lambda: 1)
+            config = pipeline_config(tmp_path, path, truth, cfg, out_dir=str(tmp_path / out))
+            run_pipeline(config)
+            runs.append(json.loads((tmp_path / out / "run.json").read_text()))
+        assert without_seconds(runs[0]) == without_seconds(runs[1])
+        assert runs[0]["recordings"][0]["counts"]["csv_rows"] == 120 * 320
+
+    def test_a_constant_window_is_counted_and_stderr_stays_empty(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        res = invoke(["synth", "--snr", "inf", "--duration", "20", "--out", str(tmp_path / "s")])
+        assert res.exit_code == 0, res.output
+        beats = json.loads(next((tmp_path / "s").glob("*_truth.json")).read_text())["beat_indices"]
+        silent = (beats[1] + beats[2]) // 2  # in the silence between two noiseless beats
+        detect = pipeline.detect_events
+        monkeypatch.setattr(pipeline, "detect_events", lambda ch, tpl, **kwargs: np.sort(
+            np.append(detect(ch, tpl, **kwargs), silent)))
+        main(["run", "--config", str(tmp_path / "s" / "pipeline.cfg"),
+              "--out", str(tmp_path / "r")])
+        assert capsys.readouterr().err == ""
+        counts = json.loads((tmp_path / "r" / "run.json").read_text())["recordings"][0]["counts"]
+        (row,) = json.loads((tmp_path / "r" / "report.json").read_text())["rows"]
+        assert counts["constant_windows"] == 1
+        assert counts["constant_windows"] + counts["outliers"] == row["outliers_dropped"]
+
+    def test_best_lag_calls_counted_where_the_screen_runs(self, monkeypatch):
+        # the screen's two-pass alignment, then per criterion two groups'
+        # two passes and their two re-alignments to the other average
+        rec, config = sweep_recording(1, Coupling.VOLUME)
+        calls = []
+        best_lag = grouping.best_lag
+
+        def counted(*args):
+            calls.append(args)
+            return best_lag(*args)
+        monkeypatch.setattr(grouping, "best_lag", counted)
+        _, ctx = analyze_recording(rec, config)
+        counts = ctx["manifest"]["counts"]
+        assert counts["best_lag_calls"] == len(calls) == 14
+        assert ctx["manifest"]["recording_id"] == rec.recording_id
+        assert sorted(ctx["manifest"]["seconds"]) == [
+            s for s in RUN_STAGES if s not in ("artifacts", "ingest")]
+
+    def test_screen_counts_add_up_to_outliers_dropped(self, tmp_path):
+        # seed 4, uncoupled: the outlier screen drops one event
+        paths = [synth_csv(tmp_path, seed=seed, coupling=coupling, duration=120.0)[0]
+                 for seed, coupling in ((4, Coupling.NONE), (1, Coupling.VOLUME))]
+        config = PipelineConfig(inputs=tuple(map(str, paths)), acquisition_fs=320.0,
+                                analysis_fs=320.0, template_start_s=0.25,
+                                out_dir=str(tmp_path / "out"))
+        rows, _ = run_pipeline(config)
+        records = json.loads((tmp_path / "out" / "run.json").read_text())["recordings"]
+        assert [r["recording_id"] for r in records] == [row["recording_id"] for row in rows]
+        assert [r["counts"]["constant_windows"] + r["counts"]["outliers"] for r in records] == [
+            row["outliers_dropped"] for row in rows]
+        assert max(row["outliers_dropped"] for row in rows) >= 1
+
+
 class TestCli:
+    def test_synth_config_runs_from_its_own_directory(self, tmp_path, monkeypatch):
+        # synth writes the CSV's path absolute, so that a relative --out
+        # does not tie pipeline.cfg to the directory synth ran in
+        monkeypatch.chdir(tmp_path)
+        res = invoke(["synth", "--fs", "320", "--duration", "20", "--seed", "1", "--out", "demo"])
+        assert res.exit_code == 0, res.output
+        monkeypatch.chdir(tmp_path / "demo")
+        res = invoke(["run", "--config", "pipeline.cfg"])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "demo" / "out" / "report.json").is_file()
+
     def test_synth_then_run_then_check(self, tmp_path):
         out = tmp_path / "synth"
         res = invoke(["synth", "--seed", "4", "--coupling", "volume",
@@ -612,7 +733,7 @@ class TestCli:
     def test_interrupted_run_leaves_no_out_dir(self, tmp_path, monkeypatch, out):
         path, *_ = synth_csv(tmp_path, duration=5.0)
 
-        def interrupted(*args):
+        def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
         monkeypatch.setattr("cardioseis.pipeline.ingest_csv", interrupted)
         config = PipelineConfig(inputs=(str(path),), out_dir=str(tmp_path / out))
@@ -698,7 +819,7 @@ class TestCli:
         cfg_file.write_text(f"input = {path}\nacquisition_fs = {cfg.fs:g}\n"
                             f"template_start_s = {truth.beat_indices[0] / cfg.fs - 0.125}\n")
         monkeypatch.setattr("cardioseis.pipeline.detect_events",
-                            lambda ch, tpl: np.zeros(0, dtype=int))
+                            lambda ch, tpl, **kwargs: np.zeros(0, dtype=int))
         res = invoke(["run", "--config", str(cfg_file),
                       "--out", str(tmp_path / "out")])
         assert res.exit_code == 3, res.output
@@ -847,15 +968,16 @@ class TestCli:
 
 # Imports the package and the CLI, then runs `report --check`, a short
 # `synth` and `run` on what that `synth` wrote, all in the same interpreter,
-# listing the scipy, click, fractions and decimal modules loaded after each
-# step. argv: report path, synth output directory, run output directory.
+# listing the scipy, click, fractions, decimal and logging modules loaded
+# after each step. argv: report path, synth output directory, run output
+# directory.
 IMPORT_GUARD = """
 import json, sys
 import cardioseis, cardioseis.cli
 
 def unwanted_loaded():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("scipy", "click", "fractions", "decimal"))
+                  if m.split(".")[0] in ("scipy", "click", "fractions", "decimal", "logging"))
 
 seen = {"import": unwanted_loaded()}
 for name, args in (("report", ["report", "--check", sys.argv[1]]),
@@ -874,8 +996,8 @@ print(json.dumps(seen))
 
 def test_no_command_loads_scipy(tmp_path):
     """Importing the CLI, `report --check`, `synth` and a full `run` on
-    what that `synth` wrote load no scipy, click, fractions or decimal
-    module."""
+    what that `synth` wrote load no scipy, click, fractions, decimal or
+    logging module."""
     analysis = tmp_path / "analysis"
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
                            str(DATA_DIR / "reference_tables.json"), str(tmp_path / "synth"),
