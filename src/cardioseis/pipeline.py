@@ -11,7 +11,6 @@ stages write, go to the recording's run record, which run.json holds.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import sys
 import time
@@ -162,15 +161,13 @@ def run_pipeline(config: PipelineConfig):
     rows.sort(key=lambda row: row["recording_id"])
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
-    write_report_json(rows, json_path)
+    write_report_json({"rows": rows}, json_path)
     write_report_csv(rows, csv_path)
     run_config = {**asdict(config), "lowpass_cutoff_hz": config.lowpass_cutoff_hz}
     del run_config["out_dir"]  # run.json sits in it
-    with open(out_dir / "run.json", "w") as fh:
-        json.dump({"cardioseis": __version__, "python": sys.version.split()[0],
-                   "numpy": np.__version__, "config": run_config,
-                   "recordings": sorted(records, key=lambda r: r["recording_id"]),
-                   "seconds": time.perf_counter() - start}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_report_json({"cardioseis": __version__, "python": sys.version.split()[0],
+                       "numpy": np.__version__, "config": run_config,
+                       "recordings": sorted(records, key=lambda r: r["recording_id"]),
+                       "seconds": time.perf_counter() - start}, out_dir / "run.json")
     artifacts += [json_path, csv_path, out_dir / "run.json"]
     return rows, artifacts

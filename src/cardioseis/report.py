@@ -43,9 +43,10 @@ def _column(st, key: str):
     return round(value, 2 if key == "rd" else 4) if isinstance(value, float) else value
 
 
-def write_report_json(rows: list[dict], path):
+def write_report_json(payload: dict, path):
+    """Write payload in the format of report.json and run.json: sorted keys, indent 1."""
     with open(path, "w") as fh:
-        json.dump({"rows": rows}, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -124,18 +124,20 @@ def _lowpass_taps(cutoff_hz: float, fs: float) -> np.ndarray:
     if not 0 < cutoff_hz < fs / 2:
         raise InputError(f"cutoff {cutoff_hz:g} Hz is outside (0, fs/2) = (0, {fs / 2:g}) "
                          "Hz, the band from zero to Nyquist")
-    pass_edge = 0.8 * cutoff_hz
-    stop_edge = 1.5 * cutoff_hz
+    pass_edge, stop_edge = 0.8 * cutoff_hz, min(1.5 * cutoff_hz, 0.999 * fs / 2)
+    lo, hi, floor = 10 ** (-0.5 / 20), 10 ** (0.5 / 20), 10 ** (-40 / 20)
     for numtaps in range(11, 4097, 2):
         taps = _firwin(numtaps, cutoff_hz / (0.5 * fs))
         w, h = _freqz(taps, fs)
         mag = np.abs(h)
         pb = mag[w <= pass_edge]
-        sb = mag[w >= min(stop_edge, 0.999 * fs / 2)]
-        pb_ok = pb.size == 0 or (np.all(pb >= 10 ** (-0.5 / 20)) and np.all(pb <= 10 ** (0.5 / 20)))
-        sb_ok = sb.size == 0 or np.all(sb <= 10 ** (-40 / 20))
-        if pb_ok and sb_ok:
-            return taps
+        sb = mag[w >= stop_edge]
+        if np.all(pb >= lo) and np.all(pb <= hi) and np.all(sb <= floor):
+            # |H| at both edges, which the grid can miss, is |sum h cos(w k)| for symmetric taps
+            wk = np.outer([pass_edge, stop_edge], np.arange(numtaps) - numtaps // 2) * (2 * np.pi / fs)
+            at_pass, at_stop = np.abs(np.sum(np.cos(wk) * taps, axis=1))
+            if lo <= at_pass <= hi and at_stop <= floor:
+                return taps
     raise InputError(f"no low-pass kernel of at most 4095 taps meets the band specs "
                      f"for a {cutoff_hz:g} Hz cutoff at {fs:g} Hz")
 

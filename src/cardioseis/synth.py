@@ -92,29 +92,23 @@ def default_morphologies(fs: float):
     return m_low / rms(m_low), m_high / rms(m_high)
 
 
-def gen_respiration(cfg: SynthConfig):
-    """Sinusoidal flow and its closed-form integral (lung volume)."""
-    n = int(round(cfg.duration_s * cfg.fs))
+@functools.lru_cache(maxsize=1, typed=True)  # typed: Channel.fs keeps the type of fs
+def gen_respiration(duration_s: float, fs: float):
+    """Sinusoidal flow and its closed-form integral (lung volume), read-only,
+    so that recordings of one length and rate can share them."""
+    n = int(round(duration_s * fs))
     w = 2 * np.pi * _RESP_FREQ
     # in place, so that no more than two arrays of the recording's length
     # are held: the values of A * sin(w * t) and (A / w) * (1 - cos(w * t))
-    phase = np.arange(n) / cfg.fs
+    phase = np.arange(n) / fs
     phase *= w
     flow = np.sin(phase)
     flow *= _RESP_AMPLITUDE
     volume = np.cos(phase, out=phase)
     np.subtract(1.0, volume, out=volume)
     volume *= _RESP_AMPLITUDE / w
-    return Channel(flow, cfg.fs, "flow"), Channel(volume, cfg.fs, "volume")
-
-
-@functools.lru_cache(maxsize=1, typed=True)  # typed: Channel.fs keeps the type of cfg.fs
-def _shared_respiration(duration_s: float, fs: float):
-    """gen_respiration's flow and volume samples, read-only, so that
-    recordings of one length and rate can share them."""
-    flow, volume = gen_respiration(SynthConfig(duration_s=duration_s, fs=fs))
-    flow.samples.flags.writeable = volume.samples.flags.writeable = False
-    return flow, volume.samples
+    flow.flags.writeable = volume.flags.writeable = False
+    return Channel(flow, fs, "flow"), Channel(volume, fs, "volume")
 
 
 def gen_recording(cfg: SynthConfig):
@@ -140,7 +134,7 @@ def gen_recording(cfg: SynthConfig):
     m_low, m_high = default_morphologies(cfg.fs)
 
     rng = np.random.default_rng(cfg.seed)
-    flow_ch, volume = _shared_respiration(cfg.duration_s, cfg.fs)
+    flow_ch, volume_ch = gen_respiration(cfg.duration_s, cfg.fs)
 
     # cumsum adds the jittered periods in sequence, as a loop would. A twin of
     # rng draws one for every beat that could fit; rng skips one per beat placed
@@ -150,7 +144,7 @@ def gen_recording(cfg: SynthConfig):
     starts = np.rint(pos[pos + length <= n - length]).astype(int)
     rng.uniform(-jitter, jitter, size=len(starts))
     centers = starts + length // 2
-    inspiring, high_volume = label_events(centers, flow_ch.samples, volume)
+    inspiring, high_volume = label_events(centers, flow_ch.samples, volume_ch.samples)
 
     if cfg.coupling is Coupling.VOLUME:  # closed-form volume normalized to [0, 1]
         alphas = 0.5 * (1.0 - np.cos(2 * np.pi * _RESP_FREQ * (centers / cfg.fs)))

@@ -39,6 +39,10 @@ def invoke(args) -> CliResult:
 
 # the template length of run_synth_analysis, at the synth default rate
 TEMPLATE_LENGTH = len(default_morphologies(SynthConfig().fs)[0])
+# a damped 20 Hz burst of 80 samples, an SCG event at 320 Hz; read-only, as
+# the test modules share it
+BURST = np.sin(2 * np.pi * 20 * np.arange(80) / 320) * np.exp(-np.arange(80) / 16)
+BURST.flags.writeable = False
 
 
 def run_synth_analysis(coupling, seed, snr_db=20.0, screen=True):

@@ -19,7 +19,7 @@ from cardioseis.respiration import integrate_flow, label_events
 from cardioseis.signal_core import _TIE_MARGIN, _pick_columns, best_lag, rms
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
-from conftest import TEMPLATE_LENGTH, run_synth_analysis
+from conftest import BURST, TEMPLATE_LENGTH, run_synth_analysis
 
 PROPERTY = settings(max_examples=300, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -280,9 +280,6 @@ class TestPickColumns:
         step = 0.75e-15
         scores = np.array([[0.5, 0.5 + step, 0.5 + 2 * step, 0.5 + 3 * step]])
         assert _pick_columns(scores).tolist() == sequential_pick(scores) == [2]
-
-
-BURST = np.sin(2 * np.pi * 20 * np.arange(80) / 320) * np.exp(-np.arange(80) / 16)
 
 
 class TestAlignEventsProperties:

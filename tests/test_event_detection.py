@@ -12,7 +12,7 @@ from cardioseis.event_detection import (Template, _percentile, build_matched_fil
 from cardioseis.signal_core import Channel, lowpass, rms
 from cardioseis.synth import Coupling, SynthConfig, default_morphologies, gen_recording
 
-from conftest import detection_scores
+from conftest import BURST, detection_scores
 
 
 def brute_force_convolution(x, w):
@@ -27,9 +27,6 @@ def brute_force_convolution(x, w):
 
 def make_template(samples):
     return Template(np.asarray(samples, float), 320.0)
-
-
-BURST = np.sin(2 * np.pi * 20 * np.arange(80) / 320) * np.exp(-np.arange(80) / 16)
 
 
 @lru_cache(maxsize=None)

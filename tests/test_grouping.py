@@ -1,6 +1,4 @@
-import json
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +15,7 @@ from cardioseis.respiration import integrate_flow, label_events
 from cardioseis.signal_core import Channel
 from cardioseis.synth import Coupling, SynthConfig, gen_recording
 
-from conftest import DATA_DIR, TEMPLATE_LENGTH, run_synth_analysis
-
-BURST = np.sin(2 * np.pi * 20 * np.arange(80) / 320) * np.exp(-np.arange(80) / 16)
+from conftest import BURST, TEMPLATE_LENGTH, run_synth_analysis
 
 
 def window_at(ch, ref, length=80):
@@ -272,16 +268,6 @@ class TestRelativeDifference:
     def test_zero_same_errors(self):
         with pytest.raises(DegenerateAnalysisError):
             relative_difference(0.0, 10.0)
-
-    def test_all_28_reference_values(self):
-        payload = json.loads((DATA_DIR / "reference_tables.json").read_text())
-        checked = 0
-        for row in payload["rows"]:
-            for g in row["groups"]:
-                rd = relative_difference(g["mean_dissim_same"], g["mean_dissim_alt"])
-                assert rd == pytest.approx(g["rd"], abs=0.02), (row["recording_id"], g["group"])
-                checked += 1
-        assert checked == 28
 
 
 class TestCriteria:

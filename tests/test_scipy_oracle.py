@@ -64,25 +64,40 @@ def test_freqz_probe(numtaps, cutoff, fs):
 
 def reference_lowpass_taps(cutoff_hz, fs):
     """The kernel design loop as written on scipy.signal."""
+    pass_edge, stop_edge = 0.8 * cutoff_hz, min(1.5 * cutoff_hz, 0.999 * fs / 2)
     for numtaps in range(11, 4097, 2):
         taps = sps.firwin(numtaps, cutoff_hz, window="hamming", fs=fs)
         w, h = sps.freqz(taps, worN=2048, fs=fs)
-        mag = np.abs(h)
-        pb = mag[w <= 0.8 * cutoff_hz]
-        sb = mag[w >= min(1.5 * cutoff_hz, 0.999 * fs / 2)]
-        if ((pb.size == 0 or (np.all(pb >= 10 ** (-0.5 / 20)) and np.all(pb <= 10 ** (0.5 / 20))))
-                and (sb.size == 0 or np.all(sb <= 10 ** (-40 / 20)))):
+        at_pass, at_stop = np.abs(sps.freqz(taps, worN=[pass_edge, stop_edge], fs=fs)[1])
+        pb = np.append(np.abs(h[w <= pass_edge]), at_pass)
+        sb = np.append(np.abs(h[w >= stop_edge]), at_stop)
+        if (np.all(pb >= 10 ** (-0.5 / 20)) and np.all(pb <= 10 ** (0.5 / 20))
+                and np.all(sb <= 10 ** (-40 / 20))):
             return taps
     return None
 
 
 @pytest.mark.parametrize("cutoff_hz,fs", [(100.0, 320.0), (128.0, 320.0), (60.0, 150.0),
-                                          (40.2, 100.5), (5.0, 320.0), (155.0, 320.0)])
+                                          (40.2, 100.5), (5.0, 320.0), (155.0, 320.0),
+                                          (1.0, 320.0), (100.0, 2000.0), (100.0, 10000.0)])
 def test_lowpass_taps(cutoff_hz, fs):
     assert same_bits(_lowpass_taps(cutoff_hz, fs), reference_lowpass_taps(cutoff_hz, fs))
 
 
-@pytest.mark.parametrize("cutoff_hz", [100.0, 1.0])  # 19 and 1631 taps at 320 Hz
+@pytest.mark.parametrize("cutoff_hz,fs", [(100.0, 320.0), (5.0, 320.0), (1.0, 320.0),
+                                          (100.0, 2000.0), (100.0, 10000.0), (100.0, 50000.0)])
+def test_lowpass_taps_meet_the_band_specs_between_probes(cutoff_hz, fs):
+    # a dense grid up to the pass edge and from the stop edge to Nyquist;
+    # at the edges only rounding may pass the limits
+    taps = _lowpass_taps(cutoff_hz, fs)
+    stop_edge = min(1.5 * cutoff_hz, 0.999 * fs / 2)
+    passband = np.abs(sps.freqz(taps, worN=np.linspace(0, 0.8 * cutoff_hz, 4001), fs=fs)[1])
+    stopband = np.abs(sps.freqz(taps, worN=np.linspace(stop_edge, fs / 2, 20001), fs=fs)[1])
+    assert np.max(np.abs(20 * np.log10(passband))) <= 0.5 + 1e-9
+    assert np.max(20 * np.log10(stopband)) <= -40 + 1e-9
+
+
+@pytest.mark.parametrize("cutoff_hz", [100.0, 1.0])  # 19 and 1775 taps at 320 Hz
 def test_lowpass_short_and_long_channels(cutoff_hz):
     # channels shorter than the kernel too, where the taps are the longer operand
     taps = _lowpass_taps(cutoff_hz, 320.0)

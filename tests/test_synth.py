@@ -32,7 +32,7 @@ def reference_gen_recording(cfg: SynthConfig):
         raise InputError(f"duration_s = {cfg.duration_s:g} is too short to hold one beat")
 
     rng = np.random.default_rng(cfg.seed)
-    flow_ch, volume_ch = gen_respiration(cfg)
+    flow_ch, volume_ch = gen_respiration(cfg.duration_s, cfg.fs)
 
     starts = []
     pos = float(length)
@@ -142,7 +142,7 @@ def outcome(generate, cfg):
 class TestGenRespiration:
     def test_volume_extremes_at_flow_zero_crossings(self):
         cfg = SynthConfig(duration_s=20)
-        flow, volume = gen_respiration(cfg)
+        flow, volume = gen_respiration(cfg.duration_s, cfg.fs)
         hi = int(np.argmax(volume.samples))
         assert abs(flow.samples[hi]) < 0.02 * 0.5  # peak flow is 0.5 L/s
 
@@ -151,7 +151,7 @@ class TestGenRespiration:
         # closed-form integral times (theta / 2) / tan(theta / 2); the offset
         # correction takes away the line from 0 to that sum at the last sample
         cfg = SynthConfig(duration_s=20)
-        flow, volume = gen_respiration(cfg)
+        flow, volume = gen_respiration(cfg.duration_s, cfg.fs)
         half = np.pi * _RESP_FREQ / cfg.fs
         raw = volume.samples * (half / np.tan(half))
         expected = raw - np.arange(len(raw)) * raw[-1] / (len(raw) - 1)
@@ -290,9 +290,9 @@ class TestArraySteps:
             other, _ = gen_recording(SynthConfig(seed=0, fs=fs))
             assert not np.shares_memory(other["flow"].samples, a["flow"].samples)
             assert type(other["flow"].fs) is type(fs)
-        flow, volume = gen_respiration(SynthConfig())
-        assert flow.samples.flags.writeable and volume.samples.flags.writeable
-        assert not np.shares_memory(flow.samples, a["flow"].samples)
+        flow, volume = gen_respiration(120.0, 320.0)
+        assert not (flow.samples.flags.writeable or volume.samples.flags.writeable)
+        assert np.shares_memory(flow.samples, gen_respiration(120.0, 320.0)[0].samples)
 
 
 class TestSynthConfigValidation:
