@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import InputError, input_file
 from .event_detection import MIN_TEMPLATE_SAMPLES
-from .signal_core import _lowpass_taps
+from .signal_core import _lowpass_taps, _rate_ratio
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ class PipelineConfig:
                              f"analysis_fs = {self.analysis_fs:g}, got {self.template_length_s} "
                              f"({n_template} samples)")
         try:
-            # designed here, before any input is read; the lowpass stage reuses it
+            # checked here, before any input is read; the lowpass stage reuses the design
+            _rate_ratio(self.analysis_fs / self.acquisition_fs)
             _lowpass_taps(self.lowpass_cutoff_hz, float(self.analysis_fs))
         except InputError as exc:
             raise InputError(f"analysis_fs = {self.analysis_fs:g}: {exc}") from None

@@ -71,8 +71,8 @@ class CriterionComparison:
         return (self.inspiration, self.expiration, self.llv, self.hlv)
 
 
-def _shift_to(target, samples, refs, windows, max_shift: int, counts=None):
-    """Shift every row toward its best lag against target.
+def _shift_to(target, samples, refs, windows, counts=None):
+    """Shift every row toward its best lag, at most a quarter window, against target.
 
     Each window is re-cut lag samples later in the source, with the shifted
     ref clamped to ref_bounds so the window stays inside it; a row with a
@@ -81,7 +81,7 @@ def _shift_to(target, samples, refs, windows, max_shift: int, counts=None):
     counts["clamped_shifts"].
     """
     length = windows.shape[1]
-    shifted = refs + best_lag(target, windows, max_shift)
+    shifted = refs + best_lag(target, windows, length // 4)
     refs = np.clip(shifted, *ref_bounds(len(samples), length))
     if counts is not None:
         counts["best_lag_calls"] = counts.get("best_lag_calls", 0) + 1
@@ -89,7 +89,7 @@ def _shift_to(target, samples, refs, windows, max_shift: int, counts=None):
     return refs, cut_windows(samples, refs, length)
 
 
-def align(refs, samples, length: int, max_shift: int, counts=None):
+def align(refs, samples, length: int, counts=None):
     """Two-pass time alignment of the events at refs.
 
     samples is the channel the events were detected in; each event's
@@ -110,8 +110,8 @@ def align(refs, samples, length: int, max_shift: int, counts=None):
         raise DegenerateAnalysisError("empty group")
     windows = cut_windows(samples, refs, length)
     reference = windows[np.argmax(rms(windows))]
-    refs, windows = _shift_to(reference, samples, refs, windows, max_shift, counts)
-    return _shift_to(ensemble_average(windows), samples, refs, windows, max_shift, counts)
+    refs, windows = _shift_to(reference, samples, refs, windows, counts)
+    return _shift_to(ensemble_average(windows), samples, refs, windows, counts)
 
 
 def ensemble_average(windows) -> np.ndarray:
@@ -172,22 +172,21 @@ def evaluate_criterion(refs, first, criterion: Criterion, samples, length: int, 
     align, ensemble-average, mean dissimilarity against the own average,
     then against the alternate group's average (each event is re-aligned to
     that average first so timing offsets do not masquerade as morphology
-    differences), and finally the RD. Lags are searched within a quarter of
-    the event window. Every shift adds to counts as _shift_to does.
+    differences), and finally the RD. Every shift adds to counts as
+    _shift_to does.
     """
-    max_shift = length // 4
     aligned = []
     for group_id, member in zip(_GROUP_IDS[criterion], (first, ~first)):
         if not member.any():
             raise DegenerateAnalysisError(f"degenerate split: {criterion.value} "
                                           f"group {group_id} is empty")
-        aligned.append(align(refs[member], samples, length, max_shift, counts))
+        aligned.append(align(refs[member], samples, length, counts))
     averages = [ensemble_average(windows) for _, windows in aligned]
     stats = []
     for group_id, (refs, windows), own_avg, alt_avg in zip(
             _GROUP_IDS[criterion], aligned, averages, averages[::-1]):
         mean_same, sd_same = mean_dissimilarity(windows, own_avg)
-        _, realigned = _shift_to(alt_avg, samples, refs, windows, max_shift, counts)
+        _, realigned = _shift_to(alt_avg, samples, refs, windows, counts)
         mean_alt, sd_alt = mean_dissimilarity(realigned, alt_avg)
         stats.append(GroupStats(
             group_id=group_id, n=len(windows), ensemble_avg=own_avg,
@@ -232,7 +231,7 @@ def screen_outliers(refs, samples, length: int, counts=None):
     kept = refs[np.ptp(cut_windows(samples, refs, length), axis=1) > 0]
     constant = len(refs) - len(kept)
     if len(kept) >= 3:
-        _, windows = align(kept, samples, length, length // 4, counts)
+        _, windows = align(kept, samples, length, counts)
         avg = ensemble_average(windows)
         if np.ptp(avg) != 0:
             vals = normalized_dissim(windows, avg)  # >= 3 rows, all non-constant

@@ -10,7 +10,6 @@ stages write, go to the recording's run record, which run.json holds.
 
 from __future__ import annotations
 
-import csv
 import os
 import sys
 import time
@@ -93,11 +92,9 @@ def _write_artifacts(rec_id: str, cmp, fs: float, out_dir: Path):
     averages = {st.group_id: st.ensemble_avg for st in cmp.groups}
     n = len(cmp.inspiration.ensemble_avg)
     avg_csv = out_dir / f"{rec_id}_ensemble_averages.csv"
-    with open(avg_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index"] + [g.lower() for g in averages])
-        for i in range(n):
-            writer.writerow([i] + ["%.9g" % avg[i] for avg in averages.values()])
+    np.savetxt(avg_csv, np.column_stack([np.arange(n), *averages.values()]), delimiter=",",
+               fmt=["%d"] + ["%.9g"] * 4, newline="\r\n", comments="",
+               header=",".join(["sample_index"] + [g.lower() for g in averages]))
     t = np.arange(n) / fs
     ens_svg = out_dir / f"{rec_id}_ensemble_averages.svg"
     line_plot(averages, ens_svg, t, title=f"{rec_id}: ensemble-averaged SCG per group",

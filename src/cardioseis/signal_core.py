@@ -175,22 +175,25 @@ def resample(ch: Channel, target_fs: float) -> Channel:
     return Channel(out.result(round(n * target_fs / ch.fs))[0], float(target_fs), ch.label)
 
 
-def _rate_ratio(x: float, max_den: int = 10000) -> tuple[int, int]:
-    """The fraction up/down nearest x with down at most max_den, in lowest
-    terms, the smaller down on a tie: Fraction(x).limit_denominator(max_den)
-    as CPython computes it, on the continued fraction of x."""
+def _rate_ratio(x: float) -> tuple[int, int]:
+    """The fraction up/down nearest x with down at most 10000, in lowest
+    terms, the smaller down on a tie: Fraction(x).limit_denominator(10000)
+    as CPython computes it, on the continued fraction of x: within 0.01 %
+    of x from 1/10000 up, and an InputError below (NaN included)."""
+    if not x >= 1e-4:
+        raise InputError(f"the rate ratio {x:.9g} is below 1/10000, the least the resampler serves")
     n, den = x.as_integer_ratio()
-    if den <= max_den:
+    if den <= 10000:
         return n, den
     p0, q0, p1, q1, d = 0, 1, 1, 0, den
     while True:
         a = n // d
         q2 = q0 + a * q1
-        if q2 > max_den:
+        if q2 > 10000:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
         n, d = d, n - a * d
-    k = (max_den - q0) // q1
+    k = (10000 - q0) // q1
     # p1/q1 is d / (q1 * den) from x, and the two bounds 1 / (q1 * (q0 + k*q1)) apart
     if 2 * d * (q0 + k * q1) <= den:
         return p1, q1
@@ -207,7 +210,7 @@ class Resampler:
     signals sampled at fs, at most max_len rows in all, fed as (k, channels)
     blocks of rows to the parts that at() makes, each in order from its row.
 
-    The ratio up/down is target_fs / fs within a denominator of 10000. The
+    The ratio up/down is _rate_ratio(target_fs / fs), from 1/10000 up. The
     kernel h is a 20 * max(up, down) + 1 tap low-pass whose cutoff sits at
     0.9x the limiting Nyquist (10% guard band), so tones below 0.4x the
     target Nyquist pass essentially untouched. Each channel comes out as

@@ -107,9 +107,9 @@ def loop_align(refs, samples, length, max_shift):
     return aligned
 
 
-def refs_and_shifts(refs, samples, length, max_shift):
+def refs_and_shifts(refs, samples, length):
     """align's (aligned ref, shift) per event, and its windows."""
-    aligned, windows = align(refs, samples, length, max_shift)
+    aligned, windows = align(refs, samples, length)
     return list(zip(aligned.tolist(), (aligned - refs).tolist())), windows
 
 
@@ -287,15 +287,16 @@ class TestAlignEventsProperties:
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=8))
     def test_recovers_known_integer_shift(self, jitters):
         # a 48-sample burst centred in an 80-sample window stays whole in
-        # every jittered window, and no two jitters differ by more than
-        # max_shift, so every relative shift can be recovered exactly
+        # every jittered window, and no two jitters differ by more than the
+        # search width, 20 for length 80, so every relative shift can be
+        # recovered exactly
         burst = BURST[:48]
         centers = [200 + 400 * k + 40 for k in range(len(jitters))]
         x = np.zeros(centers[-1] + 400)
         for c in centers:
             x[c - 24:c + 24] += burst
         refs = np.array([c + j for c, j in zip(centers, jitters)])
-        aligned, windows = refs_and_shifts(refs, x, 80, 8)
+        aligned, windows = refs_and_shifts(refs, x, 80)
         offsets = {ref - c for (ref, _), c in zip(aligned, centers)}
         assert len(offsets) == 1
         (offset,) = offsets
@@ -308,11 +309,10 @@ class TestAlignEventsProperties:
                                                (Coupling.NONE, 43)])
     def test_matches_loop_on_synthetic_groups(self, coupling, seed):
         _, refs, _, scg = run_synth_analysis(coupling, seed=seed, screen=False)
-        for max_shift in (0, 5, 20, 100):
-            got, windows = refs_and_shifts(refs, scg.samples, TEMPLATE_LENGTH, max_shift)
-            want = loop_align(refs, scg.samples, TEMPLATE_LENGTH, max_shift)
-            assert got == [(ref, shift) for ref, _, shift in want]
-            assert all(np.array_equal(a, b) for a, (_, b, _) in zip(windows, want))
+        got, windows = refs_and_shifts(refs, scg.samples, TEMPLATE_LENGTH)
+        want = loop_align(refs, scg.samples, TEMPLATE_LENGTH, TEMPLATE_LENGTH // 4)
+        assert got == [(ref, shift) for ref, _, shift in want]
+        assert all(np.array_equal(a, b) for a, (_, b, _) in zip(windows, want))
 
     def test_shifts_clamped_at_recording_edges(self):
         # the first window starts at sample 0 and the last ends at the last
@@ -322,8 +322,8 @@ class TestAlignEventsProperties:
         for c in centers:
             x[c - 24:c + 24] += BURST[:48]
         refs = np.array([40, 440, 840])
-        got, windows = refs_and_shifts(refs, x, 80, 8)
-        want = loop_align(refs, x, 80, 8)
+        got, windows = refs_and_shifts(refs, x, 80)
+        want = loop_align(refs, x, 80, 80 // 4)
         assert got == [(ref, shift) for ref, _, shift in want]
         assert (got[0][0], got[-1][0]) == (40, 840)
         for (ref, _), window in zip(got, windows):
@@ -343,8 +343,8 @@ class TestScaleInvariance:
     @given(st.sampled_from([1e-3, 0.37, 3.0, 1e4]) | st.floats(0.01, 100.0))
     def test_lags_and_rds_unchanged_by_scale(self, k):
         refs, labels, samples = _labeled_volume_events()
-        assert refs_and_shifts(refs, k * samples, TEMPLATE_LENGTH, 20)[0] == \
-            refs_and_shifts(refs, samples, TEMPLATE_LENGTH, 20)[0]
+        assert refs_and_shifts(refs, k * samples, TEMPLATE_LENGTH)[0] == \
+            refs_and_shifts(refs, samples, TEMPLATE_LENGTH)[0]
         base = compare_criteria(refs, *labels, samples, TEMPLATE_LENGTH)
         other = compare_criteria(refs, *labels, k * samples, TEMPLATE_LENGTH)
         for a, b in zip(base.groups, other.groups):

@@ -56,14 +56,14 @@ class TestAlignEvents:
     def test_identical_events_zero_shift(self):
         ch = planted_channel([200, 600, 1000])
         refs = np.array([p + 40 for p in (200, 600, 1000)])
-        aligned, _ = align(refs, ch.samples, 80, 10)
+        aligned, _ = align(refs, ch.samples, 80)
         assert shifts(refs, aligned) == [0, 0, 0]
 
     def test_known_jitter_recovered(self):
         ch = planted_channel([200, 600, 1000, 1400])
         jitters = [0, 3, -4, 2]
         refs = np.array([p + 40 + j for p, j in zip((200, 600, 1000, 1400), jitters)])
-        aligned, _ = align(refs, ch.samples, 80, 8)
+        aligned, _ = align(refs, ch.samples, 80)
         # after alignment every ref lands back on the true beat center
         assert [ref - p - 40 for ref, p in zip(aligned, (200, 600, 1000, 1400))] == [0] * 4
         assert shifts(refs, aligned) == [-j for j in jitters]
@@ -76,20 +76,20 @@ class TestAlignEvents:
         ch = planted_channel(offsets)
         jitters = [0, 4, 4]
         refs = np.array([p + 40 + j for p, j in zip(offsets, jitters)])
-        aligned, _ = align(refs, ch.samples, 80, 8)
+        aligned, _ = align(refs, ch.samples, 80)
         assert [ref - p - 40 for ref, p in zip(aligned, offsets)] == [0] * 3
         assert shifts(refs, aligned) == [-j for j in jitters]
 
     def test_single_event_unchanged(self):
         ch = planted_channel([300])
         refs = np.array([340])
-        aligned, windows = align(refs, ch.samples, 80, 10)
+        aligned, windows = align(refs, ch.samples, 80)
         assert shifts(refs, aligned) == [0]
         assert np.array_equal(windows[0], window_at(ch, 340))
 
     def test_empty_errors(self):
         with pytest.raises(DegenerateAnalysisError):
-            align(np.array([], dtype=int), np.zeros(80), 80, 8)
+            align(np.array([], dtype=int), np.zeros(80), 80)
 
     def test_cut_windows(self):
         ch = planted_channel([300, 700])
@@ -169,12 +169,12 @@ class TestCounts:
         x[:75] = BURST[5:]
         first, _ = ref_bounds(len(x), 80)
         counts = {}
-        aligned, _ = align(np.array([first, 340]), x, 80, 10, counts=counts)
+        aligned, _ = align(np.array([first, 340]), x, 80, counts=counts)
         assert aligned[0] == first
         assert counts["clamped_shifts"] >= 1
         assert counts["best_lag_calls"] == 2
         unclamped = {}
-        align(np.array([340]), x, 80, 10, counts=unclamped)
+        align(np.array([340]), x, 80, counts=unclamped)
         assert unclamped == {"best_lag_calls": 2, "clamped_shifts": 0}
 
 

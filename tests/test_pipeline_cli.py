@@ -324,13 +324,16 @@ template_start_s = 1.5
         assert cfg.analysis_fs == 320.0
         assert cfg.lowpass_cutoff_hz == 100.0
 
-    def test_lowpass_design_error_names_analysis_fs(self, monkeypatch):
-        # a stub: at 200 kHz the real search fails only after 2,043 designs
-        def no_kernel(cutoff_hz, fs):
-            raise InputError(f"no kernel for {cutoff_hz:g} Hz at {fs:g} Hz")
-        monkeypatch.setattr("cardioseis.config._lowpass_taps", no_kernel)
-        with pytest.raises(InputError, match="^analysis_fs = 150: no kernel for 60 Hz at 150 Hz$"):
-            PipelineConfig(analysis_fs=150.0)
+    def test_lowpass_design_error_names_analysis_fs(self):
+        with pytest.raises(InputError) as exc:
+            PipelineConfig(acquisition_fs=80000.0, analysis_fs=80000.0)
+        assert str(exc.value) == ("analysis_fs = 80000: no low-pass kernel of at most 4095 taps "
+                                  "meets the band specs for a 100 Hz cutoff at 80000 Hz")
+
+    def test_rate_ratio_below_1_in_10000_names_analysis_fs(self):
+        # a 16-sample template passes; the resampler has no ratio for 0.4/10000
+        with pytest.raises(InputError, match=r"^analysis_fs = 0\.4: .*below 1/10000"):
+            PipelineConfig(acquisition_fs=10000.0, analysis_fs=0.4, template_length_s=40.0)
 
     def test_analysis_fs_above_acquisition(self):
         with pytest.raises(InputError):
@@ -656,6 +659,22 @@ class TestCli:
         assert res.exit_code == 2, res.output
         assert field in res.output
         assert ingested == []
+
+    def test_rate_ratio_below_1_in_10000_exits_2_before_ingest(self, tmp_path, capsys):
+        rec, _ = gen_recording(SynthConfig(fs=10000.0, duration_s=2.0))
+        path = tmp_path / "rec.csv"
+        write_recording_csv(rec, path)
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"input = {path}\nacquisition_fs = 10000\nanalysis_fs = 0.4\n"
+                            "template_length_s = 40\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2, err
+        assert out == ""
+        assert err.startswith(f"error: {cfg_file}: analysis_fs = 0.4: ")
+        assert "below 1/10000" in err
+        assert not (tmp_path / "out").exists()
 
     def test_run_degenerate_analysis_exits_3(self, tmp_path):
         path, truth, cfg = zero_flow_csv(tmp_path)

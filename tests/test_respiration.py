@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,12 @@ class TestPhaseLabels:
                 assert got == expect_insp
 
 
+# the volume offset is taken over the whole recording, so one that ends
+# inside a breath shifts the mean that splits HLV from LLV
+PARTIAL_BREATHS = pytest.mark.xfail(strict=True, reason="ROADMAP item 10: a recording that "
+                                    "does not hold whole breaths mislabels volume")
+
+
 class TestLabelEvents:
     def test_composition(self):
         fs = 320.0
@@ -192,3 +200,18 @@ class TestLabelEvents:
                    and volume_phase is truth.volume_phase[k])
         assert total > 0
         assert ok / total >= 0.99
+
+    @pytest.mark.parametrize("duration_s", [120.0, 60.0,  # 30 and 15 whole breaths
+                                            pytest.param(121.0, marks=PARTIAL_BREATHS),
+                                            pytest.param(122.0, marks=PARTIAL_BREATHS),
+                                            pytest.param(30.0, marks=PARTIAL_BREATHS)])
+    def test_volume_labels_at_true_beats(self, duration_s):
+        # noiseless flow, labelled at the true beat centres
+        for seed in range(5):
+            rec, truth = gen_recording(SynthConfig(duration_s=duration_s, seed=seed,
+                                                   snr_db=math.inf))
+            flow = rec["flow"]
+            _, high_volume = label_events(truth.beat_indices, flow.samples,
+                                          integrate_flow(flow))
+            hlv = np.array([phase is VolumePhase.HLV for phase in truth.volume_phase])
+            assert np.mean(high_volume == hlv) >= 0.99, seed

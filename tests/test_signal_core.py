@@ -136,6 +136,20 @@ class TestResample:
         with pytest.raises(InputError, match="target_fs must be finite and > 0"):
             resample(Channel(np.zeros(10), 320.0), rate)
 
+    def test_ratio_below_1_in_10000(self):
+        # the nearest fraction with a denominator of at most 10000 is 1/10000,
+        # which would give samples 1 s apart labelled 0.7 Hz
+        with pytest.raises(InputError, match="^the rate ratio 7e-05 is below 1/10000"):
+            resample(Channel(np.zeros(200_000), 10000.0), 0.7)
+
+    @pytest.mark.parametrize("x", [0.99999e-4, 4e-5, 0.0, -1.0, np.nan])
+    def test_rate_ratio_below_1_in_10000(self, x):
+        with pytest.raises(InputError, match="below 1/10000"):
+            signal_core._rate_ratio(x)
+
+    def test_rate_ratio_of_1_in_10000(self):
+        assert signal_core._rate_ratio(1e-4) == (1, 10000)
+
 
 class TestHilbertEnvelope:
     def test_all_zero(self):
